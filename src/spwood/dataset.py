@@ -175,7 +175,7 @@ def merge_sets(sets) -> AnnotationSet:
 
 
 def _fmt_coord(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(v)
+    return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
 def serialize_dota(ann: AnnotationSet) -> dict[str, str]:

@@ -148,26 +148,19 @@ def gwd_squared(a: Gaussian2D, b: Gaussian2D) -> float:
     """Squared 2-Wasserstein distance between two Gaussians.
 
     W2^2 = |mu_a - mu_b|^2 + Tr(Sa + Sb - 2 * (Sb^1/2 Sa Sb^1/2)^1/2).
-    The inner matrix square roots use closed-form 2x2 eigendecompositions.
+    For 2x2 matrices Tr (Sb^1/2 Sa Sb^1/2)^1/2
+    = sqrt(Tr(Sa Sb) + 2 sqrt(det Sa det Sb)); every term below is
+    written symmetrically in a and b, so d(a, b) == d(b, a) exactly.
     """
-    diff = a.mean - b.mean
-    loc = float(diff @ diff)
-    root_b = _psd_sqrt(b.cov)
-    cross = _psd_sqrt(root_b @ a.cov @ root_b)
-    scale = float(np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
+    (a11, a12), (_, a22) = a.cov.tolist()
+    (b11, b12), (_, b22) = b.cov.tolist()
+    dx, dy = (a.mean - b.mean).tolist()
+    tr_ab = a11 * b11 + 2.0 * a12 * b12 + a22 * b22
+    det_ab = (a11 * a22 - a12 * a12) * (b11 * b22 - b12 * b12)
+    cross = math.sqrt(max(tr_ab + 2.0 * math.sqrt(max(det_ab, 0.0)), 0.0))
+    scale = (a11 + a22) + (b11 + b22) - 2.0 * cross
     # tiny negatives from rounding when a == b
-    return loc + max(scale, 0.0)
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (m + m.T)
-    vals, vecs = np.linalg.eigh(sym)
-    if vals.min() < -1e-9 * max(1.0, abs(vals.max())):
-        raise NumericalDegeneracyError(
-            f"matrix square root of non-PSD input (eigenvalues {vals.tolist()})"
-        )
-    vals = np.sqrt(np.maximum(vals, 0.0))
-    return (vecs * vals) @ vecs.T
+    return dx * dx + dy * dy + max(scale, 0.0)
 
 
 def flip_box(box: OrientedBox, image_height: float) -> OrientedBox:

@@ -5,10 +5,10 @@ cell a two-marker watershed (seed pixel vs. cell boundary) floods the
 gradient-magnitude surface to recover a foreground mask, whose rotated
 extents become the width/height regression targets.
 
-The flood uses a priority queue keyed by (gradient at the entered pixel,
-row-major pixel index, insertion order), so results are bit-reproducible:
-ascending gradient first, ties swept in row-major order, and a pixel
-reached by both floods at the same priority goes to the earlier push.
+The flood is a priority flood (Vincent & Soille, 1991) keyed by (gradient
+at the pixel, row-major pixel index), so results are bit-reproducible:
+ascending gradient first, ties swept in row-major order. A pixel is queued
+once and takes the label of the first flood to reach it.
 Pixel (x, y) sits at lattice coordinates (x, y); distances are measured
 from these lattice points.
 """
@@ -16,6 +16,7 @@ from these lattice points.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -24,8 +25,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import PointAnnotation
-
-_NEIGHBORS = ((0, -1), (-1, 0), (1, 0), (0, 1))  # N, W, E, S
 
 
 @dataclass(frozen=True)
@@ -95,15 +94,15 @@ def voronoi_partition(
             )
     xs = np.arange(width, dtype=float)
     ys = np.arange(height, dtype=float)
-    # (n_seeds, H, W) squared distances; argmin keeps the first (lowest)
-    # index on ties.
-    d2 = np.stack(
-        [
-            (xs[None, :] - s.x) ** 2 + (ys[:, None] - s.y) ** 2
-            for s in seeds
-        ]
-    )
-    labels = np.argmin(d2, axis=0).astype(np.int32)
+    # Running argmin: a later seed takes a pixel only when strictly closer,
+    # so ties stay with the lowest index.
+    best = np.full((height, width), np.inf)
+    labels = np.zeros((height, width), dtype=np.int32)
+    for k, s in enumerate(seeds):
+        d2 = (xs[None, :] - s.x) ** 2 + (ys[:, None] - s.y) ** 2
+        closer = d2 < best
+        np.copyto(labels, k, where=closer)
+        np.minimum(best, d2, out=best)
     return VoronoiLabelMap(width, height, labels, tuple(seeds))
 
 
@@ -115,24 +114,17 @@ def gradient_magnitude(intensity: np.ndarray) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
-def _cell_boundary(cell_mask: np.ndarray) -> np.ndarray:
-    """Cell pixels with a 4-neighbor outside the cell or outside the image."""
-    interior = cell_mask.copy()
-    interior[0, :] = interior[-1, :] = False
-    interior[:, 0] = interior[:, -1] = False
-    interior[1:-1, 1:-1] &= (
-        cell_mask[:-2, 1:-1]
-        & cell_mask[2:, 1:-1]
-        & cell_mask[1:-1, :-2]
-        & cell_mask[1:-1, 2:]
-    )
-    return cell_mask & ~interior
+_FG, _BG, _FENCE = 1, 2, 3
 
 
 def watershed_segment(
     image: RasterImage, cells: VoronoiLabelMap
 ) -> list[np.ndarray]:
     """Flood each Voronoi cell from its seed against its boundary.
+
+    The seed marker is the pixel of the seed's own cell nearest to the
+    seed (ties to the lowest row-major index); the background marker is
+    the rest of the cell's boundary.
 
     Parameters
     ----------
@@ -145,63 +137,71 @@ def watershed_segment(
     -------
     list of (H, W) bool arrays
         One foreground mask per seed. Each mask is confined to its cell
-        and contains its seed pixel; masks are pairwise disjoint.
+        and contains its snapped seed pixel; masks are pairwise disjoint.
+        A seed whose cell is empty (a duplicate seed) gets an empty mask.
     """
     if (image.width, image.height) != (cells.width, cells.height):
         raise InvalidInputError(
             f"image {image.width} x {image.height} does not match "
             f"partition {cells.width} x {cells.height}"
         )
-    grad = gradient_magnitude(image.intensity)
-    masks = []
-    for k, seed in enumerate(cells.seeds):
-        cell_mask = cells.cell_id == k
-        masks.append(_flood_cell(grad, cell_mask, seed, cells.width))
-    return masks
+    h, w = cells.height, cells.width
+    # All cells flood in one frame padded by a fence pixel on each side, so
+    # neighbor lookups need no bounds checks. Padding keeps row-major order,
+    # so the priority rank(gradient) * size + index sorts pixels exactly as
+    # the key (gradient, row-major index).
+    stride, size = w + 2, (h + 2) * (w + 2)
+    rank = np.unique(gradient_magnitude(image.intensity), return_inverse=True)[1]
+    index = np.arange(size).reshape(h + 2, stride)
+    prio = (np.pad(rank.reshape(h, w), 1) * size + index).ravel()
+    cell = np.pad(cells.cell_id, 1, constant_values=-1)
+    inner = cell[1:-1, 1:-1]
+    boundary = (
+        (cell[:-2, 1:-1] != inner)
+        | (cell[2:, 1:-1] != inner)
+        | (cell[1:-1, :-2] != inner)
+        | (cell[1:-1, 2:] != inner)
+    )
+    label = np.pad(boundary * np.uint8(_BG), 1, constant_values=_FENCE)
+    rows, cols = _snap_seeds(cells)
+    label[rows + 1, cols + 1] = _FG
+    label, cell = label.ravel(), cell.ravel()
+    # Markers go cell by cell in seed order: the seed pixel, then the cell's
+    # boundary pixels in row-major order. Each pixel is queued once, by the
+    # first marker or flooded pixel to reach it, which fixes its label.
+    marked = np.flatnonzero((label == _FG) | (label == _BG))
+    markers = marked[np.lexsort((label[marked], cell[marked]))].tolist()
+    cell_v, prio_v, label_v = memoryview(cell), memoryview(prio), memoryview(label)
+    heap: list[int] = []
+    push, pop = heapq.heappush, heapq.heappop
+
+    def popped():
+        while heap:
+            yield pop(heap) % size
+
+    for i in itertools.chain(markers, popped()):
+        c, lab = cell_v[i], label_v[i]
+        for j in (i - stride, i - 1, i + 1, i + stride):
+            if not label_v[j] and cell_v[j] == c:
+                label_v[j] = lab
+                push(heap, prio_v[j])
+    fg = label.reshape(h + 2, stride)[1:-1, 1:-1] == _FG
+    owner = np.where(fg, cells.cell_id, -1)
+    return [owner == k for k in range(len(cells.seeds))]
 
 
-_FG, _BG = 1, 2
-
-
-def _flood_cell(
-    grad: np.ndarray, cell_mask: np.ndarray, seed: PointAnnotation, width: int
-) -> np.ndarray:
-    height = grad.shape[0]
-    sx = min(int(round(seed.x)), width - 1)
-    sy = min(int(round(seed.y)), height - 1)
-    labels = np.zeros(grad.shape, dtype=np.uint8)
-    labels[sy, sx] = _FG
-    boundary = _cell_boundary(cell_mask)
-    boundary[sy, sx] = False  # the seed marker wins if the cell is thin
-    labels[boundary] = _BG
-
-    heap: list[tuple[float, int, int, int, int, int]] = []
-    counter = 0
-
-    def push_neighbors(x: int, y: int, label: int) -> None:
-        nonlocal counter
-        for dx, dy in _NEIGHBORS:
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < width and 0 <= ny < height and cell_mask[ny, nx]:
-                if labels[ny, nx] == 0:
-                    heapq.heappush(
-                        heap,
-                        (float(grad[ny, nx]), ny * width + nx, counter, nx, ny, label),
-                    )
-                    counter += 1
-
-    push_neighbors(sx, sy, _FG)
-    bys, bxs = np.nonzero(boundary)
-    for y, x in zip(bys.tolist(), bxs.tolist()):  # row-major marker order
-        push_neighbors(x, y, _BG)
-
-    while heap:
-        _, _, _, x, y, label = heapq.heappop(heap)
-        if labels[y, x]:
-            continue
-        labels[y, x] = label
-        push_neighbors(x, y, label)
-    return labels == _FG
+def _snap_seeds(cells: VoronoiLabelMap) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the pixel nearest each seed within its own cell
+    (ties to the lowest row-major index); seeds with empty cells are left out."""
+    sx, sy = np.array([(s.x, s.y) for s in cells.seeds], dtype=float).T
+    lab = cells.cell_id.ravel()
+    ys, xs = np.divmod(np.arange(lab.size), cells.width)
+    d2 = (xs - sx[lab]) ** 2 + (ys - sy[lab]) ** 2
+    best = np.full(len(sx), np.inf)
+    np.minimum.at(best, lab, d2)
+    hits = np.flatnonzero(d2 == best[lab])
+    first = np.unique(lab[hits], return_index=True)[1]
+    return np.divmod(hits[first], cells.width)
 
 
 def scale_target_from_mask(mask: np.ndarray, theta: float) -> ScaleTarget:

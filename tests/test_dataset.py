@@ -13,6 +13,7 @@ from spwood.dataset import (
     compare_counts,
     compare_stats,
     parse_dota,
+    record_from_box,
     round_half_up,
     select_partial,
     serialize_dota,
@@ -314,3 +315,12 @@ def test_serialize_weak_formats():
     rbox_text = serialize_weak(ann, WeakKind.RBOX)["a"]
     reparsed = parse_dota(rbox_text, image_id="a")
     assert list(reparsed.records())[0].category == "ship"
+
+
+def test_serialize_weak_rbox_non_integer_corners_parse_as_floats():
+    box = OrientedBox(10.5, 20, 4, 2, 0)
+    ann = AnnotationSet({"a": [record_from_box(box, "a", "ship")]})
+    tokens = serialize_weak(ann, WeakKind.RBOX)["a"].split()
+    assert len(tokens) == 10
+    corners = [float(t) for t in tokens[:8]]
+    assert np.allclose(np.reshape(corners, (4, 2)), box_corners(box))

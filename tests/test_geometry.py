@@ -142,6 +142,13 @@ def test_gwd_symmetric_and_separating(b1, b2):
         assert d_ab > 0.0
 
 
+def test_gwd_exactly_symmetric_on_thin_boxes():
+    # thin boxes make the square-root terms cancellation-prone
+    a = rbox_to_gaussian(OrientedBox(0, 0, 77, 0.125, 0.25))
+    b = rbox_to_gaussian(OrientedBox(0, 0, 78, 0.125, 3.5))
+    assert gwd_squared(a, b) == gwd_squared(b, a)
+
+
 def test_flip_examples():
     assert flip_box(OrientedBox(0, 0, 2, 1, 0.0), 100).theta == 0.0
     assert flip_box(OrientedBox(0, 0, 2, 1, 0.3), 100).theta == pytest.approx(-0.3)

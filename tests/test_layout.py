@@ -1,9 +1,11 @@
+import heapq
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spwood.errors import InvalidInputError
@@ -33,6 +35,53 @@ def brute_force_nearest(seeds, width, height):
                     best, best_d = k, d
             out[y, x] = best
     return out
+
+
+def reference_flood(grad, cell, seed):
+    """Two-marker flood of one cell with a (gradient, row-major index, push
+    order) tuple heap; markers are the rounded seed pixel and the rest of
+    the cell boundary, whose neighbors are pushed seed first."""
+    height, width = grad.shape
+    padded = np.pad(cell, 1)
+    interior = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
+    boundary = cell & ~interior
+    sx, sy = int(round(seed.x)), int(round(seed.y))
+    labels = np.zeros(grad.shape, dtype=np.uint8)
+    boundary[sy, sx] = False
+    labels[boundary] = 2
+    labels[sy, sx] = 1
+    heap, counter = [], 0
+
+    def push_neighbors(x, y, label):
+        nonlocal counter
+        for nx, ny in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
+            if not (0 <= nx < width and 0 <= ny < height):
+                continue
+            if cell[ny, nx] and not labels[ny, nx]:
+                entry = (grad[ny, nx], ny * width + nx, counter, nx, ny, label)
+                heapq.heappush(heap, entry)
+                counter += 1
+
+    push_neighbors(sx, sy, 1)
+    for y, x in zip(*np.nonzero(boundary)):
+        push_neighbors(x, y, 2)
+    while heap:
+        *_, x, y, label = heapq.heappop(heap)
+        if not labels[y, x]:
+            labels[y, x] = label
+            push_neighbors(x, y, label)
+    return labels == 1
+
+
+def nearest_own_pixel(cell_id, k, seed):
+    """Brute force: the pixel of cell k nearest the seed, lowest row-major
+    index on ties; None for an empty cell."""
+    ys, xs = np.nonzero(cell_id == k)
+    if xs.size == 0:
+        return None
+    d2 = (xs - seed.x) ** 2 + (ys - seed.y) ** 2
+    i = int(np.argmin(d2))  # nonzero is row-major, argmin keeps the first
+    return ys[i], xs[i]
 
 
 def rasterize_rect(width, height, cx, cy, w, h, theta):
@@ -143,6 +192,90 @@ def test_masks_disjoint_and_confined():
         total += m
         assert not np.any(m & (cells.cell_id != k))
     assert total.max() <= 1
+
+
+def oracle_scene(rng, kind):
+    width, height = (int(v) for v in rng.integers(2, 40, 2))
+    n = 3 if kind == "thin" else int(rng.integers(1, 10))
+    pixels = list(zip(rng.integers(width, size=n), rng.integers(height, size=n)))
+    if kind == "thin":  # one-pixel-wide column cells along a row
+        xs = rng.choice(width, size=min(width, 8), replace=False)
+        pixels = [(x, height // 2) for x in xs] + pixels
+    pixels = list(dict.fromkeys((int(x), int(y)) for x, y in pixels))
+    # within 0.2 px of distinct pixels, so rounding reaches the seed's own cell
+    xy = np.array(pixels) + rng.uniform(-0.2, 0.2, (len(pixels), 2))
+    xy = np.clip(xy, 0.0, [width - 1, height - 1])
+    seeds = [PointAnnotation(x, y) for x, y in xy.tolist()]
+    if kind == "uniform":
+        img = np.full((height, width), 0.5)
+    elif kind == "coarse":  # three levels: many gradient values tie
+        img = rng.integers(0, 3, (height, width)) / 2.0
+    else:
+        img = rng.random((height, width))
+    return RasterImage.from_array(img), voronoi_partition(seeds, width, height)
+
+
+@pytest.mark.parametrize("seed, kind", enumerate(["random", "thin", "uniform", "coarse"]))
+def test_masks_match_reference_flood(seed, kind):
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        image, cells = oracle_scene(rng, kind)
+        grad = gradient_magnitude(image.intensity)
+        masks = watershed_segment(image, cells)
+        for k, (seed, mask) in enumerate(zip(cells.seeds, masks)):
+            expected = reference_flood(grad, cells.cell_id == k, seed)
+            assert mask.tobytes() == expected.tobytes()
+
+
+def coordinates(limit):
+    # quarter-pixel lattice values (ties, near and duplicate seeds) or any float
+    return st.one_of(
+        st.integers(0, 4 * limit - 1).map(lambda v: v / 4.0),
+        st.floats(0.0, limit, exclude_max=True),
+    )
+
+
+@st.composite
+def seeded_scenes(draw):
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    points = st.builds(PointAnnotation, coordinates(width), coordinates(height))
+    seeds = draw(st.lists(points, min_size=1, max_size=8))
+    seeds += draw(st.lists(st.sampled_from(seeds), max_size=2))  # duplicates
+    image = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((height, width))
+    return width, height, seeds, image
+
+
+@given(seeded_scenes())
+@example((6, 5, [PointAnnotation(1.5, 2), PointAnnotation(2, 2)], np.full((5, 6), 0.5)))
+@example((6, 5, [PointAnnotation(2, 2), PointAnnotation(2, 2)], np.full((5, 6), 0.5)))
+@settings(max_examples=150, deadline=None)
+def test_non_integer_seeds_confined_disjoint_and_seeded(scene):
+    width, height, seeds, image = scene
+    cells = voronoi_partition(seeds, width, height)
+    masks = watershed_segment(RasterImage.from_array(image), cells)
+    total = np.zeros((height, width), dtype=int)
+    for k, (seed, mask) in enumerate(zip(seeds, masks)):
+        total += mask
+        assert not np.any(mask & (cells.cell_id != k))
+        snapped = nearest_own_pixel(cells.cell_id, k, seed)
+        if snapped is None:
+            assert not mask.any()
+            assert not scale_target_from_mask(mask, 0.0).valid
+        else:
+            assert mask[snapped]
+    assert total.max() <= 1
+
+
+def test_voronoi_memory_is_linear_in_pixels():
+    rng = np.random.default_rng(3)
+    seeds = [PointAnnotation(x, y) for x, y in rng.uniform(0, 512, (100, 2)).tolist()]
+    tracemalloc.start()
+    try:
+        voronoi_partition(seeds, 512, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # an (n_seeds, H, W) distance stack needs about 210 MB
 
 
 def test_dimension_mismatch_rejected():
