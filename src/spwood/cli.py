@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -424,8 +425,17 @@ def cmd_watershed(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in scientific notation ("--theta -5.8e-05")
+    as a value; argparse in Python 3.11 takes it for an option string."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spwood",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,

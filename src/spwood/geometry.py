@@ -17,8 +17,8 @@ from .errors import InvalidInputError, NumericalDegeneracyError
 
 HALF_PERIOD = math.pi
 
-# Eigenvalue floor applied to covariances before inversion; watershed
-# targets can produce near-zero extents.
+# Eigenvalue floor applied to a covariance before it is read as a box;
+# watershed targets can produce near-zero extents.
 COV_EIGENVALUE_FLOOR = 1e-12
 
 
@@ -115,33 +115,72 @@ def rbox_to_gaussian(box: OrientedBox) -> Gaussian2D:
     return Gaussian2D(np.array([box.cx, box.cy]), r @ d @ r.T)
 
 
-def _floored(cov: np.ndarray) -> np.ndarray:
-    """Clamp covariance eigenvalues to the degeneracy floor."""
-    vals, vecs = np.linalg.eigh(cov)
-    if vals.min() >= COV_EIGENVALUE_FLOOR:
-        return cov
-    vals = np.maximum(vals, COV_EIGENVALUE_FLOOR)
-    return (vecs * vals) @ vecs.T
+def bhattacharyya_boxes(p: np.ndarray, q: np.ndarray):
+    """Bhattacharyya distance between the Gaussian models of box pairs,
+    with its gradient.
+
+    p and q are (m, 5) arrays of (cx, cy, w, h, theta) rows; row k of p is
+    paired with row k of q. Returns the (m,) distances and their (m, 5)
+    partial derivatives with respect to p and to q.
+
+    Work in each box's own frame: with a1, a2 = (w/2)^2, (h/2)^2 for p,
+    b1, b2 the same for q and D = theta_q - theta_p, the summed covariance
+    M = Sp + Sq has
+        det M = a1 a2 + b1 b2 + (a1 b2 + a2 b1) cos^2 D + (a1 b1 + a2 b2) sin^2 D
+    and, adj being linear, N = d^T adj(M) d = a2 up^2 + a1 vp^2 + b2 uq^2 + b1 vq^2,
+    where (u, v) is the center offset d = mu_p - mu_q in that box's frame.
+    So B = N / (4 det M) + 1/2 ln(4 det M / (wp hp wq hq)). Every term is a
+    sum of nonnegative products, so thin boxes lose no digits, and swapping
+    p and q gives exactly the same value.
+    """
+    dx, dy = p[:, 0] - q[:, 0], p[:, 1] - q[:, 1]
+    wp, hp, wq, hq = p[:, 2], p[:, 3], q[:, 2], q[:, 3]
+    a1, a2, b1, b2 = (wp / 2.0) ** 2, (hp / 2.0) ** 2, (wq / 2.0) ** 2, (hq / 2.0) ** 2
+    cp, sp, cq, sq = np.cos(p[:, 4]), np.sin(p[:, 4]), np.cos(q[:, 4]), np.sin(q[:, 4])
+    up, vp = cp * dx + sp * dy, cp * dy - sp * dx
+    uq, vq = cq * dx + sq * dy, cq * dy - sq * dx
+    delta = q[:, 4] - p[:, 4]
+    cos2, sin2 = np.cos(delta) ** 2, np.sin(delta) ** 2
+    det = (a1 * a2 + b1 * b2) + ((a1 * b2 + a2 * b1) * cos2 + (a1 * b1 + a2 * b2) * sin2)
+    if not np.all(np.isfinite(det) & (det > 0.0)):
+        raise NumericalDegeneracyError("singular averaged covariance")
+    num = (a2 * up * up + a1 * vp * vp) + (b2 * uq * uq + b1 * vq * vq)
+    value = num / (4.0 * det) + 0.5 * np.log(4.0 * det / (wp * hp * (wq * hq)))
+    # dB/dN and dB/d(det M); the -0.5/w, -0.5/h terms below come from -1/2 ln(w h)
+    g_num = 0.25 / det
+    g_det = (0.5 - num * g_num) / det
+    gx = 2.0 * g_num * (cp * a2 * up - sp * a1 * vp + cq * b2 * uq - sq * b1 * vq)
+    gy = 2.0 * g_num * (sp * a2 * up + cp * a1 * vp + sq * b2 * uq + cq * b1 * vq)
+    # d(det M)/dD = sin 2D (a1 - a2)(b1 - b2); d(up, vp)/d theta_p = (vp, -up)
+    twist = g_det * np.sin(2.0 * delta) * (a1 - a2) * (b1 - b2)
+    grad_p = np.stack([gx, gy,
+        0.5 * wp * (g_num * vp * vp + g_det * (a2 + b2 * cos2 + b1 * sin2)) - 0.5 / wp,
+        0.5 * hp * (g_num * up * up + g_det * (a1 + b1 * cos2 + b2 * sin2)) - 0.5 / hp,
+        2.0 * g_num * (a2 - a1) * up * vp - twist], axis=1)
+    grad_q = np.stack([-gx, -gy,
+        0.5 * wq * (g_num * vq * vq + g_det * (b2 + a2 * cos2 + a1 * sin2)) - 0.5 / wq,
+        0.5 * hq * (g_num * uq * uq + g_det * (b1 + a1 * cos2 + a2 * sin2)) - 0.5 / hq,
+        2.0 * g_num * (b2 - b1) * uq * vq + twist], axis=1)
+    return value, grad_p, grad_q
+
+
+def _as_box(g: Gaussian2D) -> np.ndarray:
+    """(1, 5) box row of a Gaussian, its eigenvalues floored at
+    COV_EIGENVALUE_FLOOR."""
+    vals, vecs = np.linalg.eigh(g.cov)
+    w, h = 2.0 * np.sqrt(np.maximum(vals, COV_EIGENVALUE_FLOOR))
+    return np.array([[g.mean[0], g.mean[1], w, h, math.atan2(vecs[1, 0], vecs[0, 0])]])
 
 
 def bhattacharyya(a: Gaussian2D, b: Gaussian2D) -> float:
     """Bhattacharyya distance between two Gaussians.
 
     B = 1/8 * d^T S^-1 d + 1/2 * ln(det S / sqrt(det Sa * det Sb))
-    with S the average covariance and d the mean difference. Symmetric,
+    with S the average covariance and d the mean difference, evaluated by
+    bhattacharyya_boxes on each Gaussian's eigen-box. Symmetric (exactly),
     nonnegative, zero iff the distributions coincide.
     """
-    cov_a = _floored(a.cov)
-    cov_b = _floored(b.cov)
-    avg = (cov_a + cov_b) / 2.0
-    det_avg = float(np.linalg.det(avg))
-    det_a = float(np.linalg.det(cov_a))
-    det_b = float(np.linalg.det(cov_b))
-    if not (det_avg > 0 and math.isfinite(det_avg)):
-        raise NumericalDegeneracyError("singular averaged covariance")
-    d = a.mean - b.mean
-    maha = float(d @ np.linalg.solve(avg, d))
-    return 0.125 * maha + 0.5 * math.log(det_avg / math.sqrt(det_a * det_b))
+    return float(bhattacharyya_boxes(_as_box(a), _as_box(b))[0][0])
 
 
 def gwd_squared(a: Gaussian2D, b: Gaussian2D) -> float:

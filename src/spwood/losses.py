@@ -15,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import (
-    Gaussian2D,
-    OrientedBox,
-    normalize_angle,
-    rbox_to_gaussian,
-    rotation_matrix,
-)
-
-_ROT90_GEN = np.array([[0.0, -1.0], [1.0, 0.0]])
+from .geometry import OrientedBox, bhattacharyya_boxes, normalize_angle
 
 
 class SampleKind(enum.Enum):
@@ -178,12 +170,6 @@ def smooth_l1(x: float, beta: float = 1.0) -> float:
     return ax - 0.5 * beta
 
 
-def _smooth_l1_deriv(x: float, beta: float) -> float:
-    if abs(x) < beta:
-        return x / beta
-    return math.copysign(1.0, x)
-
-
 def angle_loss(
     theta_pred_aug: float,
     theta_pred_orig: float,
@@ -210,36 +196,8 @@ def angle_loss(
     else:
         raise InvalidInputError(f"unknown augmentation {aug!r}")
     value = smooth_l1(residual, beta)
-    d = _smooth_l1_deriv(residual, beta)
+    d = residual / beta if abs(residual) < beta else math.copysign(1.0, residual)
     return LossValueGrad(value, np.array([d, d * d_orig]))
-
-
-def _bhattacharyya_parts(ga: Gaussian2D, gb: Gaussian2D):
-    """Value and matrix-calculus partials of the Bhattacharyya distance."""
-    avg = 0.5 * (ga.cov + gb.cov)
-    avg_inv = np.linalg.inv(avg)
-    d = ga.mean - gb.mean
-    sd = avg_inv @ d
-    det_avg = float(np.linalg.det(avg))
-    det_a = float(np.linalg.det(ga.cov))
-    det_b = float(np.linalg.det(gb.cov))
-    value = 0.125 * float(d @ sd) + 0.5 * math.log(
-        det_avg / math.sqrt(det_a * det_b)
-    )
-    d_mu_a = 0.25 * sd
-    common = -0.0625 * np.outer(sd, sd) + 0.25 * avg_inv
-    d_cov_a = common - 0.25 * np.linalg.inv(ga.cov)
-    d_cov_b = common - 0.25 * np.linalg.inv(gb.cov)
-    return value, d_mu_a, d_cov_a, -d_mu_a, d_cov_b
-
-
-def _cov_param_derivs(box: OrientedBox, cov: np.ndarray):
-    """d(cov)/dw, d(cov)/dh, d(cov)/dtheta for the box's Gaussian model."""
-    r = rotation_matrix(box.theta)
-    d_w = r @ np.diag([box.w / 2.0, 0.0]) @ r.T
-    d_h = r @ np.diag([0.0, box.h / 2.0]) @ r.T
-    d_theta = _ROT90_GEN @ cov - cov @ _ROT90_GEN
-    return d_w, d_h, d_theta
 
 
 def gaussian_overlap_loss(boxes: list[OrientedBox]) -> LossValueGrad:
@@ -252,25 +210,13 @@ def gaussian_overlap_loss(boxes: list[OrientedBox]) -> LossValueGrad:
     if not boxes:
         raise InvalidInputError("need at least one box")
     n = len(boxes)
-    gaussians = [rbox_to_gaussian(b) for b in boxes]
-    cov_derivs = [_cov_param_derivs(b, g.cov) for b, g in zip(boxes, gaussians)]
-    value = 0.0
-    grad = np.zeros((n, 5))
-    for i in range(n):
-        for j in range(i + 1, n):
-            b, dmu_i, dcov_i, dmu_j, dcov_j = _bhattacharyya_parts(
-                gaussians[i], gaussians[j]
-            )
-            # ordered pairs: (i, j) and (j, i) contribute equally
-            value += 2.0 * b
-            for k, dmu, dcov in ((i, dmu_i, dcov_i), (j, dmu_j, dcov_j)):
-                d_w, d_h, d_theta = cov_derivs[k]
-                grad[k, 0] += 2.0 * dmu[0]
-                grad[k, 1] += 2.0 * dmu[1]
-                grad[k, 2] += 2.0 * float(np.sum(dcov * d_w))
-                grad[k, 3] += 2.0 * float(np.sum(dcov * d_h))
-                grad[k, 4] += 2.0 * float(np.sum(dcov * d_theta))
-    return LossValueGrad(value / n, grad / n)
+    x = np.array([(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes], dtype=float)
+    i, j = np.triu_indices(n, 1)
+    value, grad_i, grad_j = bhattacharyya_boxes(x[i], x[j])
+    pair_grad = np.zeros((n, n, 5))  # [k, l]: d B(k, l) / d box k
+    pair_grad[i, j], pair_grad[j, i] = grad_i, grad_j
+    # ordered pairs: (i, j) and (j, i) contribute equally
+    return LossValueGrad(2.0 * float(value.sum()) / n, 2.0 * pair_grad.sum(axis=1) / n)
 
 
 def watershed_loss(
@@ -348,11 +294,12 @@ def unsupervised_loss(
         raise InvalidInputError("no matched locations")
     conf_v, conf_g = _bce(teacher.conf, student.conf)
     cen_v, cen_g = _bce(teacher.centerness, student.centerness)
-    residual = student.box_margins - teacher.box_margins
-    box_v = sum(smooth_l1(float(x), beta) for x in residual.ravel()) / n
-    box_g = np.array(
-        [_smooth_l1_deriv(float(x), beta) for x in residual.ravel()]
-    ) / n
+    residual = (student.box_margins - teacher.box_margins).ravel()
+    magnitude = np.abs(residual)
+    inside = magnitude < beta
+    box = np.where(inside, 0.5 * residual * residual / beta, magnitude - 0.5 * beta)
+    box_v = float(box.sum()) / n
+    box_g = np.where(inside, residual / beta, np.copysign(1.0, residual)) / n
     value = conf_v + cen_v + box_v
     return LossValueGrad(value, np.concatenate([conf_g, cen_g, box_g]))
 

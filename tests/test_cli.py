@@ -337,6 +337,24 @@ def test_watershed_command(tmp_path):
     assert abs(float(w_t) - 24) <= 2 and abs(float(h_t) - 12) <= 2
 
 
+def test_watershed_negative_scientific_theta_as_separate_token(tmp_path):
+    img = np.zeros((32, 32))
+    img[10:22, 6:26] = 1.0
+    write_pgm(tmp_path / "scene.pgm", img)
+    (tmp_path / "pts.txt").write_text("16 16 ship\n")
+    rows = {}
+    for name, theta in (("split", ["--theta", "-5.8e-05"]), ("joined", ["--theta=-5.8e-05"])):
+        out = tmp_path / name
+        assert cli.main([
+            "watershed", "--image", str(tmp_path / "scene.pgm"),
+            "--points", str(tmp_path / "pts.txt"), "--out-dir", str(out), *theta,
+        ]) == 0
+        rows[name] = [
+            l for l in (out / "targets.csv").read_text().splitlines() if not l.startswith("#")
+        ]
+    assert rows["split"] == rows["joined"]
+
+
 # --- help surfaces ----------------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spwood.errors import InvalidInputError
@@ -104,10 +104,18 @@ def test_bhattacharyya_isotropic_scale_matches_integration():
 
 
 @given(boxes, boxes)
+@example(OrientedBox(0, 0, 200, 0.1, 0.3), OrientedBox(5, 1, 150, 0.2, 0.31))
 @settings(max_examples=50)
 def test_bhattacharyya_symmetric(b1, b2):
     a, b = rbox_to_gaussian(b1), rbox_to_gaussian(b2)
-    assert abs(bhattacharyya(a, b) - bhattacharyya(b, a)) <= 1e-12
+    assert bhattacharyya(a, b) == bhattacharyya(b, a)
+
+
+def test_bhattacharyya_floors_near_singular_covariance():
+    thin = Gaussian2D([0, 0], np.diag([4.0, 1e-20]))
+    floored = Gaussian2D([0, 0], np.diag([4.0, 1e-12]))
+    other = Gaussian2D([1, 0.5], np.diag([1.0, 2.0]))
+    assert bhattacharyya(thin, other) == pytest.approx(bhattacharyya(floored, other), rel=1e-12)
 
 
 def test_gwd_identical_is_zero():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spwood.errors import InvalidInputError
-from spwood.geometry import OrientedBox, bhattacharyya, rbox_to_gaussian
+from spwood.errors import InvalidInputError, NumericalDegeneracyError
+from spwood.geometry import OrientedBox, bhattacharyya, rbox_to_gaussian, rotation_matrix
 from spwood.losses import (
     Flip,
     FocalParams,
@@ -196,6 +196,128 @@ def test_overlap_gradient_matches_fd():
     assert np.allclose(res.grad.ravel(), fd(f, x0), rtol=1e-5, atol=1e-7)
 
 
+# Reference: the per-pair matrix-calculus loop the batched loss replaced. It
+# builds each pair's 2x2 average covariance and inverts it, so it loses
+# digits on thin boxes; on well-shaped boxes it is a trustworthy oracle.
+
+_ROT90_GEN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def reference_overlap_loss(boxes):
+    n = len(boxes)
+    gaussians = [rbox_to_gaussian(b) for b in boxes]
+    derivs = []
+    for b, g in zip(boxes, gaussians):
+        r = rotation_matrix(b.theta)
+        derivs.append((
+            r @ np.diag([b.w / 2.0, 0.0]) @ r.T,
+            r @ np.diag([0.0, b.h / 2.0]) @ r.T,
+            _ROT90_GEN @ g.cov - g.cov @ _ROT90_GEN,
+        ))
+    value, grad = 0.0, np.zeros((n, 5))
+    for i in range(n):
+        for j in range(i + 1, n):
+            ga, gb = gaussians[i], gaussians[j]
+            avg_inv = np.linalg.inv(0.5 * (ga.cov + gb.cov))
+            d = ga.mean - gb.mean
+            sd = avg_inv @ d
+            det_avg = np.linalg.det(0.5 * (ga.cov + gb.cov))
+            det_a, det_b = np.linalg.det(ga.cov), np.linalg.det(gb.cov)
+            value += 2.0 * (0.125 * d @ sd + 0.5 * math.log(det_avg / math.sqrt(det_a * det_b)))
+            common = -0.0625 * np.outer(sd, sd) + 0.25 * avg_inv
+            for k, dmu, dcov in (
+                (i, 0.25 * sd, common - 0.25 * np.linalg.inv(ga.cov)),
+                (j, -0.25 * sd, common - 0.25 * np.linalg.inv(gb.cov)),
+            ):
+                grad[k, :2] += 2.0 * dmu
+                grad[k, 2:] += [2.0 * np.sum(dcov * m) for m in derivs[k]]
+    return value / n, grad / n
+
+
+def random_boxes(rng, n, w=(0.5, 40.0), log_h=(math.log(0.5), math.log(40.0))):
+    """n boxes with centers in [0, 100]^2 and h log-uniform in exp(log_h)."""
+    return [
+        OrientedBox(*row)
+        for row in np.column_stack([
+            rng.uniform(0.0, 100.0, n),
+            rng.uniform(0.0, 100.0, n),
+            rng.uniform(*w, n),
+            np.exp(rng.uniform(*log_h, n)),
+            rng.uniform(-math.pi / 2, math.pi / 2, n),
+        ])
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 30, 100])
+def test_overlap_matches_reference_loop(n):
+    rng = np.random.default_rng(600 + n)
+    for _ in range(3 if n <= 30 else 1):
+        boxes = random_boxes(rng, n)
+        res = gaussian_overlap_loss(boxes)
+        value, grad = reference_overlap_loss(boxes)
+        assert res.grad.shape == (n, 5)
+        assert res.value == pytest.approx(value, rel=1e-12, abs=1e-300)
+        np.testing.assert_allclose(
+            res.grad, grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(initial=0.0)
+        )
+
+
+def test_single_box_zero_gradient():
+    res = gaussian_overlap_loss([OrientedBox(3, 4, 20, 0.01, 0.7)])
+    assert res.value == 0.0
+    assert res.grad.shape == (1, 5) and not res.grad.any()
+
+
+def test_overlap_rejects_underflowing_and_overflowing_extents():
+    for w in (1e-200, 1e200):
+        box = OrientedBox(0, 0, w, w, 0.0)
+        with pytest.raises(NumericalDegeneracyError), np.errstate(over="ignore", invalid="ignore"):
+            gaussian_overlap_loss([box, box])
+
+
+def mp_overlap_loss(mp, rows):
+    """Overlap loss at mpmath precision, in the world frame: each pair's
+    averaged covariance, its determinant and its adjugate."""
+    covs = []
+    for _, _, w, h, t in rows:
+        c, s = mp.cos(t), mp.sin(t)
+        a, b = (w / 2) ** 2, (h / 2) ** 2
+        covs.append((a * c * c + b * s * s, (a - b) * c * s, a * s * s + b * c * c))
+    total = mp.mpf(0)
+    for i, j in ((i, j) for i in range(len(rows)) for j in range(len(rows)) if i != j):
+        sxx, sxy, syy = [(u + v) / 2 for u, v in zip(covs[i], covs[j])]
+        det = sxx * syy - sxy * sxy
+        dx, dy = rows[i][0] - rows[j][0], rows[i][1] - rows[j][1]
+        maha = (syy * dx * dx - 2 * sxy * dx * dy + sxx * dy * dy) / det
+        det_i = covs[i][0] * covs[i][2] - covs[i][1] ** 2
+        det_j = covs[j][0] * covs[j][2] - covs[j][1] ** 2
+        total += maha / 8 + mp.log(det / mp.sqrt(det_i * det_j)) / 2
+    return total / len(rows)
+
+
+def test_overlap_gradient_thin_boxes_matches_mpmath():
+    """DOTA-like bridges and harbors: w in [100, 300], h log-uniform in
+    [1e-3, 3] (aspect ratios up to 3e5). Every gradient component agrees
+    with a 50-digit derivative to 1e-10 relative."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(61)
+    with mp.workdps(50):
+        for _ in range(8):
+            boxes = random_boxes(rng, 3, w=(100.0, 300.0), log_h=(math.log(1e-3), math.log(3.0)))
+            res = gaussian_overlap_loss(boxes)
+            rows = [[mp.mpf(v) for v in (b.cx, b.cy, b.w, b.h, b.theta)] for b in boxes]
+            for k, row in enumerate(rows):
+                for c in range(5):
+
+                    def f(t, k=k, c=c):
+                        moved = [list(r) for r in rows]
+                        moved[k][c] = t
+                        return mp_overlap_loss(mp, moved)
+
+                    exact = float(mp.diff(f, row[c]))
+                    assert abs(res.grad[k, c] - exact) <= 1e-10 * abs(exact)
+
+
 # --- watershed scale loss -----------------------------------------------------
 
 
@@ -330,3 +452,17 @@ def test_smooth_l1_shape():
     assert smooth_l1(0.5) == pytest.approx(0.125)
     assert smooth_l1(2.0) == pytest.approx(1.5)
     assert smooth_l1(-2.0) == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+def test_distillation_box_term_matches_scalar_smooth_l1(beta):
+    # residuals on both branches and exactly on the |x| = beta boundary
+    residual = np.array([[-2.0 * beta, -beta, -0.3 * beta, 0.0], [0.25, beta, 1.5 * beta, 7.0]])
+    zeros = triple([0.5, 0.5], [0.5, 0.5], np.zeros((2, 4)))
+    res = unsupervised_loss(zeros, triple([0.5, 0.5], [0.5, 0.5], residual), beta)
+    base = unsupervised_loss(zeros, zeros, beta).value
+    flat = residual.ravel()
+    expected = sum(smooth_l1(float(x), beta) for x in flat) / 2
+    assert res.value - base == pytest.approx(expected, rel=1e-12)
+    slopes = [x / beta if abs(x) < beta else math.copysign(1.0, x) for x in flat]
+    np.testing.assert_array_equal(res.grad[4:], np.array(slopes) / 2)
