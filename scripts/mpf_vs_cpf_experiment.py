@@ -15,13 +15,7 @@ Usage:
 import argparse
 
 from spwood.filtering import PyramidLevel
-from spwood.pipeline import (
-    FilterMode,
-    LevelPlan,
-    SimScenario,
-    paired_comparison,
-    run_simulation,
-)
+from spwood.pipeline import LevelPlan, SimScenario, paired_comparison
 
 
 def shifted_scenario(rounds: int, n_pos: int, n_neg: int) -> SimScenario:
@@ -49,17 +43,13 @@ def main() -> int:
             f" | N({plan.mu_n:.2f}, {plan.sigma}^2) x {plan.n_neg}"
         )
 
+    summary = paired_comparison(scenario, args.repeats, base_seed=args.seed)
     print(f"\nper-seed mean F1 over {args.rounds} round(s):")
     print("seed   mpf_f1   cpf_f1")
-    for i in range(min(args.repeats, 10)):
-        seed = args.seed + i
-        mpf = run_simulation(scenario, FilterMode.MPF, seed=seed).mean_f1
-        cpf = run_simulation(scenario, FilterMode.CPF, seed=seed).mean_f1
-        print(f"{seed:5d}  {mpf:.4f}   {cpf:.4f}")
+    for i, (mpf, cpf) in enumerate(summary.reports[:10]):
+        print(f"{args.seed + i:5d}  {mpf.mean_f1:.4f}   {cpf.mean_f1:.4f}")
     if args.repeats > 10:
         print(f"... ({args.repeats - 10} more seeds)")
-
-    summary = paired_comparison(scenario, args.repeats, base_seed=args.seed)
     print(f"\n{summary.describe()}")
     verdict = "MPF outperforms CPF" if summary.mpf_mean_f1 > summary.cpf_mean_f1 else "no MPF advantage"
     print(f"conclusion: {verdict} (one-sided sign test p = {summary.sign_test_p:.3g})")

@@ -151,19 +151,8 @@ def _read_level_scores(path) -> list[LevelScores]:
 
 
 def _fit_row(level_name: str, fit: filtering.GmmFit, tau: float) -> str:
-    return ",".join(
-        [
-            level_name,
-            _fmt(fit.w_p),
-            _fmt(fit.mu_p),
-            _fmt(fit.var_p),
-            _fmt(fit.w_n),
-            _fmt(fit.mu_n),
-            _fmt(fit.var_n),
-            _fmt(tau),
-            str(int(fit.converged)),
-        ]
-    )
+    values = (fit.w_p, fit.mu_p, fit.var_p, fit.w_n, fit.mu_n, fit.var_n, tau)
+    return ",".join([level_name, *map(_fmt, values), str(int(fit.converged))])
 
 
 def cmd_fit_gmm(args) -> int:
@@ -171,25 +160,14 @@ def cmd_fit_gmm(args) -> int:
     if not per_level:
         raise DegenerateInputError(f"no score rows in {args.input}")
     config = GmmConfig()
-    rows = []
-    pooled = np.concatenate([ls.scores for ls in per_level])
     if args.mode == "cpf":
+        pooled = np.concatenate([ls.scores for ls in per_level])
         fit = filtering.fit_gmm(pooled, config)
         tau = filtering.threshold_from_fit(fit, pooled, config.rule).tau
-        rows.append(_fit_row("pooled", fit, tau))
+        rows = [_fit_row("pooled", fit, tau)]
     else:
-        pooled_fit = None
-        pooled_tau = None
-        if any(filtering.is_degenerate_level(ls.scores, config) for ls in per_level):
-            pooled_fit = filtering.fit_gmm(pooled, config)
-            pooled_tau = filtering.threshold_from_fit(pooled_fit, pooled, config.rule).tau
-        for ls in per_level:
-            if filtering.is_degenerate_level(ls.scores, config):
-                rows.append(_fit_row(ls.level.value, pooled_fit, pooled_tau))
-            else:
-                fit = filtering.fit_gmm(ls.scores, config)
-                tau = filtering.threshold_from_fit(fit, ls.scores, config.rule).tau
-                rows.append(_fit_row(ls.level.value, fit, tau))
+        decisions = filtering.mpf_decisions(per_level, config)
+        rows = [_fit_row(d.level.value, d.fit, d.tau) for d in decisions]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_comment_header(args, "-"))
         fh.write("level,w_p,mu_p,var_p,w_n,mu_n,var_n,tau,converged\n")
@@ -349,9 +327,8 @@ def cmd_simulate(args) -> int:
     # paired head-to-head: one report file per mode plus a summary footer
     summary = pipeline.paired_comparison(scenario, args.repeats, base_seed=seed)
     footer = f"# paired summary: {summary.describe()}\n"
-    for mode in (pipeline.FilterMode.MPF, pipeline.FilterMode.CPF):
-        report = pipeline.run_simulation(scenario, mode, seed=seed)
-        mode_path = out.with_suffix(f".{mode.value}{out.suffix}")
+    for report in summary.reports[0]:
+        mode_path = out.with_suffix(f".{report.mode.value}{out.suffix}")
         _write_report(mode_path, args, report, footer)
     print(f"paired summary: {summary.describe()}")
     return EXIT_OK

@@ -111,8 +111,11 @@ class ThresholdResult:
         return self.tau
 
 
-def _log_normal_pdf(x: np.ndarray, mu: float, var: float) -> np.ndarray:
-    return -0.5 * math.log(2.0 * math.pi * var) - (x - mu) ** 2 / (2.0 * var)
+def _log_joint(sq: np.ndarray, w: float, var: float, out: np.ndarray | None = None) -> np.ndarray:
+    """log(w N(x; mu, var)) from the squared residuals sq = (x - mu)^2; -inf when w is 0."""
+    out = np.multiply(sq, -0.5 / var, out=out)
+    out += (math.log(w) if w > 0 else -math.inf) - 0.5 * math.log(2.0 * math.pi * var)
+    return out
 
 
 def fit_gmm(scores, config: GmmConfig = GmmConfig()) -> GmmFit:
@@ -122,18 +125,25 @@ def fit_gmm(scores, config: GmmConfig = GmmConfig()) -> GmmFit:
     start at the maximum and minimum observed score, both variances at 1,
     both weights at 1/2. The log-likelihood is non-decreasing across
     iterations; a variance floor guards against collapse.
+
+    The E step reuses the squared residuals of the previous M step. With
+    l_k = log(w_k N_k(x)) and the log-odds d = l_0 - l_1, each score adds
+    max(l_0, l_1) + softplus(-|d|) to the log-likelihood, so no term
+    cancels where the variance floor makes |d| large, and component k
+    takes the responsibility exp(l_k - that).
     """
     x = np.asarray(scores, dtype=float).ravel()
     if x.size and not (np.all(x > 0.0) and np.all(x < 1.0)):
         raise InvalidInputError("scores must lie strictly in (0, 1)")
-    if np.unique(x).size < 2:
-        raise DegenerateInputError(
-            f"need at least 2 distinct scores, got {np.unique(x).size}"
-        )
+    if x.size == 0 or x.min() == x.max():
+        raise DegenerateInputError(f"need at least 2 distinct scores, got {min(x.size, 1)}")
     n = x.size
     mu = np.array([float(x.max()), float(x.min())])  # [positive, negative]
     var = np.array([1.0, 1.0])
     w = np.array([0.5, 0.5])
+    sq = (x - mu[:, None]) ** 2
+    # work arrays, so that the loop allocates nothing per iteration
+    lj, resp, hi, log_norm = np.empty((2, n)), np.empty((2, n)), np.empty(n), np.empty(n)
 
     lls: list[float] = []
     converged = False
@@ -141,41 +151,31 @@ def fit_gmm(scores, config: GmmConfig = GmmConfig()) -> GmmFit:
     prev_ll = -np.inf
     for iterations in range(1, config.max_iter + 1):
         # E step
-        with np.errstate(divide="ignore"):
-            log_w = np.log(w)
-        log_joint = np.stack(
-            [log_w[k] + _log_normal_pdf(x, mu[k], var[k]) for k in (0, 1)]
-        )
-        log_norm = np.logaddexp(log_joint[0], log_joint[1])
+        for k in (0, 1):
+            _log_joint(sq[k], w[k], var[k], out=lj[k])
+        np.maximum(lj[0], lj[1], out=hi)
+        np.subtract(np.minimum(lj[0], lj[1], out=log_norm), hi, out=log_norm)  # -|d|
+        np.log1p(np.exp(log_norm, out=log_norm), out=log_norm)
+        log_norm += hi
         ll = float(log_norm.sum())
         lls.append(ll)
-        resp = np.exp(log_joint - log_norm)
+        np.exp(np.subtract(lj, log_norm, out=resp), out=resp)
         # M step
         nk = resp.sum(axis=1)
         w = nk / n
         for k in (0, 1):
             if nk[k] > 1e-12:
                 mu[k] = float(resp[k] @ x / nk[k])
-                var[k] = max(
-                    float(resp[k] @ (x - mu[k]) ** 2 / nk[k]), config.var_floor
-                )
+                np.square(np.subtract(x, mu[k], out=sq[k]), out=sq[k])
+                var[k] = max(float(resp[k] @ sq[k] / nk[k]), config.var_floor)
         if abs(ll - prev_ll) < config.tol:
             converged = True
             break
         prev_ll = ll
 
     p, q = (0, 1) if mu[0] >= mu[1] else (1, 0)
-    return GmmFit(
-        w_p=float(w[p]),
-        w_n=float(w[q]),
-        mu_p=float(mu[p]),
-        mu_n=float(mu[q]),
-        var_p=float(var[p]),
-        var_n=float(var[q]),
-        iterations=iterations,
-        converged=converged,
-        log_likelihoods=tuple(lls),
-    )
+    w_mu_var = [float(a[k]) for a in (w, mu, var) for k in (p, q)]  # w_p, w_n, mu_p, ...
+    return GmmFit(*w_mu_var, iterations, converged, tuple(lls))
 
 
 def threshold_from_fit(
@@ -193,12 +193,9 @@ def threshold_from_fit(
         raise InvalidInputError("empty score list")
     if rule is ThresholdRule.MODE:
         return ThresholdResult(fit.mu_p, fallback=False)
-    with np.errstate(divide="ignore"):
-        log_p = math.log(fit.w_p) if fit.w_p > 0 else -np.inf
-        log_n = math.log(fit.w_n) if fit.w_n > 0 else -np.inf
-    score_p = log_p + _log_normal_pdf(x, fit.mu_p, fit.var_p)
-    score_n = log_n + _log_normal_pdf(x, fit.mu_n, fit.var_n)
-    acceptable = x[score_p >= score_n]
+    log_p = _log_joint((x - fit.mu_p) ** 2, fit.w_p, fit.var_p)
+    log_n = _log_joint((x - fit.mu_n) ** 2, fit.w_n, fit.var_n)
+    acceptable = x[log_p - log_n >= 0.0]  # log-odds d >= 0
     if acceptable.size == 0:
         return ThresholdResult(float(x.max()), fallback=True)
     return ThresholdResult(float(acceptable.min()), fallback=False)
@@ -207,7 +204,25 @@ def threshold_from_fit(
 def is_degenerate_level(scores, config: GmmConfig = GmmConfig()) -> bool:
     """Too few scores (or too few distinct values) to fit a mixture."""
     scores = np.asarray(scores)
-    return scores.size < config.min_level_scores or np.unique(scores).size < 2
+    return scores.size < max(config.min_level_scores, 1) or bool(scores.min() == scores.max())
+
+
+@dataclass(frozen=True)
+class LevelDecision:
+    """How MPF set one level's threshold. An inherited level was
+    degenerate and carries the pooled fit and threshold; fallback marks a
+    threshold pinned to the top observed score."""
+
+    level: PyramidLevel
+    fit: GmmFit
+    tau: float
+    inherited: bool
+    fallback: bool
+
+
+def _fit_threshold(scores, config: GmmConfig) -> tuple[GmmFit, ThresholdResult]:
+    fit = fit_gmm(scores, config)  # raises DegenerateInputError when unusable
+    return fit, threshold_from_fit(fit, scores, config.rule)
 
 
 def cpf_filter(
@@ -215,36 +230,37 @@ def cpf_filter(
 ) -> ThresholdResult:
     """Pool all levels' scores and fit a single global threshold."""
     pooled = np.concatenate([ls.scores for ls in per_level]) if per_level else np.array([])
-    fit = fit_gmm(pooled, config)  # raises DegenerateInputError when unusable
-    return threshold_from_fit(fit, pooled, config.rule)
+    return _fit_threshold(pooled, config)[1]
+
+
+def mpf_decisions(
+    per_level: list[LevelScores], config: GmmConfig = GmmConfig()
+) -> list[LevelDecision]:
+    """One decision per level, each from that level's own mixture fit.
+
+    Degenerate levels (fewer than config.min_level_scores scores, or
+    fewer than 2 distinct values) inherit the pooled CPF fit and
+    threshold. If every level is degenerate the pooled threshold is used
+    throughout; if pooling is degenerate too, the input is rejected.
+    """
+    if not per_level:
+        raise DegenerateInputError("no levels given")
+    degenerate = [is_degenerate_level(ls.scores, config) for ls in per_level]
+    pooled = None
+    if any(degenerate):
+        pooled = _fit_threshold(np.concatenate([ls.scores for ls in per_level]), config)
+    out = []
+    for ls, inherited in zip(per_level, degenerate):
+        fit, res = pooled if inherited else _fit_threshold(ls.scores, config)
+        out.append(LevelDecision(ls.level, fit, res.tau, inherited, res.fallback))
+    return out
 
 
 def mpf_filter(
     per_level: list[LevelScores], config: GmmConfig = GmmConfig()
 ) -> list[LevelThreshold]:
-    """One threshold per level, each from that level's own mixture fit.
-
-    Degenerate levels (fewer than config.min_level_scores scores, or
-    fewer than 2 distinct values) inherit the pooled CPF threshold. If
-    every level is degenerate the pooled threshold is used throughout;
-    if pooling is degenerate too, the input is rejected.
-    """
-    if not per_level:
-        raise DegenerateInputError("no levels given")
-    degenerate = [is_degenerate_level(ls.scores, config) for ls in per_level]
-    pooled_tau: float | None = None
-    if any(degenerate):
-        pooled_tau = cpf_filter(per_level, config).tau
-    out = []
-    for ls, is_degen in zip(per_level, degenerate):
-        if is_degen:
-            out.append(LevelThreshold(ls.level, pooled_tau))
-        else:
-            fit = fit_gmm(ls.scores, config)
-            out.append(
-                LevelThreshold(ls.level, threshold_from_fit(fit, ls.scores, config.rule).tau)
-            )
-    return out
+    """One threshold per level, as decided by mpf_decisions."""
+    return [LevelThreshold(d.level, d.tau) for d in mpf_decisions(per_level, config)]
 
 
 def select_pseudo_labels(candidates, thresholds: list[LevelThreshold]) -> list:

@@ -213,7 +213,8 @@ def run_simulation(
 
 @dataclass(frozen=True)
 class PairedSummary:
-    """Head-to-head MPF vs CPF outcome over repeated seeded runs."""
+    """Head-to-head MPF vs CPF outcome over repeated seeded runs;
+    reports[i] holds repeat i's (mpf, cpf) simulation reports."""
 
     repeats: int
     mpf_mean_f1: float
@@ -222,6 +223,7 @@ class PairedSummary:
     losses: int
     ties: int
     sign_test_p: float
+    reports: tuple[tuple[SimulationReport, SimulationReport], ...]
 
     def describe(self) -> str:
         return (
@@ -255,15 +257,13 @@ def paired_comparison(
     if repeats < 1:
         raise InvalidInputError("need at least one repeat")
     start = scenario.seed if base_seed is None else base_seed
-    mpf_f1 = np.empty(repeats)
-    cpf_f1 = np.empty(repeats)
-    for i in range(repeats):
-        mpf_f1[i] = run_simulation(
-            scenario, FilterMode.MPF, config, seed=start + i
-        ).mean_f1
-        cpf_f1[i] = run_simulation(
-            scenario, FilterMode.CPF, config, seed=start + i
-        ).mean_f1
+    modes = (FilterMode.MPF, FilterMode.CPF)
+    reports = tuple(
+        tuple(run_simulation(scenario, mode, config, seed=start + i) for mode in modes)
+        for i in range(repeats)
+    )
+    mpf_f1 = np.array([mpf.mean_f1 for mpf, _ in reports])
+    cpf_f1 = np.array([cpf.mean_f1 for _, cpf in reports])
     wins = int(np.sum(mpf_f1 > cpf_f1))
     losses = int(np.sum(mpf_f1 < cpf_f1))
     ties = repeats - wins - losses
@@ -275,6 +275,7 @@ def paired_comparison(
         losses=losses,
         ties=ties,
         sign_test_p=sign_test_p_value(wins, losses),
+        reports=reports,
     )
 
 

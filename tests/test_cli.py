@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spwood import cli
+from spwood import cli, filtering
 from spwood.dataset import load_dota_dir, round_half_up
 from spwood.geometry import OrientedBox, box_corners
 from spwood.layout import write_pgm
@@ -215,6 +215,49 @@ def test_fit_gmm_sparse_level_inherits_pooled(tmp_path):
     assert rows["P7"][7] == pooled_row.split(",")[7]  # sparse level inherits pooled tau
 
 
+def reference_mpf_rows(per_level, config=filtering.GmmConfig()):
+    """fit-gmm --mode mpf rows as the command built them before it used
+    filtering.mpf_decisions, with its own copy of the inheritance rule."""
+
+    def row(level, fit, tau):
+        values = (fit.w_p, fit.mu_p, fit.var_p, fit.w_n, fit.mu_n, fit.var_n, tau)
+        return ",".join([level] + [f"{v:.10g}" for v in values] + [str(int(fit.converged))])
+
+    pooled = np.concatenate(list(per_level.values()))
+    pooled_fit = filtering.fit_gmm(pooled, config)
+    pooled_tau = filtering.threshold_from_fit(pooled_fit, pooled, config.rule).tau
+    rows = []
+    for level, scores in per_level.items():
+        if filtering.is_degenerate_level(scores, config):
+            rows.append(row(level, pooled_fit, pooled_tau))
+        else:
+            fit = filtering.fit_gmm(scores, config)
+            tau = filtering.threshold_from_fit(fit, scores, config.rule).tau
+            rows.append(row(level, fit, tau))
+    return rows
+
+
+def test_fit_gmm_mpf_rows_match_pre_merge_inheritance(tmp_path):
+    rng = np.random.default_rng(5)
+
+    def two_clusters(mu_n, mu_p):
+        scores = np.concatenate([rng.normal(mu_n, 0.06, 300), rng.normal(mu_p, 0.06, 100)])
+        return np.clip(scores, 0.01, 0.99)
+
+    per_level = {
+        "P3": two_clusters(0.2, 0.6),
+        "P5": two_clusters(0.3, 0.7),
+        "P7": np.array([0.35, 0.45, 0.55, 0.65]),  # under 20 scores: inherits the pooled fit
+    }
+    src = tmp_path / "scores.csv"
+    write_scores_csv(src, per_level)
+    out = tmp_path / "fits.csv"
+    assert cli.main(["fit-gmm", "--input", str(src), "--out", str(out), "--mode", "mpf"]) == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith(("#", "level"))]
+    as_read = {k: np.array([float(f"{s:.6f}") for s in v]) for k, v in per_level.items()}
+    assert rows == reference_mpf_rows(as_read)
+
+
 def test_fit_gmm_malformed_csv_reports_line(tmp_path, capsys):
     src = tmp_path / "scores.csv"
     src.write_text("level,score\nP3,0.4\nP3,spam\n")
@@ -288,6 +331,22 @@ def test_simulate_paired_footer(tmp_path, capsys):
     cpf_csv = (tmp_path / "report.cpf.csv").read_text()
     assert "# paired summary:" in mpf_csv and "# paired summary:" in cpf_csv
     assert "mpf_mean_f1=" in capsys.readouterr().out
+
+
+def test_simulate_paired_reports_match_single_mode_runs(tmp_path):
+    scen = tmp_path / "scen.txt"
+    scen.write_text(SCENARIO)
+
+    def body(path):
+        return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+    base = ["simulate", "--scenario", str(scen), "--seed", "9"]
+    paired = tmp_path / "report.csv"
+    assert cli.main(base + ["--out", str(paired), "--mode", "paired", "--repeats", "3"]) == 0
+    for mode in ("mpf", "cpf"):
+        single = tmp_path / f"{mode}.csv"
+        assert cli.main(base + ["--out", str(single), "--mode", mode]) == 0
+        assert body(tmp_path / f"report.{mode}.csv") == body(single)
 
 
 # --- report ---------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,14 @@ from spwood.errors import DegenerateInputError, InvalidInputError
 from spwood.filtering import (
     GmmConfig,
     GmmFit,
+    LevelDecision,
     LevelScores,
     PyramidLevel,
     ThresholdRule,
     cpf_filter,
     fit_gmm,
     is_degenerate_level,
+    mpf_decisions,
     mpf_filter,
     select_pseudo_labels,
     threshold_from_fit,
@@ -45,8 +49,9 @@ def test_planted_mixture_recovery():
 
 
 def test_identical_scores_rejected():
-    with pytest.raises(DegenerateInputError):
-        fit_gmm([0.4] * 50)
+    for scores in ([0.4] * 50, [], np.array([])):
+        with pytest.raises(DegenerateInputError):
+            fit_gmm(scores)
 
 
 def test_single_cluster_terminates_with_means_in_range():
@@ -97,6 +102,150 @@ def test_scores_outside_unit_interval_rejected():
         fit_gmm([0.2, 0.5, 1.2])
     with pytest.raises(InvalidInputError):
         LevelScores(PyramidLevel.P3, np.array([0.0, 0.5]))
+
+
+# --- the EM loop against the one it replaced ------------------------------------
+#
+# Reference: fit_gmm and the posterior rule as they stood before the E step
+# moved to the log-odds form. The reference stacks both components'
+# log-joints into a (2, n) array, normalizes with logaddexp and recomputes
+# every squared residual; initialization, M step, variance floor, nk guard
+# and stopping rule are the same.
+
+
+def _reference_log_normal_pdf(x, mu, var):
+    return -0.5 * math.log(2.0 * math.pi * var) - (x - mu) ** 2 / (2.0 * var)
+
+
+def reference_fit_gmm(scores, config=GmmConfig()):
+    x = np.asarray(scores, dtype=float).ravel()
+    n = x.size
+    mu = np.array([float(x.max()), float(x.min())])
+    var = np.array([1.0, 1.0])
+    w = np.array([0.5, 0.5])
+    lls, converged, prev_ll = [], False, -np.inf
+    for iterations in range(1, config.max_iter + 1):
+        with np.errstate(divide="ignore"):
+            log_w = np.log(w)
+        log_joint = np.stack(
+            [log_w[k] + _reference_log_normal_pdf(x, mu[k], var[k]) for k in (0, 1)]
+        )
+        log_norm = np.logaddexp(log_joint[0], log_joint[1])
+        ll = float(log_norm.sum())
+        lls.append(ll)
+        resp = np.exp(log_joint - log_norm)
+        nk = resp.sum(axis=1)
+        w = nk / n
+        for k in (0, 1):
+            if nk[k] > 1e-12:
+                mu[k] = float(resp[k] @ x / nk[k])
+                var[k] = max(float(resp[k] @ (x - mu[k]) ** 2 / nk[k]), config.var_floor)
+        if abs(ll - prev_ll) < config.tol:
+            converged = True
+            break
+        prev_ll = ll
+    p, q = (0, 1) if mu[0] >= mu[1] else (1, 0)
+    return GmmFit(w[p], w[q], mu[p], mu[q], var[p], var[q], iterations, converged, tuple(lls))
+
+
+def reference_posterior_tau(fit, scores):
+    x = np.asarray(scores, dtype=float).ravel()
+    log_p = math.log(fit.w_p) if fit.w_p > 0 else -np.inf
+    log_n = math.log(fit.w_n) if fit.w_n > 0 else -np.inf
+    score_p = log_p + _reference_log_normal_pdf(x, fit.mu_p, fit.var_p)
+    score_n = log_n + _reference_log_normal_pdf(x, fit.mu_n, fit.var_n)
+    acceptable = x[score_p >= score_n]
+    return float(x.max()) if acceptable.size == 0 else float(acceptable.min())
+
+
+def _params(fit):
+    return [fit.w_p, fit.w_n, fit.mu_p, fit.mu_n, fit.var_p, fit.var_n]
+
+
+def assert_matches_reference(scores, config=GmmConfig()):
+    fit, ref = fit_gmm(scores, config), reference_fit_gmm(scores, config)
+    assert (fit.iterations, fit.converged) == (ref.iterations, ref.converged)
+    np.testing.assert_allclose(_params(fit), _params(ref), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fit.log_likelihoods, ref.log_likelihoods, rtol=1e-12, atol=0.0)
+    assert threshold_from_fit(fit, scores).tau == reference_posterior_tau(ref, scores)
+    return fit
+
+
+# The benchmark's self-training levels: four dense level-shifted levels and
+# one sparse one; MPF fits the dense ones and the pool of all five.
+BENCHMARK_LEVELS = (
+    (500, 1500, 0.40, 0.08),
+    (500, 1500, 0.475, 0.155),
+    (500, 1500, 0.55, 0.23),
+    (500, 1500, 0.625, 0.305),
+    (5, 10, 0.70, 0.38),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_matches_reference_on_benchmark_levels(seed):
+    rng = np.random.default_rng(700 + seed)
+    levels = [
+        np.clip(
+            np.concatenate([rng.normal(mu_p, 0.05, n_pos), rng.normal(mu_n, 0.05, n_neg)]),
+            1e-6,
+            1 - 1e-6,
+        )
+        for n_pos, n_neg, mu_p, mu_n in BENCHMARK_LEVELS
+    ]
+    for scores in levels[:4] + [np.concatenate(levels)]:
+        assert_matches_reference(scores)
+
+
+def test_fit_matches_reference_on_100k_scores():
+    rng = np.random.default_rng(710)
+    scores = np.clip(
+        np.concatenate([rng.normal(0.8, 0.08, 30_000), rng.normal(0.3, 0.1, 70_000)]),
+        1e-6,
+        1 - 1e-6,
+    )
+    assert_matches_reference(scores)
+
+
+@pytest.mark.parametrize("pair", [(0.2, 0.8), (0.1, 0.9), (0.45, 0.55)])
+def test_fit_matches_reference_on_two_scores(pair):
+    assert_matches_reference(np.array(pair))
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [
+        [0.1, 0.9],
+        [0.2, 0.2, 0.2, 0.6, 0.6],
+        [0.25] * 40 + [0.75] * 60,
+        np.concatenate([np.random.default_rng(720).normal(0.3, 0.05, 300), [0.9] * 3]),
+    ],
+)
+def test_fit_matches_reference_at_variance_floor(scores):
+    config = GmmConfig()
+    fit = assert_matches_reference(scores, config)
+    assert min(fit.var_p, fit.var_n) == config.var_floor
+
+
+@pytest.mark.parametrize("w_p", [0.0, 1.0])
+def test_posterior_rule_matches_reference_with_zero_weight(w_p):
+    # a weight of 0 makes that component's log-joint -inf at every score
+    scores = np.array([0.05, 0.2, 0.5, 0.55, 0.9])
+    fit = GmmFit(w_p, 1.0 - w_p, 0.6, 0.1, 0.05, 0.05, 1, True)
+    res = threshold_from_fit(fit, scores)
+    assert res.tau == reference_posterior_tau(fit, scores)
+    assert res.fallback == (w_p == 0.0)
+
+
+def test_degenerate_level_boundaries():
+    distinct = np.linspace(0.1, 0.9, 20)
+    assert is_degenerate_level([])
+    assert is_degenerate_level([], GmmConfig(min_level_scores=0))
+    assert is_degenerate_level(np.full(30, 0.5))
+    assert is_degenerate_level(distinct[:19])
+    assert not is_degenerate_level(distinct)
+    assert not is_degenerate_level(distinct[:2], GmmConfig(min_level_scores=2))
+    assert is_degenerate_level(np.full(2, 0.5), GmmConfig(min_level_scores=2))
 
 
 # --- thresholds ----------------------------------------------------------------
@@ -263,6 +412,37 @@ def test_all_degenerate_falls_back_to_pooled():
     pooled_tau = cpf_filter(per_level).tau
     for t in mpf_filter(per_level):
         assert t.tau == pooled_tau
+
+
+def test_mpf_decisions_record_inheritance_and_fallback():
+    rng = np.random.default_rng(7)
+    rich, _ = planted_scores(rng)
+    sparse = np.array([0.4, 0.6, 0.5])
+    per_level = [
+        LevelScores(PyramidLevel.P3, rich),
+        LevelScores(PyramidLevel.P7, sparse),
+    ]
+    decisions = mpf_decisions(per_level)
+    assert [d.level for d in decisions] == [PyramidLevel.P3, PyramidLevel.P7]
+    assert [d.inherited for d in decisions] == [False, True]
+    assert all(isinstance(d, LevelDecision) and not d.fallback for d in decisions)
+    pooled = np.concatenate([rich, sparse])
+    assert decisions[1].fit == fit_gmm(pooled)
+    assert decisions[1].tau == cpf_filter(per_level).tau
+    assert decisions[0].fit == fit_gmm(rich)
+    assert [t.tau for t in mpf_filter(per_level)] == [d.tau for d in decisions]
+
+
+def test_mpf_decisions_record_fallback():
+    # a tight cluster inside a broad one: the higher-mean component wins at
+    # no observed score, so the threshold is pinned to the top score
+    rng = np.random.default_rng(4)
+    scores = np.clip(
+        np.concatenate([rng.normal(0.4, 0.1, 150), rng.normal(0.45, 0.02, 30)]), 0.01, 0.99
+    )
+    decision = mpf_decisions([LevelScores(PyramidLevel.P4, scores)])[0]
+    assert decision.fallback and not decision.inherited
+    assert decision.tau == scores.max()
 
 
 def test_everything_degenerate_rejected():

@@ -198,6 +198,16 @@ def test_mpf_beats_cpf_on_shifted_levels():
     assert summary.wins > summary.losses
 
 
+def test_paired_summary_keeps_each_repeats_reports():
+    scen = shifted_scenario()
+    summary = paired_comparison(scen, repeats=3, base_seed=40)
+    assert summary.reports == tuple(
+        tuple(run_simulation(scen, mode, seed=40 + i) for mode in (FilterMode.MPF, FilterMode.CPF))
+        for i in range(3)
+    )
+    assert summary.mpf_mean_f1 == float(np.mean([mpf.mean_f1 for mpf, _ in summary.reports]))
+
+
 def test_drift_increases_separation():
     scen = well_separated_scenario(rounds=5, drift=0.01)
     report = run_simulation(scen, FilterMode.MPF)
