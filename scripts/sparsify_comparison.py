@@ -29,17 +29,15 @@ BULK = ("PL", "SV", "LV", "SH", "ST", "HA", "SP")
 
 def build_corpus(n_images: int, seed: int) -> AnnotationSet:
     rng = np.random.default_rng(seed)
-    images = {}
-    for i in range(n_images):
-        image_id = f"img{i:05d}"
-        records = []
+    image_ids = [f"img{i:05d}" for i in range(n_images)]
+    records = []
+    for image_id in image_ids:
         for cat in RARE:
             n = int(rng.random() < 0.35)  # usually absent, else a singleton
             records.extend(_make(rng, image_id, cat, n))
         for cat in BULK:
             records.extend(_make(rng, image_id, cat, int(rng.integers(0, 25))))
-        images[image_id] = records
-    return AnnotationSet(images)
+    return AnnotationSet.from_records(records, image_ids=image_ids)
 
 
 def _make(rng, image_id, cat, n):

@@ -1,8 +1,10 @@
 """DOTA-format annotations, weak-label derivation, and sparsification.
 
 Annotation files hold one object per line: eight corner coordinates, a
-category, and a difficulty flag. Metadata header lines (first token
-non-numeric) are preserved verbatim on output.
+category, and a difficulty flag. A line whose first token is non-numeric
+is a metadata header, wherever it stands in the file; headers are kept
+verbatim and written first on output. An annotation set holds its records
+as columns, so parsing, weakening, sampling and formatting are array passes.
 
 Two sparsification schemes are provided. The single method subsamples
 per image and per category, always keeping at least one instance of any
@@ -13,6 +15,7 @@ the exact ratio, preserving the original category distribution.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -26,6 +29,7 @@ from .geometry import (
     OrientedBox,
     PointAnnotation,
     box_corners,
+    corners_of_boxes,
     normalize_angle,
 )
 
@@ -72,36 +76,81 @@ class AnnotationRecord:
 
 
 class AnnotationSet:
-    """Annotation records grouped by image, with preserved header lines."""
+    """Annotations of many images, held as columns.
 
-    def __init__(self, images=None, headers=None):
-        self.images: dict[str, list[AnnotationRecord]] = dict(images or {})
+    ``ids`` are the sorted image ids; the records of ``ids[i]`` are rows
+    ``offsets[i]:offsets[i + 1]``, in file order. Row r has corners
+    ``corners[r]`` ((N, 4, 2) float64), category ``names[codes[r]]``
+    (``names`` is sorted, so code order is name order) and difficulty
+    ``difficulty[r]`` (int64). ``headers`` maps image ids to header lines.
+    """
+
+    def __init__(self, ids, offsets, corners, codes, names, difficulty, headers=None):
+        self.ids, self.names = tuple(ids), tuple(names)
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+        self.corners = np.ascontiguousarray(corners, dtype=np.float64).reshape(-1, 4, 2)
+        self.codes = np.asarray(codes, dtype=np.intp)
+        self.difficulty = np.asarray(difficulty, dtype=np.int64)
         self.headers: dict[str, tuple[str, ...]] = dict(headers or {})
-        for image_id, records in self.images.items():
-            for rec in records:
-                if rec.image_id != image_id:
-                    raise InvalidInputError(
-                        f"record for {rec.image_id!r} filed under {image_id!r}"
-                    )
+        n, bounds = len(self.corners), self.offsets.tolist()
+        if not (
+            list(self.ids) == sorted(set(self.ids)) and list(self.names) == sorted(set(self.names))
+            and len(bounds) == len(self.ids) + 1 and bounds[0] == 0 and bounds[-1] == n
+            and bounds == sorted(bounds) and self.codes.shape == self.difficulty.shape == (n,)
+            and np.all((self.codes >= 0) & (self.codes < len(self.names)))
+        ):
+            raise InvalidInputError("inconsistent annotation columns")
+        if not np.isfinite(self.corners).all():
+            raise InvalidInputError("non-finite corner coordinate")
+
+    @classmethod
+    def from_records(cls, records, headers=None, image_ids=()) -> AnnotationSet:
+        """Columns from AnnotationRecord rows; each image keeps its records
+        in the given order. ``image_ids`` adds images without records."""
+        records = sorted(records, key=lambda r: r.image_id)
+        keys = [r.image_id for r in records]
+        ids = sorted(set(image_ids) | set(keys))
+        names = sorted({r.category for r in records})
+        return cls(
+            ids, [bisect.bisect_left(keys, i) for i in ids] + [len(keys)], [r.corners for r in records],
+            [names.index(r.category) for r in records], names, [r.difficulty for r in records], headers,
+        )
 
     def __len__(self) -> int:
-        return sum(len(r) for r in self.images.values())
+        return len(self.codes)
 
     def image_ids(self) -> list[str]:
-        return sorted(self.images)
+        return list(self.ids)
 
-    def records(self):
-        for image_id in self.image_ids():
-            yield from self.images[image_id]
+    def records(self, image_id=None):
+        """AnnotationRecord rows of every image in id order, or of one image."""
+        for i in range(len(self.ids)) if image_id is None else [self.ids.index(image_id)]:
+            rows = slice(self.offsets[i], self.offsets[i + 1])
+            for corners, code, difficulty in zip(
+                self.corners[rows].tolist(), self.codes[rows].tolist(), self.difficulty[rows].tolist()
+            ):
+                yield AnnotationRecord(self.ids[i], tuple(map(tuple, corners)), self.names[code], difficulty)
 
     def category_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rec in self.records():
-            counts[rec.category] = counts.get(rec.category, 0) + 1
-        return counts
+        counts = np.bincount(self.codes, minlength=len(self.names)).tolist()
+        return {name: n for name, n in zip(self.names, counts) if n}
 
     def categories(self) -> list[str]:
-        return sorted({rec.category for rec in self.records()})
+        return list(self.category_counts())
+
+    def _image_of_rows(self) -> np.ndarray:
+        """(N,) index into ``ids`` of each row's image."""
+        return np.repeat(np.arange(len(self.ids)), np.diff(self.offsets))
+
+    def _select(self, rows, images=None, headers=None) -> AnnotationSet:
+        """The ascending ``rows``, which lie in the images ``images``
+        (ascending indices into ``ids``; all images by default)."""
+        images = np.arange(len(self.ids)) if images is None else images
+        offsets = np.append(np.searchsorted(rows, self.offsets[images]), len(rows))
+        return AnnotationSet(
+            [self.ids[i] for i in images], offsets, self.corners[rows], self.codes[rows],
+            self.names, self.difficulty[rows], self.headers if headers is None else headers,
+        )
 
 
 def _is_number(token: str) -> bool:
@@ -112,84 +161,125 @@ def _is_number(token: str) -> bool:
         return False
 
 
+def _check_row(tokens, raw: str, line_no: int) -> None:
+    """Raise the error of one annotation line, if it is malformed."""
+    if len(tokens) != 10:
+        message = f"expected 8 coordinates, category, difficulty (10 fields), got {len(tokens)}"
+        raise DotaParseError(message, line_no)
+    try:
+        coords = [float(t) for t in tokens[:8]]
+    except ValueError:
+        raise DotaParseError(f"bad coordinate in {raw.strip()!r}", line_no) from None
+    if _is_number(tokens[8]):
+        raise DotaParseError(f"category {tokens[8]!r} looks numeric", line_no)
+    try:
+        np.int64(int(tokens[9]))
+    except (ValueError, OverflowError):
+        raise DotaParseError(f"bad difficulty {tokens[9]!r}", line_no) from None
+    if not all(math.isfinite(v) for v in coords):
+        raise InvalidInputError("non-finite corner coordinate")
+
+
+def _columns(rows, first):
+    """(corners, names, codes, difficulty) of the token rows of annotation
+    lines, whose first coordinates are converted already (``first``);
+    ValueError or OverflowError when a row is malformed."""
+    n = len(rows)
+    if any(len(tokens) != 10 for tokens in rows):
+        raise ValueError("wrong field count")
+    columns = list(zip(*rows)) or [()] * 10
+    corners = np.array([first] + [np.fromiter(map(float, c), np.float64, n) for c in columns[1:8]]).T
+    names = sorted(set(columns[8]))
+    if any(map(_is_number, names)) or not np.isfinite(corners).all():
+        raise ValueError("numeric category or non-finite corner")
+    code = {name: i for i, name in enumerate(names)}
+    level = {token: int(token) for token in set(columns[9])}
+    difficulty = np.fromiter(map(level.__getitem__, columns[9]), np.int64, n)
+    return corners, names, [code[c] for c in columns[8]], difficulty
+
+
 def parse_dota(text: str, image_id: str = "") -> AnnotationSet:
     """Parse one image's annotation text.
 
-    Leading lines whose first token is non-numeric are metadata headers
-    and are kept for round-tripping. Each remaining line must carry
-    exactly eight coordinates, a category, and an integer difficulty.
+    A line whose first token is non-numeric is a metadata header, wherever
+    it stands in the file; headers are kept verbatim and written before
+    the records on output. Every other non-blank line must carry exactly
+    eight coordinates, a category, and an integer difficulty; the first
+    malformed line raises. The text is tokenized once and its coordinates
+    converted in one batch.
     """
-    headers: list[str] = []
-    records: list[AnnotationRecord] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+    lines = text.splitlines()
+    headers, rows, first = [], [], []
+    for raw in lines:
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if not _is_number(tokens[0]):
-            headers.append(raw.rstrip("\n"))
-            continue
-        if len(tokens) != 10:
-            raise DotaParseError(
-                f"expected 8 coordinates, category, difficulty "
-                f"(10 fields), got {len(tokens)}",
-                line_no,
-            )
         try:
-            coords = [float(t) for t in tokens[:8]]
+            first.append(float(tokens[0]))
         except ValueError:
-            raise DotaParseError(f"bad coordinate in {line!r}", line_no) from None
-        category = tokens[8]
-        if _is_number(category):
-            raise DotaParseError(f"category {category!r} looks numeric", line_no)
-        try:
-            difficulty = int(tokens[9])
-        except ValueError:
-            raise DotaParseError(f"bad difficulty {tokens[9]!r}", line_no) from None
-        records.append(
-            AnnotationRecord(
-                image_id=image_id,
-                corners=tuple(
-                    (coords[2 * i], coords[2 * i + 1]) for i in range(4)
-                ),
-                category=category,
-                difficulty=difficulty,
-            )
-        )
+            headers.append(raw)
+        else:
+            rows.append(tokens)
+    try:
+        corners, names, codes, difficulty = _columns(rows, first)
+    except (ValueError, OverflowError):
+        for line_no, raw in enumerate(lines, start=1):
+            tokens = raw.split()
+            if tokens and _is_number(tokens[0]):
+                _check_row(tokens, raw, line_no)
+        raise
     return AnnotationSet(
-        images={image_id: records},
-        headers={image_id: tuple(headers)} if headers else {},
+        (image_id,), (0, len(rows)), corners, codes, names, difficulty,
+        {image_id: tuple(headers)} if headers else {},
     )
 
 
 def merge_sets(sets) -> AnnotationSet:
-    images: dict[str, list[AnnotationRecord]] = {}
-    headers: dict[str, tuple[str, ...]] = {}
-    for s in sets:
-        for image_id, records in s.images.items():
-            if image_id in images:
-                raise InvalidInputError(f"duplicate image id {image_id!r}")
-            images[image_id] = list(records)
-        headers.update(s.headers)
-    return AnnotationSet(images, headers)
+    """One set with the images of all ``sets``, which must not share an id."""
+    sets = list(sets)
+    ids = [image_id for s in sets for image_id in s.ids]
+    if len(set(ids)) < len(ids):
+        duplicate = next(i for k, i in enumerate(ids) if i in ids[:k])
+        raise InvalidInputError(f"duplicate image id {duplicate!r}")
+    if not sets:
+        return AnnotationSet((), (0,), [], [], [], [])
+    names = sorted({name for s in sets for name in s.names})
+    code = {name: i for i, name in enumerate(names)}
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    sizes = np.concatenate([np.diff(s.offsets) for s in sets])
+    rows = np.argsort(np.repeat(np.argsort(order), sizes), kind="stable")
+    return AnnotationSet(
+        [ids[i] for i in order],
+        np.concatenate([[0], np.cumsum(sizes[order])]),
+        np.concatenate([s.corners for s in sets])[rows],
+        np.concatenate([np.array([code[n] for n in s.names], np.intp)[s.codes] for s in sets])[rows],
+        names,
+        np.concatenate([s.difficulty for s in sets])[rows],
+        {image_id: h for s in sets for image_id, h in s.headers.items()},
+    )
 
 
-def _fmt_coord(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+def _render(ann: AnnotationSet, values, with_difficulty: bool, headers) -> dict[str, str]:
+    """Text per image: its header lines, then one line per record with the
+    record's row of ``values`` (full precision, integers without a
+    fraction), its category and, if asked, its difficulty."""
+    tails = [ann.names[c] for c in ann.codes.tolist()]
+    if with_difficulty:
+        tails = [f"{c} {d}" for c, d in zip(tails, ann.difficulty.tolist())]
+    tokens = iter([str(int(v)) if v.is_integer() else repr(v) for v in np.ravel(values).tolist()])
+    width = values.size // max(len(values), 1)
+    lines = [f"{' '.join(v)} {t}" for v, t in zip(zip(*[tokens] * width), tails)]
+    bounds = ann.offsets.tolist()
+    out = {}
+    for image_id, start, stop in zip(ann.ids, bounds, bounds[1:]):
+        body = [*headers.get(image_id, ()), *lines[start:stop]]
+        out[image_id] = "\n".join(body) + "\n" if body else ""
+    return out
 
 
 def serialize_dota(ann: AnnotationSet) -> dict[str, str]:
     """Render each image back to annotation text, headers first."""
-    out = {}
-    for image_id in ann.image_ids():
-        lines = list(ann.headers.get(image_id, ()))
-        for rec in ann.images[image_id]:
-            coords = " ".join(
-                f"{_fmt_coord(x)} {_fmt_coord(y)}" for x, y in rec.corners
-            )
-            lines.append(f"{coords} {rec.category} {rec.difficulty}")
-        out[image_id] = "\n".join(lines) + "\n" if lines else ""
-    return out
+    return _render(ann, ann.corners, True, ann.headers)
 
 
 def load_dota_dir(path) -> AnnotationSet:
@@ -209,39 +299,60 @@ def write_dota_dir(ann: AnnotationSet, path) -> None:
         (out / f"{image_id}.txt").write_text(text, encoding="utf-8")
 
 
-def weaken(record: AnnotationRecord, target: WeakKind):
-    """Derive a weaker label from a corner-annotated record.
+def weaken_corners(corners, target: WeakKind) -> np.ndarray:
+    """Weak labels of (N, 4, 2) corner quads, one row per quad.
 
-    rbox recovers the oriented box (center from the corner centroid,
-    extents from mean opposite-edge lengths, angle from the longer edge);
-    hbox takes the axis-aligned corner bounds; point takes the centroid.
+    point gives the (x, y) centroid; hbox the corner bounds (xmin, ymin,
+    xmax, ymax); rbox the oriented box (cx, cy, w, h, theta): center from
+    the corner centroid, extents from mean opposite-edge lengths, angle
+    from the longer edge. The first quad without a valid label raises what
+    the label type raises, or DegenerateInputError for a zero-area quad.
     """
     target = WeakKind(target)
-    pts = np.asarray(record.corners, dtype=float)
+    corners = np.ascontiguousarray(corners, dtype=np.float64).reshape(-1, 4, 2)
     if target is WeakKind.POINT:
-        cx, cy = pts.mean(axis=0)
-        return PointAnnotation(float(cx), float(cy), record.category)
+        return corners.mean(axis=1)
     if target is WeakKind.HBOX:
-        xmin, ymin = pts.min(axis=0)
-        xmax, ymax = pts.max(axis=0)
-        return HorizontalBox(float(xmin), float(ymin), float(xmax), float(ymax))
-    # shoelace area to reject degenerate quads
-    x, y = pts[:, 0], pts[:, 1]
-    area = 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
-    if area < 1e-9:
-        raise DegenerateInputError(f"zero-area quadrilateral {record.corners}")
-    edges = np.roll(pts, -1, axis=0) - pts
-    len_a = 0.5 * (np.linalg.norm(edges[0]) + np.linalg.norm(edges[2]))
-    len_b = 0.5 * (np.linalg.norm(edges[1]) + np.linalg.norm(edges[3]))
-    dir_a = 0.5 * (edges[0] - edges[2])
-    dir_b = 0.5 * (edges[1] - edges[3])
-    if len_a >= len_b:
-        w, h, direction = len_a, len_b, dir_a
-    else:
-        w, h, direction = len_b, len_a, dir_b
-    theta = normalize_angle(math.atan2(float(direction[1]), float(direction[0])))
-    cx, cy = pts.mean(axis=0)
-    return OrientedBox(float(cx), float(cy), float(w), float(h), theta)
+        boxes = np.concatenate([corners.min(axis=1), corners.max(axis=1)], axis=1)
+        bad = ~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))
+        if bad.any():
+            HorizontalBox(*boxes[np.argmax(bad)].tolist())
+        return boxes
+    # Products go through matmul, which makes the dot calls np.dot and
+    # np.linalg.norm make on one quad, and angles through math.atan2, not
+    # np.arctan2's SIMD loop, so each row is bit-identical to one quad's.
+    x, y = corners[..., 0], corners[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = x[:, None] @ np.roll(y, -1, axis=1)[..., None] - np.roll(x, -1, axis=1)[:, None] @ y[..., None]
+        area = 0.5 * np.abs(cross[:, 0, 0])
+        edges = np.roll(corners, -1, axis=1) - corners
+        lengths = np.sqrt(edges[..., None, :] @ edges[..., None])[..., 0, 0]
+        len_a, len_b = 0.5 * (lengths[:, 0] + lengths[:, 2]), 0.5 * (lengths[:, 1] + lengths[:, 3])
+        along_a = len_a >= len_b
+        direction = np.where(along_a[:, None], edges[:, 0] - edges[:, 2], edges[:, 1] - edges[:, 3]) * 0.5
+        theta = np.array([math.atan2(dy, dx) for dx, dy in direction.tolist()], dtype=np.float64)
+        # the second pass is OrientedBox's; it maps an angle rounded up to +pi/2 back to -pi/2
+        theta = normalize_angle(normalize_angle(theta))
+        boxes = np.column_stack([
+            corners.mean(axis=1), np.where(along_a, len_a, len_b), np.where(along_a, len_b, len_a), theta,
+        ])
+    bad = (area < 1e-9) | ~(np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if area[i] < 1e-9:
+            raise DegenerateInputError(f"zero-area quadrilateral {tuple(map(tuple, corners[i].tolist()))}")
+        OrientedBox(*boxes[i].tolist())
+    return boxes
+
+
+def weaken(record: AnnotationRecord, target: WeakKind):
+    """Derive a weaker label from a corner-annotated record: weaken_corners
+    on its one quad."""
+    target = WeakKind(target)
+    row = weaken_corners(np.array([record.corners]), target)[0].tolist()
+    if target is WeakKind.POINT:
+        return PointAnnotation(*row, record.category)
+    return HorizontalBox(*row) if target is WeakKind.HBOX else OrientedBox(*row)
 
 
 def record_from_box(box: OrientedBox, image_id: str, category: str, difficulty: int = 0) -> AnnotationRecord:
@@ -255,28 +366,10 @@ def serialize_weak(ann: AnnotationSet, kind: WeakKind) -> dict[str, str]:
     "xmin ymin xmax ymax category" for horizontal boxes, corner format
     for recovered oriented boxes."""
     kind = WeakKind(kind)
-    out = {}
-    for image_id in ann.image_ids():
-        lines = []
-        for rec in ann.images[image_id]:
-            weak = weaken(rec, kind)
-            if kind is WeakKind.POINT:
-                lines.append(
-                    f"{_fmt_coord(weak.x)} {_fmt_coord(weak.y)} {rec.category}"
-                )
-            elif kind is WeakKind.HBOX:
-                lines.append(
-                    f"{_fmt_coord(weak.xmin)} {_fmt_coord(weak.ymin)} "
-                    f"{_fmt_coord(weak.xmax)} {_fmt_coord(weak.ymax)} {rec.category}"
-                )
-            else:
-                coords = " ".join(
-                    f"{_fmt_coord(x)} {_fmt_coord(y)}"
-                    for x, y in box_corners(weak)
-                )
-                lines.append(f"{coords} {rec.category} {rec.difficulty}")
-        out[image_id] = "\n".join(lines) + "\n" if lines else ""
-    return out
+    weak = weaken_corners(ann.corners, kind)
+    if kind is WeakKind.RBOX:
+        return _render(ann, corners_of_boxes(weak), True, {})
+    return _render(ann, weak, False, {})
 
 
 def round_half_up(x: float) -> int:
@@ -303,7 +396,7 @@ class SparsifyConfig:
 def select_partial(ann: AnnotationSet, partial_ratio: float, seed: int):
     """Split image ids into (labeled, unlabeled) by uniform sampling of
     round_half_up(ratio * n_images) images without replacement."""
-    if not ann.images:
+    if not ann.ids:
         raise InvalidInputError("empty annotation set")
     if not 0.0 < partial_ratio <= 1.0:
         raise InvalidInputError(f"partial_ratio must be in (0, 1], got {partial_ratio}")
@@ -318,10 +411,21 @@ def select_partial(ann: AnnotationSet, partial_ratio: float, seed: int):
 
 def subset_images(ann: AnnotationSet, image_ids) -> AnnotationSet:
     keep = set(image_ids)
-    return AnnotationSet(
-        images={i: list(r) for i, r in ann.images.items() if i in keep},
-        headers={i: h for i, h in ann.headers.items() if i in keep},
-    )
+    images = [i for i, image_id in enumerate(ann.ids) if image_id in keep]
+    rows = np.flatnonzero(np.isin(ann._image_of_rows(), images))
+    return ann._select(rows, images, {i: h for i, h in ann.headers.items() if i in keep})
+
+
+def _sample_groups(key: np.ndarray, count, seed: int) -> np.ndarray:
+    """Ascending rows kept when each group of rows with equal ``key`` keeps
+    ``count(n)`` of its n rows: groups in key order, each drawing one
+    ``permutation(n)`` over its rows in row order."""
+    rng = np.random.default_rng(seed)
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    groups = np.split(order, cuts) if len(order) else []
+    kept = [g[rng.permutation(len(g))[: count(len(g))]] for g in groups]
+    return np.sort(np.concatenate(kept)) if kept else order
 
 
 def sparsify_single(ann: AnnotationSet, sparse_ratio: float, seed: int) -> AnnotationSet:
@@ -330,21 +434,8 @@ def sparsify_single(ann: AnnotationSet, sparse_ratio: float, seed: int) -> Annot
     the input survives."""
     if not 0.0 < sparse_ratio <= 1.0:
         raise InvalidInputError(f"sparse_ratio must be in (0, 1], got {sparse_ratio}")
-    rng = np.random.default_rng(seed)
-    images: dict[str, list[AnnotationRecord]] = {}
-    for image_id in ann.image_ids():
-        records = ann.images[image_id]
-        by_cat: dict[str, list[int]] = {}
-        for idx, rec in enumerate(records):
-            by_cat.setdefault(rec.category, []).append(idx)
-        keep: set[int] = set()
-        for cat in sorted(by_cat):
-            idxs = by_cat[cat]
-            k = max(1, round_half_up(sparse_ratio * len(idxs)))
-            chosen = rng.permutation(len(idxs))[:k]
-            keep.update(idxs[i] for i in chosen)
-        images[image_id] = [records[i] for i in sorted(keep)]
-    return AnnotationSet(images, dict(ann.headers))
+    key = ann._image_of_rows() * len(ann.names) + ann.codes
+    return ann._select(_sample_groups(key, lambda n: max(1, round_half_up(sparse_ratio * n)), seed))
 
 
 def sparsify_overall(ann: AnnotationSet, sparse_ratio: float, seed: int) -> AnnotationSet:
@@ -353,24 +444,7 @@ def sparsify_overall(ann: AnnotationSet, sparse_ratio: float, seed: int) -> Anno
     image may lose every instance of a category."""
     if not 0.0 < sparse_ratio <= 1.0:
         raise InvalidInputError(f"sparse_ratio must be in (0, 1], got {sparse_ratio}")
-    rng = np.random.default_rng(seed)
-    entries: dict[str, list[tuple[str, int]]] = {}
-    for image_id in ann.image_ids():
-        for idx, rec in enumerate(ann.images[image_id]):
-            entries.setdefault(rec.category, []).append((image_id, idx))
-    keep: dict[str, set[int]] = {image_id: set() for image_id in ann.images}
-    for cat in sorted(entries):
-        pool = entries[cat]
-        k = round_half_up(sparse_ratio * len(pool))
-        chosen = rng.permutation(len(pool))[:k]
-        for i in chosen:
-            image_id, idx = pool[i]
-            keep[image_id].add(idx)
-    images = {
-        image_id: [ann.images[image_id][i] for i in sorted(keep[image_id])]
-        for image_id in ann.images
-    }
-    return AnnotationSet(images, dict(ann.headers))
+    return ann._select(_sample_groups(ann.codes, lambda n: round_half_up(sparse_ratio * n), seed))
 
 
 def sparsify(ann: AnnotationSet, config: SparsifyConfig) -> AnnotationSet:

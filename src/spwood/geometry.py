@@ -216,18 +216,26 @@ def rotate_box(box: OrientedBox, r: float, image_center) -> OrientedBox:
     return OrientedBox(float(cx), float(cy), box.w, box.h, box.theta + r)
 
 
+def corners_of_boxes(boxes) -> np.ndarray:
+    """Corner coordinates of (N, 5) box rows (cx, cy, w, h, theta), shape
+    (N, 4, 2), each counterclockwise from the corner at (-w/2, -h/2) in
+    its box's frame."""
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 5)
+    # math.cos/sin and one matmul per box, the same calls rotation_matrix
+    # and a (4, 2) @ (2, 2) product make, so a row's corners do not depend
+    # on the batch it is in
+    cos = np.array([math.cos(t) for t in boxes[:, 4].tolist()], dtype=float)
+    sin = np.array([math.sin(t) for t in boxes[:, 4].tolist()], dtype=float)
+    rot = np.stack([cos, -sin, sin, cos], axis=1).reshape(-1, 2, 2)
+    hw, hh = boxes[:, 2] / 2.0, boxes[:, 3] / 2.0
+    half = np.stack([-hw, -hh, hw, -hh, hw, hh, -hw, hh], axis=1).reshape(-1, 4, 2)
+    return half @ rot.transpose(0, 2, 1) + boxes[:, None, :2]
+
+
 def box_corners(box: OrientedBox) -> np.ndarray:
     """Corner coordinates, shape (4, 2), counterclockwise from the corner
     at (-w/2, -h/2) in the box frame."""
-    half = np.array(
-        [
-            [-box.w / 2.0, -box.h / 2.0],
-            [box.w / 2.0, -box.h / 2.0],
-            [box.w / 2.0, box.h / 2.0],
-            [-box.w / 2.0, box.h / 2.0],
-        ]
-    )
-    return half @ rotation_matrix(box.theta).T + np.array([box.cx, box.cy])
+    return corners_of_boxes([box.cx, box.cy, box.w, box.h, box.theta])[0]
 
 
 def hbox_of(box: OrientedBox) -> HorizontalBox:

@@ -323,12 +323,12 @@ def test_criterion_8_sparsifier_invariants():
     t0 = time.perf_counter()
     rng = np.random.default_rng(8)
     categories = [f"C{k:02d}" for k in range(15)]
-    images = {}
+    records, image_ids = [], []
     total = 0
     i = 0
     while total < 10000:
         image_id = f"img{i:05d}"
-        records = []
+        image_ids.append(image_id)
         for cat in categories:
             # skewed counts: rare categories mostly absent or singleton
             n = int(rng.integers(0, 2)) if cat < "C05" else int(rng.integers(0, 12))
@@ -341,16 +341,15 @@ def test_criterion_8_sparsifier_invariants():
                         cat,
                     )
                 )
-        images[image_id] = records
-        total += len(records)
+                total += 1
         i += 1
-    ann = AnnotationSet(images)
+    ann = AnnotationSet.from_records(records, image_ids=image_ids)
     assert len(ann) >= 10000
 
     single = sparsify_single(ann, 0.1, seed=5)
-    for image_id, records in ann.images.items():
-        assert {r.category for r in records} == {
-            r.category for r in single.images[image_id]
+    for image_id in ann.image_ids():
+        assert {r.category for r in ann.records(image_id)} == {
+            r.category for r in single.records(image_id)
         }
 
     overall = sparsify_overall(ann, 0.1, seed=5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spwood import cli, filtering
-from spwood.dataset import load_dota_dir, round_half_up
+from spwood.dataset import WeakKind, load_dota_dir, round_half_up, weaken
 from spwood.geometry import OrientedBox, box_corners
 from spwood.layout import write_pgm
 
@@ -90,9 +90,9 @@ def test_sparsify_single_keeps_singleton_categories(tmp_path, corpus_dir):
     ]) == 0
     before = load_dota_dir(corpus_dir)
     after = load_dota_dir(out / "annotations")
-    for image_id, records in before.images.items():
-        assert {r.category for r in records} == {
-            r.category for r in after.images[image_id]
+    for image_id in before.image_ids():
+        assert {r.category for r in before.records(image_id)} == {
+            r.category for r in after.records(image_id)
         }
 
 
@@ -108,6 +108,43 @@ def test_sparsify_weaken_point_output(tmp_path, corpus_dir):
     fields = line.split()
     assert len(fields) == 3
     float(fields[0]), float(fields[1])
+
+
+def test_sparsify_weaken_hbox_output(tmp_path, corpus_dir):
+    out = tmp_path / "out"
+    assert cli.main([
+        "sparsify", "--input", str(corpus_dir), "--out", str(out),
+        "--method", "overall", "--sparse", "1.0", "--weaken", "hbox",
+    ]) == 0
+    before = load_dota_dir(corpus_dir)
+    for image_id in before.image_ids():
+        lines = (out / "annotations" / f"{image_id}.txt").read_text().splitlines()
+        want = [
+            ([box.xmin, box.ymin, box.xmax, box.ymax], rec.category)
+            for rec in before.records(image_id)
+            for box in [weaken(rec, WeakKind.HBOX)]
+        ]
+        got = [([float(t) for t in line.split()[:4]], line.split()[4]) for line in lines]
+        assert got == want
+
+
+def test_sparsify_weaken_rbox_output(tmp_path, corpus_dir):
+    out = tmp_path / "out"
+    assert cli.main([
+        "sparsify", "--input", str(corpus_dir), "--out", str(out),
+        "--method", "overall", "--sparse", "1.0", "--weaken", "rbox",
+    ]) == 0
+    before = load_dota_dir(corpus_dir)
+    after = load_dota_dir(out / "annotations")
+    assert after.image_ids() == before.image_ids()
+    for image_id in before.image_ids():
+        recs = list(after.records(image_id))
+        want = list(before.records(image_id))
+        assert [(r.category, r.difficulty) for r in recs] == [(r.category, r.difficulty) for r in want]
+        for got, rec in zip(recs, want):
+            assert np.array(got.corners).tolist() == box_corners(weaken(rec, WeakKind.RBOX)).tolist()
+            # the recovered box has the input rectangle's corners, up to rounding
+            assert np.allclose(np.sort(np.array(got.corners), axis=0), np.sort(np.array(rec.corners), axis=0), atol=1e-9)
 
 
 def test_seed_env_var_and_flag_precedence(tmp_path, corpus_dir, monkeypatch):

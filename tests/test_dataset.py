@@ -1,17 +1,23 @@
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spwood import cli
 from spwood.dataset import (
     AnnotationRecord,
     AnnotationSet,
     SparsifyConfig,
     WeakKind,
+    category_sort_key,
     compare_counts,
     compare_stats,
+    load_dota_dir,
+    merge_sets,
     parse_dota,
     record_from_box,
     round_half_up,
@@ -22,9 +28,18 @@ from spwood.dataset import (
     sparsify_overall,
     sparsify_single,
     weaken,
+    weaken_corners,
 )
-from spwood.errors import DegenerateInputError, DotaParseError
-from spwood.geometry import HorizontalBox, OrientedBox, PointAnnotation, box_corners
+from spwood.errors import DegenerateInputError, DotaParseError, InvalidInputError
+from spwood.geometry import (
+    HorizontalBox,
+    OrientedBox,
+    PointAnnotation,
+    box_corners,
+    corners_of_boxes,
+    normalize_angle,
+    rotation_matrix,
+)
 
 
 def record(image_id, corners, category="plane", difficulty=0):
@@ -39,10 +54,9 @@ def rect_record(image_id, cx, cy, w, h, theta, category="plane"):
 def synthetic_corpus(seed=0, n_images=200, categories=("PL", "BD", "SV", "SH", "HC")):
     """Skewed corpus: some categories appear as singletons, some in bulk."""
     rng = np.random.default_rng(seed)
-    images = {}
-    for i in range(n_images):
-        image_id = f"img{i:04d}"
-        records = []
+    image_ids = [f"img{i:04d}" for i in range(n_images)]
+    records = []
+    for image_id in image_ids:
         for cat in categories:
             if cat in ("BD", "HC"):
                 n = int(rng.random() < 0.4)  # rare: one instance or none
@@ -57,8 +71,11 @@ def synthetic_corpus(seed=0, n_images=200, categories=("PL", "BD", "SV", "SH", "
                         cat,
                     )
                 )
-        images[image_id] = records
-    return AnnotationSet(images)
+    return AnnotationSet.from_records(records, image_ids=image_ids)
+
+
+def by_image(ann):
+    return {i: tuple(ann.records(i)) for i in ann.image_ids()}
 
 
 # --- parsing --------------------------------------------------------------------
@@ -160,11 +177,8 @@ def test_rbox_round_trip_within_tolerance(cx, cy, w, h, theta):
 
 
 def small_set(n):
-    return AnnotationSet(
-        {
-            f"i{k}": [record(f"i{k}", [(0, 0), (1, 0), (1, 1), (0, 1)])]
-            for k in range(n)
-        }
+    return AnnotationSet.from_records(
+        record(f"i{k}", [(0, 0), (1, 0), (1, 1), (0, 1)]) for k in range(n)
     )
 
 
@@ -194,9 +208,7 @@ def test_round_half_up():
 
 
 def test_single_keeps_singletons():
-    ann = AnnotationSet(
-        {"a": [record("a", [(0, 0), (1, 0), (1, 1), (0, 1)], "BD")]}
-    )
+    ann = AnnotationSet.from_records([record("a", [(0, 0), (1, 0), (1, 1), (0, 1)], "BD")])
     out = sparsify_single(ann, 0.1, seed=0)
     assert len(out) == 1
 
@@ -205,8 +217,8 @@ def test_single_exact_fraction():
     recs = [
         record("a", [(i, 0), (i + 1, 0), (i + 1, 1), (i, 1)], "SV") for i in range(10)
     ]
-    out = sparsify_single(AnnotationSet({"a": recs}), 0.1, seed=0)
-    assert len(out.images["a"]) == 1
+    out = sparsify_single(AnnotationSet.from_records(recs), 0.1, seed=0)
+    assert len(list(out.records("a"))) == 1
 
 
 def test_single_inflates_rare_categories():
@@ -223,9 +235,9 @@ def test_single_inflates_rare_categories():
 def test_single_preserves_image_category_pairs():
     ann = synthetic_corpus(seed=2)
     out = sparsify_single(ann, 0.1, seed=3)
-    for image_id, records in ann.images.items():
-        in_cats = {r.category for r in records}
-        out_cats = {r.category for r in out.images[image_id]}
+    for image_id in ann.image_ids():
+        in_cats = {r.category for r in ann.records(image_id)}
+        out_cats = {r.category for r in out.records(image_id)}
         assert in_cats == out_cats
 
 
@@ -241,9 +253,7 @@ def test_overall_exact_counts():
 def test_overall_identity_at_full_ratio():
     ann = synthetic_corpus(seed=4, n_images=30)
     out = sparsify_overall(ann, 1.0, seed=0)
-    assert {i: tuple(r) for i, r in out.images.items()} == {
-        i: tuple(r) for i, r in ann.images.items()
-    }
+    assert by_image(out) == by_image(ann)
 
 
 @given(st.integers(0, 1000), st.sampled_from([0.1, 0.3, 0.5, 0.9]))
@@ -252,10 +262,11 @@ def test_sparsified_output_is_subset(seed, ratio):
     ann = synthetic_corpus(seed=5, n_images=40)
     for method in ("single", "overall"):
         out = sparsify(ann, SparsifyConfig(method=method, sparse_ratio=ratio, seed=seed))
-        for image_id, records in out.images.items():
-            source = ann.images[image_id]
-            assert all(r in source for r in records)
-            assert len(set(map(id, records))) == len(records)  # no duplication
+        source = by_image(ann)
+        for image_id, records in by_image(out).items():
+            assert all(r in source[image_id] for r in records)
+            # no duplication: a sub-multiset of the image's records
+            assert not Counter(records) - Counter(source[image_id])
 
 
 def test_sparsify_byte_identical_per_seed():
@@ -307,9 +318,7 @@ def test_compare_stats_on_sets_and_ordering():
 
 
 def test_serialize_weak_formats():
-    ann = AnnotationSet(
-        {"a": [record("a", [(0, 0), (4, 0), (4, 2), (0, 2)], "ship")]}
-    )
+    ann = AnnotationSet.from_records([record("a", [(0, 0), (4, 0), (4, 2), (0, 2)], "ship")])
     assert serialize_weak(ann, WeakKind.POINT)["a"] == "2 1 ship\n"
     assert serialize_weak(ann, WeakKind.HBOX)["a"] == "0 0 4 2 ship\n"
     rbox_text = serialize_weak(ann, WeakKind.RBOX)["a"]
@@ -319,8 +328,461 @@ def test_serialize_weak_formats():
 
 def test_serialize_weak_rbox_non_integer_corners_parse_as_floats():
     box = OrientedBox(10.5, 20, 4, 2, 0)
-    ann = AnnotationSet({"a": [record_from_box(box, "a", "ship")]})
+    ann = AnnotationSet.from_records([record_from_box(box, "a", "ship")])
     tokens = serialize_weak(ann, WeakKind.RBOX)["a"].split()
     assert len(tokens) == 10
     corners = [float(t) for t in tokens[:8]]
     assert np.allclose(np.reshape(corners, (4, 2)), box_corners(box))
+
+
+# --- reference: the record-based implementation the columnar set replaced --------
+# One frozen AnnotationRecord per line, weakened one record at a time. The
+# columnar code must give the same bytes and raise the same errors.
+
+
+def ref_parse(text, image_id):
+    headers, records = [], []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if not ref_is_number(tokens[0]):
+            headers.append(raw.rstrip("\n"))
+            continue
+        if len(tokens) != 10:
+            raise DotaParseError(
+                f"expected 8 coordinates, category, difficulty (10 fields), got {len(tokens)}",
+                line_no,
+            )
+        try:
+            coords = [float(t) for t in tokens[:8]]
+        except ValueError:
+            raise DotaParseError(f"bad coordinate in {line!r}", line_no) from None
+        if ref_is_number(tokens[8]):
+            raise DotaParseError(f"category {tokens[8]!r} looks numeric", line_no)
+        try:
+            difficulty = int(tokens[9])
+        except ValueError:
+            raise DotaParseError(f"bad difficulty {tokens[9]!r}", line_no) from None
+        corners = tuple((coords[2 * i], coords[2 * i + 1]) for i in range(4))
+        records.append(AnnotationRecord(image_id, corners, tokens[8], difficulty))
+    return records, tuple(headers)
+
+
+def ref_is_number(token):
+    try:
+        float(token)
+        return True
+    except ValueError:
+        return False
+
+
+def ref_load(path):
+    images, headers = {}, {}
+    for f in sorted(Path(path).glob("*.txt")):
+        records, head = ref_parse(f.read_text(encoding="utf-8"), f.stem)
+        images[f.stem] = records
+        if head:
+            headers[f.stem] = head
+    return images, headers
+
+
+def ref_fmt(v):
+    return str(int(v)) if float(v).is_integer() else repr(float(v))
+
+
+def ref_serialize(images, headers):
+    out = {}
+    for image_id in sorted(images):
+        lines = list(headers.get(image_id, ()))
+        for rec in images[image_id]:
+            coords = " ".join(f"{ref_fmt(x)} {ref_fmt(y)}" for x, y in rec.corners)
+            lines.append(f"{coords} {rec.category} {rec.difficulty}")
+        out[image_id] = "\n".join(lines) + "\n" if lines else ""
+    return out
+
+
+def ref_weaken(record, target):
+    pts = np.asarray(record.corners, dtype=float)
+    if target is WeakKind.POINT:
+        cx, cy = pts.mean(axis=0)
+        return PointAnnotation(float(cx), float(cy), record.category)
+    if target is WeakKind.HBOX:
+        xmin, ymin = pts.min(axis=0)
+        xmax, ymax = pts.max(axis=0)
+        return HorizontalBox(float(xmin), float(ymin), float(xmax), float(ymax))
+    x, y = pts[:, 0], pts[:, 1]
+    area = 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+    if area < 1e-9:
+        raise DegenerateInputError(f"zero-area quadrilateral {record.corners}")
+    edges = np.roll(pts, -1, axis=0) - pts
+    len_a = 0.5 * (np.linalg.norm(edges[0]) + np.linalg.norm(edges[2]))
+    len_b = 0.5 * (np.linalg.norm(edges[1]) + np.linalg.norm(edges[3]))
+    dir_a = 0.5 * (edges[0] - edges[2])
+    dir_b = 0.5 * (edges[1] - edges[3])
+    if len_a >= len_b:
+        w, h, direction = len_a, len_b, dir_a
+    else:
+        w, h, direction = len_b, len_a, dir_b
+    theta = normalize_angle(math.atan2(float(direction[1]), float(direction[0])))
+    cx, cy = pts.mean(axis=0)
+    return OrientedBox(float(cx), float(cy), float(w), float(h), theta)
+
+
+def ref_box_corners(box):
+    half = np.array(
+        [[-box.w / 2.0, -box.h / 2.0], [box.w / 2.0, -box.h / 2.0],
+         [box.w / 2.0, box.h / 2.0], [-box.w / 2.0, box.h / 2.0]]
+    )
+    return half @ rotation_matrix(box.theta).T + np.array([box.cx, box.cy])
+
+
+def ref_serialize_weak(images, kind):
+    out = {}
+    for image_id in sorted(images):
+        lines = []
+        for rec in images[image_id]:
+            weak = ref_weaken(rec, kind)
+            if kind is WeakKind.POINT:
+                lines.append(f"{ref_fmt(weak.x)} {ref_fmt(weak.y)} {rec.category}")
+            elif kind is WeakKind.HBOX:
+                lines.append(
+                    f"{ref_fmt(weak.xmin)} {ref_fmt(weak.ymin)} "
+                    f"{ref_fmt(weak.xmax)} {ref_fmt(weak.ymax)} {rec.category}"
+                )
+            else:
+                coords = " ".join(f"{ref_fmt(x)} {ref_fmt(y)}" for x, y in ref_box_corners(weak))
+                lines.append(f"{coords} {rec.category} {rec.difficulty}")
+        out[image_id] = "\n".join(lines) + "\n" if lines else ""
+    return out
+
+
+def ref_select_partial(ids, ratio, seed):
+    ids = sorted(ids)
+    k = round_half_up(ratio * len(ids))
+    chosen = np.random.default_rng(seed).permutation(len(ids))[:k]
+    labeled = sorted(ids[i] for i in chosen)
+    return labeled, sorted(set(ids) - set(labeled))
+
+
+def ref_sparsify_single(images, ratio, seed):
+    rng = np.random.default_rng(seed)
+    out = {}
+    for image_id in sorted(images):
+        records = images[image_id]
+        by_cat = {}
+        for idx, rec in enumerate(records):
+            by_cat.setdefault(rec.category, []).append(idx)
+        keep = set()
+        for cat in sorted(by_cat):
+            idxs = by_cat[cat]
+            k = max(1, round_half_up(ratio * len(idxs)))
+            keep.update(idxs[i] for i in rng.permutation(len(idxs))[:k])
+        out[image_id] = [records[i] for i in sorted(keep)]
+    return out
+
+
+def ref_sparsify_overall(images, ratio, seed):
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for image_id in sorted(images):
+        for idx, rec in enumerate(images[image_id]):
+            entries.setdefault(rec.category, []).append((image_id, idx))
+    keep = {image_id: set() for image_id in images}
+    for cat in sorted(entries):
+        pool = entries[cat]
+        for i in rng.permutation(len(pool))[: round_half_up(ratio * len(pool))]:
+            image_id, idx = pool[i]
+            keep[image_id].add(idx)
+    return {i: [images[i][k] for k in sorted(keep[i])] for i in images}
+
+
+def ref_counts(images):
+    counts = {}
+    for records in images.values():
+        for rec in records:
+            counts[rec.category] = counts.get(rec.category, 0) + 1
+    return counts
+
+
+def fmt_value(v):
+    return str(int(v)) if float(v).is_integer() else repr(float(v))
+
+
+def write_oracle_corpus(path, seed=0, n_images=40):
+    """DOTA-style files: header lines (also mid-file), blank lines, integer,
+    two-decimal and full-precision corners, thin boxes with aspect ratios up
+    to 300 at any angle, rare singleton categories, and images without
+    records."""
+    rng = np.random.default_rng(seed)
+    common = ("SV", "LV", "SH", "PL", "HA", "BR", "small-vehicle")
+    rare = ("GTF", "SBF", "HC", "zeta")
+    path.mkdir()
+    for i in range(n_images):
+        n = int(rng.integers(0, 60)) if i % 9 else 0
+        cats = list(rng.choice(common, n)) if n else []
+        for c in rare:
+            if n and rng.random() < 0.25:
+                cats[int(rng.integers(n))] = c
+        lines = []
+        for k in range(n):
+            w = rng.uniform(3.0, 300.0)
+            h = w / math.exp(rng.uniform(0.0, math.log(300.0)))
+            box = OrientedBox(rng.uniform(0, 4000), rng.uniform(0, 4000), w, h,
+                              rng.uniform(-math.pi / 2, math.pi / 2))
+            corners = ref_box_corners(box).ravel()
+            style = rng.random()
+            if style < 0.25 and h > 3:
+                corners = np.round(corners)
+            elif style < 0.35:
+                corners = np.round(corners, 2)
+            elif style < 0.45:
+                x0, y0 = int(box.cx), int(box.cy)
+                x1, y1 = x0 + int(w) + 1, y0 + max(1, int(h))
+                corners = [x0, y0, x1, y0, x1, y1, x0, y1]
+            lines.append(" ".join(map(fmt_value, corners)) + f" {cats[k]} {int(rng.random() < 0.1)}")
+        if n > 4 and rng.random() < 0.3:
+            lines.insert(n // 2, "  note:mid-file header  ")
+        if rng.random() < 0.3:
+            lines.insert(0, "")
+        head = ["imagesource:GoogleEarth", f"gsd:{rng.uniform(0.1, 0.9)!r}"] if i % 4 else []
+        (path / f"P{i:04d}.txt").write_text("\n".join(head + lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus(tmp_path_factory):
+    return write_oracle_corpus(tmp_path_factory.mktemp("oracle") / "anns")
+
+
+def read_texts(path):
+    return {f.stem: f.read_text(encoding="utf-8") for f in sorted(Path(path).glob("*.txt"))}
+
+
+@pytest.mark.parametrize("weak", ["none", "hbox", "point", "rbox"])
+@pytest.mark.parametrize("partial", [1.0, 0.5])
+@pytest.mark.parametrize("method", ["single", "overall"])
+def test_sparsify_cli_bytes_match_record_reference(tmp_path, oracle_corpus, method, partial, weak):
+    out = tmp_path / "out"
+    assert cli.main([
+        "sparsify", "--input", str(oracle_corpus), "--out", str(out), "--method", method,
+        "--sparse", "0.3", "--partial", str(partial), "--seed", "13", "--weaken", weak,
+    ]) == 0
+    images, headers = ref_load(oracle_corpus)
+    if partial < 1.0:
+        labeled, unlabeled = ref_select_partial(images, partial, 13)
+        assert (out / "labeled_ids.txt").read_text() == "".join(f"{i}\n" for i in labeled)
+        assert (out / "unlabeled_ids.txt").read_text() == "".join(f"{i}\n" for i in unlabeled)
+        images = {i: images[i] for i in labeled}
+        headers = {i: h for i, h in headers.items() if i in images}
+    sample = ref_sparsify_single if method == "single" else ref_sparsify_overall
+    sparse = sample(images, 0.3, 13)
+    if weak == "none":
+        want = ref_serialize(sparse, headers)
+    else:
+        want = ref_serialize_weak(sparse, WeakKind(weak))
+    assert read_texts(out / "annotations") == want
+    before, after = ref_counts(images), ref_counts(sparse)
+    rows = [
+        f"{c},{after.get(c, 0)},{before[c]},{100.0 * after.get(c, 0) / before[c]:.10g}"
+        for c in sorted(before, key=category_sort_key)
+    ]
+    stats = (out / "stats.csv").read_text().splitlines()
+    assert stats[1:] == ["category,kept,total,retention_percent"] + rows
+
+
+def test_report_cli_bytes_match_record_reference(tmp_path, oracle_corpus):
+    images, headers = ref_load(oracle_corpus)
+    dirs = {}
+    for name, sample in (("single", ref_sparsify_single), ("overall", ref_sparsify_overall)):
+        dirs[name] = tmp_path / name
+        dirs[name].mkdir()
+        for image_id, text in ref_serialize(sample(images, 0.2, 5), headers).items():
+            (dirs[name] / f"{image_id}.txt").write_text(text, encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert cli.main([
+        "report", "--single", str(dirs["single"]), "--overall", str(dirs["overall"]), "--out", str(out),
+    ]) == 0
+    single, _ = ref_load(dirs["single"])
+    overall, _ = ref_load(dirs["overall"])
+    want = compare_counts(ref_counts(single), ref_counts(overall)).to_csv()
+    assert out.read_text().split("\n", 1)[1] == want
+
+
+def test_parse_serialize_and_weaken_match_record_reference(oracle_corpus):
+    images, headers = ref_load(oracle_corpus)
+    ann = load_dota_dir(oracle_corpus)
+    assert list(ann.records()) == [r for i in sorted(images) for r in images[i]]
+    assert ann.headers == headers
+    assert serialize_dota(ann) == ref_serialize(images, headers)
+    rows = {kind: weaken_corners(ann.corners, kind) for kind in WeakKind}
+    for k, rec in enumerate(ann.records()):
+        for kind in WeakKind:
+            old = ref_weaken(rec, kind)
+            assert weaken(rec, kind) == old
+            if kind is WeakKind.RBOX:
+                assert rows[kind][k].tolist() == [old.cx, old.cy, old.w, old.h, old.theta]
+                assert corners_of_boxes(rows[kind][k]).tolist() == [ref_box_corners(old).tolist()]
+                assert box_corners(old).tolist() == ref_box_corners(old).tolist()
+
+
+def test_thin_boxes_weaken_bit_for_bit():
+    """Aspect ratios up to 300 at every angle, where a vectorized arctan2,
+    x*x + y*y or elementwise rotation differs from the one-quad code."""
+    rng = np.random.default_rng(21)
+    w = rng.uniform(1.0, 300.0, 4000)
+    h = w / rng.uniform(1.0, 300.0, 4000)
+    theta = normalize_angle(rng.uniform(-4, 4, 4000))
+    boxes = np.column_stack([rng.uniform(0, 4000, (4000, 2)), w, h, theta])
+    quads = corners_of_boxes(boxes)
+    rows = weaken_corners(quads, WeakKind.RBOX)
+    got = corners_of_boxes(rows)
+    for k in range(len(boxes)):
+        rec = AnnotationRecord("x", tuple(map(tuple, quads[k].tolist())), "BR")
+        old = ref_weaken(rec, WeakKind.RBOX)
+        assert rows[k].tolist() == [old.cx, old.cy, old.w, old.h, old.theta]
+        assert got[k].tolist() == ref_box_corners(old).tolist()
+        assert quads[k].tolist() == ref_box_corners(OrientedBox(*boxes[k])).tolist()
+
+
+def test_rbox_angle_rounded_up_to_half_pi_wraps_like_the_record_code():
+    # atan2 gives -pi/2 - 1e-16 here; one normalize_angle rounds that up to
+    # +pi/2, and OrientedBox's second pass wraps it to -pi/2
+    rec = record("a", [(0.0, 0.0), (-1e-16, -1.0), (0.25 - 1e-16, -1.0), (0.25, 0.0)])
+    old = ref_weaken(rec, WeakKind.RBOX)
+    assert old.theta == -math.pi / 2
+    assert weaken_corners(np.array([rec.corners]), WeakKind.RBOX)[0].tolist() == [
+        old.cx, old.cy, old.w, old.h, old.theta,
+    ]
+    ann = AnnotationSet.from_records([rec])
+    assert serialize_weak(ann, WeakKind.RBOX) == ref_serialize_weak({"a": [rec]}, WeakKind.RBOX)
+
+
+def test_sparsifiers_match_record_reference_on_memory_sets():
+    ann = synthetic_corpus(seed=8, n_images=80)
+    images = {i: list(ann.records(i)) for i in ann.image_ids()}
+    for seed in (0, 1, 2):
+        for ratio in (0.05, 0.3, 1.0):
+            assert by_image(sparsify_single(ann, ratio, seed)) == {
+                i: tuple(r) for i, r in ref_sparsify_single(images, ratio, seed).items()
+            }
+            assert by_image(sparsify_overall(ann, ratio, seed)) == {
+                i: tuple(r) for i, r in ref_sparsify_overall(images, ratio, seed).items()
+            }
+    assert ann.category_counts() == ref_counts(images)
+
+
+# --- parse errors -------------------------------------------------------------------
+
+GOOD = "10 0 12.5 0 12.5 3 10 3 plane 0"
+BAD_LINES = [
+    "0 0 2 0 2 1 0 plane 0",  # 9 fields
+    "0 0 2 0 2 1 0 1 2 plane 0",  # 11 fields
+    "0 0 2 0 2 x 0 1 plane 0",  # bad coordinate
+    "0 0 2 0 2 1 0 1 7 0",  # numeric category
+    "0 0 2 0 2 1 0 1 nan 0",  # numeric category
+    "0 0 2 0 2 1 0 1 plane 1.5",  # bad difficulty
+    "0 0 2 0 2 1 0 1 plane x",  # bad difficulty
+    "0 0 2 nan 2 1 0 1 plane 0",  # non-finite corner
+    "0 0 2 0 inf 1 0 1 plane 0",  # non-finite corner
+    "0 0 2 0 2 1 0 1e999 plane 0",  # overflows to inf
+    "0 0 2 nan 2 1 0 1 plane x",  # bad difficulty before the non-finite corner
+    "0 x 2 0 2 1 0 1 7 y",  # bad coordinate first
+    "0 0 2 0 2 1 0 1 7 y",  # numeric category before the bad difficulty
+    "0 x 2 0 2 1 0 7 y",  # field count first
+]
+
+
+def parse_outcome(fn, text):
+    try:
+        fn(text, "img")
+    except (DotaParseError, InvalidInputError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return None
+
+
+@pytest.mark.parametrize("bad", BAD_LINES)
+@pytest.mark.parametrize("before", [0, 1, 3000])
+def test_parse_errors_match_record_reference(bad, before):
+    text = "\n".join(["imagesource:x", *[GOOD] * before, "", bad, "gsd:1", GOOD]) + "\n"
+    want = parse_outcome(ref_parse, text)
+    assert want is not None
+    assert parse_outcome(parse_dota, text) == want
+
+
+def test_parse_first_bad_line_wins():
+    lines = [GOOD] * 50
+    lines[20] = BAD_LINES[6]  # bad difficulty at line 21
+    lines[10] = BAD_LINES[7]  # non-finite corner at line 11
+    lines[40] = BAD_LINES[0]  # field count at line 41
+    text = "\n".join(lines)
+    assert parse_outcome(parse_dota, text) == parse_outcome(ref_parse, text)
+    assert parse_outcome(parse_dota, text)[0] is InvalidInputError
+
+
+def test_parse_rejects_difficulty_beyond_int64():
+    with pytest.raises(DotaParseError, match="bad difficulty") as exc:
+        parse_dota(f"{GOOD}\n0 0 2 0 2 1 0 1 plane {2**63}\n", image_id="x")
+    assert exc.value.line_no == 2
+
+
+def test_zero_area_quad_in_batch_raises_under_rbox():
+    good = record("a", [(0, 0), (4, 0), (4, 2), (0, 2)])
+    flat = record("a", [(0, 0), (1, 1), (2, 2), (3, 3)])
+    ann = AnnotationSet.from_records([good] * 500 + [flat] + [good] * 10)
+    with pytest.raises(DegenerateInputError) as exc:
+        serialize_weak(ann, WeakKind.RBOX)
+    with pytest.raises(DegenerateInputError) as ref:
+        ref_weaken(flat, WeakKind.RBOX)
+    assert str(exc.value) == str(ref.value)
+    # corners that overflow when differenced give a non-finite box
+    huge = record("a", [(-1e308, 0), (1e308, 0), (1e308, 1), (-1e308, 1)])
+    with pytest.raises(InvalidInputError, match="non-finite box field 'w'"):
+        serialize_weak(AnnotationSet.from_records([good, huge]), WeakKind.RBOX)
+    with pytest.raises(InvalidInputError, match="non-finite box field 'w'"), np.errstate(over="ignore"):
+        ref_weaken(huge, WeakKind.RBOX)
+    # a vertical segment has no horizontal box
+    thin = record("a", [(1, 0), (1, 1), (1, 2), (1, 1)])
+    with pytest.raises(InvalidInputError, match="empty horizontal box"):
+        serialize_weak(AnnotationSet.from_records([good, thin]), WeakKind.HBOX)
+    with pytest.raises(InvalidInputError, match="empty horizontal box"):
+        ref_weaken(thin, WeakKind.HBOX)
+
+
+# --- columns ------------------------------------------------------------------------
+
+
+def test_merge_sorts_images_and_remaps_categories():
+    a = parse_dota("hdr:b\n0 0 1 0 1 1 0 1 ship 0\n0 0 2 0 2 2 0 2 plane 1\n", image_id="b")
+    b = parse_dota("0 0 3 0 3 3 0 3 zebra 0\n", image_id="a.x")
+    c = parse_dota("hdr:c\n", image_id="a")
+    merged = merge_sets([a, b, c])
+    assert merged.image_ids() == ["a", "a.x", "b"]
+    assert merged.names == ("plane", "ship", "zebra")
+    assert [(r.image_id, r.category) for r in merged.records()] == [
+        ("a.x", "zebra"), ("b", "ship"), ("b", "plane"),
+    ]
+    assert merged.headers == {"b": ("hdr:b",), "a": ("hdr:c",)}
+    assert serialize_dota(merged)["a"] == "hdr:c\n"
+    with pytest.raises(InvalidInputError, match="duplicate image id 'b'"):
+        merge_sets([a, b, a])
+
+
+def test_sets_without_records_sample_and_render():
+    empty = parse_dota("imagesource:x\n\n", image_id="e")
+    assert len(empty) == 0 and empty.category_counts() == {}
+    for out in (sparsify_single(empty, 0.5, 0), sparsify_overall(empty, 0.5, 0)):
+        assert out.image_ids() == ["e"] and len(out) == 0
+        assert serialize_dota(out) == {"e": "imagesource:x\n"}
+    assert serialize_weak(empty, WeakKind.RBOX) == {"e": ""}
+    assert len(merge_sets([])) == 0
+
+
+def test_columns_reject_inconsistent_input():
+    with pytest.raises(InvalidInputError):
+        AnnotationSet(("b", "a"), (0, 0, 0), np.empty((0, 4, 2)), [], [], [])
+    with pytest.raises(InvalidInputError):
+        AnnotationSet(("a",), (0, 1), np.zeros((1, 4, 2)), [1], ["ship"], [0])
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        AnnotationSet(("a",), (0, 1), np.full((1, 4, 2), np.inf), [0], ["ship"], [0])
