@@ -28,8 +28,7 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .filtering import GmmConfig, LevelScores, PyramidLevel
-from .geometry import OrientedBox, PointAnnotation
-from .losses import Flip, FocalParams, PredictionTriple, Rotate, SampleKind, SupervisedWeights
+from .geometry import PointAnnotation
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -179,90 +178,6 @@ def cmd_fit_gmm(args) -> int:
 # --- eval-loss ---------------------------------------------------------------
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t]
-
-
-def _parse_boxes(text: str) -> list[OrientedBox]:
-    boxes = []
-    for chunk in text.split(","):
-        fields = [float(t) for t in chunk.split(":")]
-        if len(fields) != 5:
-            raise InvalidInputError(
-                f"box {chunk!r} must be cx:cy:w:h:theta"
-            )
-        boxes.append(OrientedBox(*fields))
-    return boxes
-
-
-def _parse_margins(text: str) -> np.ndarray:
-    rows = []
-    for chunk in text.split(","):
-        fields = [float(t) for t in chunk.split(":")]
-        if len(fields) != 4:
-            raise InvalidInputError(f"margins {chunk!r} must be four ':'-separated values")
-        rows.append(fields)
-    return np.array(rows)
-
-
-def _entry_case(line: str) -> gradcheck.GradCase:
-    tokens = line.split()
-    op = tokens[0]
-    kv = {}
-    for tok in tokens[1:]:
-        if "=" not in tok:
-            raise InvalidInputError(f"expected key=value, got {tok!r}")
-        key, _, value = tok.partition("=")
-        kv[key] = value
-    if op == "sparse-cls":
-        params = FocalParams(
-            alpha_t=float(kv.get("alpha_t", 0.25)),
-            gamma=float(kv.get("gamma", 2.0)),
-            omega=float(kv.get("omega", 0.2)),
-            thr=float(kv.get("thr", 0.5)),
-        )
-        kind = SampleKind(kv["kind"])
-        return gradcheck.sparse_cls_case(float(kv["p_t"]), kind, params)
-    if op == "angle":
-        aug = Flip() if kv["aug"] == "flip" else Rotate(float(kv["r"]))
-        return gradcheck.angle_case(
-            float(kv["theta_aug"]), float(kv["theta"]), aug, float(kv.get("beta", 1.0))
-        )
-    if op == "overlap":
-        return gradcheck.overlap_case(_parse_boxes(kv["boxes"]))
-    if op == "watershed":
-        return gradcheck.watershed_case(
-            float(kv["w"]),
-            float(kv["h"]),
-            float(kv["target_w"]),
-            float(kv["target_h"]),
-            tau=float(kv.get("tau", 1.0)),
-            raw=bool(int(kv.get("raw", 0))),
-        )
-    if op == "supervised":
-        parts = _parse_floats(kv["parts"])
-        if "weights" in kv:
-            weights = SupervisedWeights(*_parse_floats(kv["weights"]))
-        else:
-            weights = SupervisedWeights()
-        return gradcheck.supervised_case(parts, weights)
-    if op == "unsupervised":
-        teacher = PredictionTriple(
-            np.array(_parse_floats(kv["t_conf"])),
-            np.array(_parse_floats(kv["t_cen"])),
-            _parse_margins(kv["t_box"]),
-        )
-        student = PredictionTriple(
-            np.array(_parse_floats(kv["s_conf"])),
-            np.array(_parse_floats(kv["s_cen"])),
-            _parse_margins(kv["s_box"]),
-        )
-        return gradcheck.unsupervised_case(teacher, student, float(kv.get("beta", 1.0)))
-    if op == "total":
-        return gradcheck.total_case(float(kv["sup"]), float(kv["unsup"]))
-    raise InvalidInputError(f"unknown loss op {op!r}")
-
-
 def cmd_eval_loss(args) -> int:
     if args.input is None:
         if not args.check_grad:
@@ -284,8 +199,8 @@ def cmd_eval_loss(args) -> int:
             if not line or line.startswith("#"):
                 continue
             try:
-                case = _entry_case(line)
-            except (InvalidInputError, NumericalDegeneracyError, KeyError, ValueError) as exc:
+                case = gradcheck.case_from_entry(line)
+            except (InvalidInputError, NumericalDegeneracyError, ValueError) as exc:
                 print(f"line {line_no}: error: {exc}")
                 failed = True
                 continue

@@ -3,15 +3,21 @@
 Each loss is wrapped as a :class:`GradCase`: a flat parameter vector, a
 value function over it, and the analytic gradient reported by the loss.
 Central differences over the same vector give an independent numeric
-gradient to compare against. Random case generators sample interior
-points away from the few non-smooth spots (branch thresholds, smooth-L1
-kinks, angle wrap boundaries).
+gradient to compare against.
+
+Every loss op is one row of ``_TABLE``: the keys of its entry line
+(``op key=value ...``, README "Loss entries") with a parser for each
+value, a seeded draw of a random interior point away from the few
+non-smooth spots (branch thresholds, smooth-L1 kinks, angle wrap
+boundaries), and a builder that turns either into the flat ``x0`` and
+one ``evaluate(x)`` returning the loss value and gradient at ``x``.
+:func:`random_case` and :func:`case_from_entry` both go through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -22,6 +28,7 @@ from .geometry import OrientedBox
 from .losses import (
     Flip,
     FocalParams,
+    LossValueGrad,
     PredictionTriple,
     Rotate,
     SampleKind,
@@ -30,16 +37,6 @@ from .losses import (
 
 DEFAULT_STEP = 1e-5
 DEFAULT_REL_TOL = 1e-5
-
-OPS = (
-    "sparse-cls",
-    "angle",
-    "overlap",
-    "watershed",
-    "supervised",
-    "unsupervised",
-    "total",
-)
 
 
 @dataclass(frozen=True)
@@ -74,96 +71,28 @@ def check_case(case: GradCase, step: float = DEFAULT_STEP) -> float:
     return max_relative_error(case.analytic, central_difference(case.func, case.x0, step))
 
 
-# --- case constructors ------------------------------------------------------
+# --- the op table -----------------------------------------------------------
 
 
-def sparse_cls_case(p_t: float, kind: SampleKind, params: FocalParams) -> GradCase:
-    res = losses.sparse_cls_loss(p_t, kind, params)
-
-    def f(x):
-        return losses.sparse_cls_loss(float(x[0]), kind, params).value
-
-    return GradCase("sparse-cls", np.array([p_t]), f, res.grad, res.value)
+def _floats(text: str) -> list[float]:
+    return [float(t) for t in text.split(",") if t]
 
 
-def angle_case(theta_aug: float, theta_orig: float, aug, beta: float = 1.0) -> GradCase:
-    res = losses.angle_loss(theta_aug, theta_orig, aug, beta)
-
-    def f(x):
-        return losses.angle_loss(float(x[0]), float(x[1]), aug, beta).value
-
-    return GradCase("angle", np.array([theta_aug, theta_orig]), f, res.grad, res.value)
-
-
-def overlap_case(boxes: list[OrientedBox]) -> GradCase:
-    res = losses.gaussian_overlap_loss(boxes)
-    x0 = np.array([[b.cx, b.cy, b.w, b.h, b.theta] for b in boxes]).ravel()
-
-    def f(x):
-        params = x.reshape(-1, 5)
-        rebuilt = [OrientedBox(*row) for row in params]
-        return losses.gaussian_overlap_loss(rebuilt).value
-
-    return GradCase("overlap", x0, f, res.grad.ravel(), res.value)
+def _rows(text: str, width: int, form: str) -> list[list[float]]:
+    rows = []
+    for chunk in text.split(","):
+        rows.append([float(t) for t in chunk.split(":")])
+        if len(rows[-1]) != width:
+            raise InvalidInputError(form.format(repr(chunk)))
+    return rows
 
 
-def watershed_case(
-    pred_w: float,
-    pred_h: float,
-    target_w: float,
-    target_h: float,
-    tau: float = 1.0,
-    raw: bool = False,
-) -> GradCase:
-    def f(x):
-        box = OrientedBox(0.0, 0.0, float(x[0]), float(x[1]), 0.0)
-        return losses.watershed_loss(box, target_w, target_h, tau, raw).value
-
-    res = losses.watershed_loss(
-        OrientedBox(0.0, 0.0, pred_w, pred_h, 0.0), target_w, target_h, tau, raw
-    )
-    return GradCase("watershed", np.array([pred_w, pred_h]), f, res.grad, res.value)
+def _margins(text: str) -> np.ndarray:
+    return np.array(_rows(text, 4, "margins {} must be four ':'-separated values"))
 
 
-def supervised_case(parts, weights: SupervisedWeights = SupervisedWeights()) -> GradCase:
-    value = losses.total_supervised_loss(parts, weights)
-
-    def f(x):
-        return losses.total_supervised_loss(x.tolist(), weights)
-
-    return GradCase(
-        "supervised", np.asarray(parts, dtype=float), f, weights.as_array(), value
-    )
-
-
-def unsupervised_case(
-    teacher: PredictionTriple, student: PredictionTriple, beta: float = 1.0
-) -> GradCase:
-    res = losses.unsupervised_loss(teacher, student, beta)
-    n = len(student)
-    x0 = np.concatenate(
-        [student.conf, student.centerness, student.box_margins.ravel()]
-    )
-
-    def f(x):
-        s = PredictionTriple(
-            conf=x[:n], centerness=x[n : 2 * n], box_margins=x[2 * n :].reshape(n, 4)
-        )
-        return losses.unsupervised_loss(teacher, s, beta).value
-
-    return GradCase("unsupervised", x0, f, res.grad, res.value)
-
-
-def total_case(sup: float, unsup: float) -> GradCase:
-    value = losses.total_loss(sup, unsup)
-
-    def f(x):
-        return losses.total_loss(float(x[0]), float(x[1]))
-
-    return GradCase("total", np.array([sup, unsup]), f, np.array([1.0, 1.0]), value)
-
-
-# --- random interior points -------------------------------------------------
+def _boxes(text: str) -> list[OrientedBox]:
+    return [OrientedBox(*row) for row in _rows(text, 5, "box {} must be cx:cy:w:h:theta")]
 
 
 def _away_from(rng, low, high, avoid, margin=1e-3):
@@ -174,76 +103,172 @@ def _away_from(rng, low, high, avoid, margin=1e-3):
             return v
 
 
+def _sparse_cls(p_t, kind, **focal):
+    params = FocalParams(**focal)
+    return np.array([p_t]), lambda x: losses.sparse_cls_loss(float(x[0]), kind, params)
+
+
+def _draw_sparse_cls(rng):
+    bounds = {"alpha_t": (0.1, 0.9), "gamma": (0.5, 4.0), "omega": (0.05, 1.0), "thr": (0.2, 0.8)}
+    focal = {key: rng.uniform(*bound) for key, bound in bounds.items()}
+    kind = SampleKind.POSITIVE if rng.random() < 0.5 else SampleKind.NEGATIVE
+    return dict(p_t=_away_from(rng, 0.02, 0.98, [focal["thr"]]), kind=kind, **focal)
+
+
+def _angle(theta_aug, theta, aug, r=None, **opt):
+    if aug not in ("flip", "rotate"):
+        raise InvalidInputError(f"angle: key 'aug' must be flip or rotate, got {aug!r}")
+    if (aug == "rotate") != (r is not None):
+        raise InvalidInputError("angle: key 'r' must be given with aug=rotate, and only then")
+    transform = Flip() if r is None else Rotate(r)
+    return np.array([theta_aug, theta]), lambda x: losses.angle_loss(
+        float(x[0]), float(x[1]), transform, **opt
+    )
+
+
+def _draw_angle(rng):
+    beta = rng.uniform(0.3, 1.5)
+    r = None if rng.random() < 0.5 else rng.uniform(-math.pi, math.pi)
+    while True:
+        ta = rng.uniform(-math.pi / 2, math.pi / 2)
+        to = rng.uniform(-math.pi / 2, math.pi / 2)
+        raw = ta + to if r is None else ta - to - r
+        wrapped = (raw + math.pi / 2) % math.pi  # the residual plus pi/2, in [0, pi)
+        if min(wrapped, math.pi - wrapped) > 1e-3 and abs(abs(wrapped - math.pi / 2) - beta) > 1e-3:
+            aug = dict(aug="flip") if r is None else dict(aug="rotate", r=r)
+            return dict(theta_aug=ta, theta=to, beta=beta, **aug)
+
+
+def _overlap(boxes):
+    x0 = np.array([[b.cx, b.cy, b.w, b.h, b.theta] for b in boxes]).ravel()
+    return x0, lambda x: losses.gaussian_overlap_loss(
+        [OrientedBox(*row) for row in x.reshape(-1, 5)]
+    )
+
+
+def _draw_overlap(rng):
+    bounds = ((-4, 4), (-4, 4), (0.5, 4.0), (0.5, 4.0), (-1.4, 1.4))
+    n = int(rng.integers(2, 4))
+    return dict(boxes=[OrientedBox(*(rng.uniform(*b) for b in bounds)) for _ in range(n)])
+
+
+_EXTENTS = ("w", "h", "target_w", "target_h")  # watershed's predicted and target extents
+
+
+def _watershed(w, h, target_w, target_h, **opt):
+    return np.array([w, h]), lambda x: losses.watershed_loss(
+        OrientedBox(0.0, 0.0, float(x[0]), float(x[1]), 0.0), target_w, target_h, **opt
+    )
+
+
+def _supervised(parts, weights=None):
+    n = len(fields(SupervisedWeights))
+    if weights is not None and len(weights) != n:
+        raise InvalidInputError(f"supervised: key 'weights' needs {n} values, got {len(weights)}")
+    w = SupervisedWeights() if weights is None else SupervisedWeights(*weights)
+    return np.asarray(parts, dtype=float), lambda x: LossValueGrad(
+        losses.total_supervised_loss(x.tolist(), w), w.as_array()
+    )
+
+
+def _unsupervised(t_conf, t_cen, t_box, s_conf, s_cen, s_box, **opt):
+    teacher = PredictionTriple(t_conf, t_cen, t_box)
+    student = PredictionTriple(s_conf, s_cen, s_box)
+    n = len(student)
+
+    def evaluate(x):
+        s = PredictionTriple(x[:n], x[n : 2 * n], x[2 * n :].reshape(n, 4))
+        return losses.unsupervised_loss(teacher, s, **opt)
+
+    x0 = np.concatenate([student.conf, student.centerness, student.box_margins.ravel()])
+    return x0, evaluate
+
+
+def _draw_unsupervised(rng):
+    n, beta = int(rng.integers(1, 5)), 1.0
+    t_box = rng.uniform(-3.0, 3.0, size=(n, 4))
+    offsets = [_away_from(rng, -3.0, 3.0, [-beta, 0.0, beta]) for _ in range(t_box.size)]
+    t_conf, t_cen, s_conf, s_cen = (rng.uniform(0.05, 0.95, n) for _ in range(4))
+    return dict(t_conf=t_conf, t_cen=t_cen, t_box=t_box, s_conf=s_conf, s_cen=s_cen,
+                s_box=t_box + np.reshape(offsets, t_box.shape), beta=beta)
+
+
+def _total(sup, unsup):
+    return np.array([sup, unsup]), lambda x: LossValueGrad(
+        losses.total_loss(float(x[0]), float(x[1])), np.array([1.0, 1.0])
+    )
+
+
+@dataclass(frozen=True)
+class _Op:
+    """One loss op. ``required`` and ``optional`` map its entry keys to value
+    parsers; an omitted optional key keeps the loss's own default. The parsed
+    entry or ``draw(rng)`` is ``build``'s keyword arguments, and ``build``
+    returns the flat x0 and ``evaluate(x) -> LossValueGrad``."""
+
+    required: dict[str, Callable[[str], object]]
+    optional: dict[str, Callable[[str], object]]
+    draw: Callable[[np.random.Generator], dict]
+    build: Callable[..., tuple[np.ndarray, Callable[[np.ndarray], LossValueGrad]]]
+
+
+_TABLE = {
+    "sparse-cls": _Op(dict(p_t=float, kind=SampleKind),
+                      dict.fromkeys(("alpha_t", "gamma", "omega", "thr"), float),
+                      _draw_sparse_cls, _sparse_cls),
+    "angle": _Op(dict(theta_aug=float, theta=float, aug=str), dict(r=float, beta=float),
+                 _draw_angle, _angle),
+    "overlap": _Op(dict(boxes=_boxes), {}, _draw_overlap, _overlap),
+    "watershed": _Op(dict.fromkeys(_EXTENTS, float),
+                     dict(tau=float, raw=lambda text: bool(int(text))),
+                     lambda rng: {key: rng.uniform(0.5, 8.0) for key in _EXTENTS}, _watershed),
+    "supervised": _Op(dict(parts=_floats), dict(weights=_floats),
+                      lambda rng: dict(parts=rng.uniform(0.0, 5.0, size=6)), _supervised),
+    "unsupervised": _Op(dict.fromkeys(("t_conf", "t_cen", "s_conf", "s_cen"), _floats)
+                        | dict(t_box=_margins, s_box=_margins),
+                        dict(beta=float), _draw_unsupervised, _unsupervised),
+    "total": _Op(dict(sup=float, unsup=float), {},
+                 lambda rng: dict(sup=rng.uniform(0.0, 20.0), unsup=rng.uniform(0.0, 20.0)),
+                 _total),
+}
+OPS = tuple(_TABLE)
+
+
+def _op(op: str) -> _Op:
+    if op not in _TABLE:
+        raise InvalidInputError(f"unknown loss op {op!r}")
+    return _TABLE[op]
+
+
+def _case(op: str, x0: np.ndarray, evaluate: Callable[[np.ndarray], LossValueGrad]) -> GradCase:
+    res = evaluate(x0)
+    return GradCase(op, x0, lambda x: evaluate(x).value, np.ravel(res.grad), res.value)
+
+
 def random_case(op: str, rng: np.random.Generator) -> GradCase:
-    if op == "sparse-cls":
-        params = FocalParams(
-            alpha_t=rng.uniform(0.1, 0.9),
-            gamma=rng.uniform(0.5, 4.0),
-            omega=rng.uniform(0.05, 1.0),
-            thr=rng.uniform(0.2, 0.8),
-        )
-        kind = SampleKind.POSITIVE if rng.random() < 0.5 else SampleKind.NEGATIVE
-        p = _away_from(rng, 0.02, 0.98, [params.thr])
-        return sparse_cls_case(p, kind, params)
-    if op == "angle":
-        beta = rng.uniform(0.3, 1.5)
-        if rng.random() < 0.5:
-            aug, sign, shift = Flip(), 1.0, 0.0
-        else:
-            shift = rng.uniform(-math.pi, math.pi)
-            aug, sign = Rotate(shift), -1.0
-        while True:
-            ta = rng.uniform(-math.pi / 2, math.pi / 2)
-            to = rng.uniform(-math.pi / 2, math.pi / 2)
-            raw = ta + sign * to - (shift if sign < 0 else 0.0)
-            wrapped = (raw + math.pi / 2) % math.pi - math.pi / 2
-            near_wrap = (raw + math.pi / 2) % math.pi
-            if (
-                min(near_wrap, math.pi - near_wrap) > 1e-3
-                and abs(abs(wrapped) - beta) > 1e-3
-            ):
-                return angle_case(ta, to, aug, beta)
-    if op == "overlap":
-        n = int(rng.integers(2, 4))
-        boxes = [
-            OrientedBox(
-                rng.uniform(-4, 4),
-                rng.uniform(-4, 4),
-                rng.uniform(0.5, 4.0),
-                rng.uniform(0.5, 4.0),
-                rng.uniform(-1.4, 1.4),
-            )
-            for _ in range(n)
-        ]
-        return overlap_case(boxes)
-    if op == "watershed":
-        return watershed_case(
-            rng.uniform(0.5, 8.0),
-            rng.uniform(0.5, 8.0),
-            rng.uniform(0.5, 8.0),
-            rng.uniform(0.5, 8.0),
-        )
-    if op == "supervised":
-        return supervised_case(rng.uniform(0.0, 5.0, size=6))
-    if op == "unsupervised":
-        n = int(rng.integers(1, 5))
-        beta = 1.0
-        t_margins = rng.uniform(-3.0, 3.0, size=(n, 4))
-        s_margins = np.empty_like(t_margins)
-        for idx in np.ndindex(s_margins.shape):
-            s_margins[idx] = t_margins[idx] + _away_from(
-                rng, -3.0, 3.0, [-beta, 0.0, beta]
-            )
-        teacher = PredictionTriple(
-            rng.uniform(0.05, 0.95, n), rng.uniform(0.05, 0.95, n), t_margins
-        )
-        student = PredictionTriple(
-            rng.uniform(0.05, 0.95, n), rng.uniform(0.05, 0.95, n), s_margins
-        )
-        return unsupervised_case(teacher, student, beta)
-    if op == "total":
-        return total_case(rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0))
-    raise InvalidInputError(f"unknown loss op {op!r}")
+    row = _op(op)
+    return _case(op, *row.build(**row.draw(rng)))
+
+
+def case_from_entry(line: str) -> GradCase:
+    """The case of one entry line, ``op key=value ...``; a key the op does not
+    know, or a required key the line leaves out, is an error."""
+    op, *tokens = line.split()
+    text = {}
+    for tok in tokens:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise InvalidInputError(f"expected key=value, got {tok!r}")
+        text[key] = value
+    row = _op(op)
+    parsers = row.required | row.optional
+    for key in text:
+        if key not in parsers:
+            raise InvalidInputError(f"{op}: unknown key {key!r} (keys: {', '.join(parsers)})")
+    for key in row.required:
+        if key not in text:
+            raise InvalidInputError(f"{op}: missing key {key!r}")
+    return _case(op, *row.build(**{key: parsers[key](text[key]) for key in parsers if key in text}))
 
 
 def random_sweep(

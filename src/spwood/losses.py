@@ -40,8 +40,8 @@ class FocalParams:
     def __post_init__(self):
         if not 0.0 < self.alpha_t < 1.0:
             raise InvalidInputError(f"alpha_t must be in (0, 1), got {self.alpha_t}")
-        if self.gamma < 0.0:
-            raise InvalidInputError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise InvalidInputError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if not 0.0 < self.omega <= 1.0:
             raise InvalidInputError(f"omega must be in (0, 1], got {self.omega}")
         if not 0.0 < self.thr < 1.0:
@@ -61,8 +61,8 @@ class SupervisedWeights:
 
     def __post_init__(self):
         for name in ("w_cls", "w_cen", "w_box", "w_ang", "w_o", "w_w"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be finite and nonnegative")
 
     def as_array(self) -> np.ndarray:
         return np.array(
@@ -182,11 +182,13 @@ def angle_loss(
     A flip negates the angle, so theta_aug + theta_orig should vanish; a
     rotation shifts it, so theta_aug - theta_orig should equal the applied
     rotation. The residual is wrapped into the half-period before the
-    smooth-L1 penalty, so predictions a full period apart are identical.
-    grad holds (d/d theta_pred_aug, d/d theta_pred_orig).
+    smooth-L1 penalty (finite beta > 0), so predictions a full period apart
+    are identical. grad holds (d/d theta_pred_aug, d/d theta_pred_orig).
     """
     if not (math.isfinite(theta_pred_aug) and math.isfinite(theta_pred_orig)):
         raise InvalidInputError("angles must be finite")
+    if not 0.0 < beta < math.inf:
+        raise InvalidInputError(f"beta must be finite and positive, got {beta}")
     if isinstance(aug, Flip):
         residual = normalize_angle(theta_pred_aug + theta_pred_orig)
         d_orig = 1.0
@@ -231,9 +233,12 @@ def watershed_loss(
     Both the prediction and the target are treated as zero-mean Gaussians
     with diagonal covariances diag(w/2, h/2)^2, compared by squared
     Wasserstein distance d2 = (w - w_t)^2/4 + (h - h_t)^2/4, then mapped
-    through 1 - 1/(tau + ln(1 + d2)). ``raw=True`` returns d2 itself.
+    through 1 - 1/(tau + ln(1 + d2)). tau must be finite and positive, so
+    the denominator is at least tau. ``raw=True`` returns d2 itself.
     grad holds (d/dw, d/dh) of the predicted extents.
     """
+    if not 0.0 < tau < math.inf:
+        raise InvalidInputError(f"tau must be finite and positive, got {tau}")
     if target_w <= 0 or target_h <= 0:
         raise InvalidInputError(
             f"targets must be positive, got ({target_w}, {target_h})"
@@ -280,10 +285,10 @@ def unsupervised_loss(
 ) -> LossValueGrad:
     """Distillation loss from teacher pseudo-targets to student predictions.
 
-    Binary cross-entropy on confidence and centerness plus smooth-L1 on
-    the four edge margins, each averaged over matched locations. Teacher
-    values are fixed targets; grad covers only student inputs, laid out as
-    [conf (n), centerness (n), margins row-major (4n)].
+    Binary cross-entropy on confidence and centerness plus smooth-L1
+    (finite beta > 0) on the four edge margins, each averaged over matched
+    locations. Teacher values are fixed targets; grad covers only student
+    inputs, laid out as [conf (n), centerness (n), margins row-major (4n)].
     """
     n = len(teacher)
     if len(student) != n:
@@ -292,6 +297,8 @@ def unsupervised_loss(
         )
     if n == 0:
         raise InvalidInputError("no matched locations")
+    if not 0.0 < beta < math.inf:
+        raise InvalidInputError(f"beta must be finite and positive, got {beta}")
     conf_v, conf_g = _bce(teacher.conf, student.conf)
     cen_v, cen_g = _bce(teacher.centerness, student.centerness)
     residual = (student.box_margins - teacher.box_margins).ravel()

@@ -326,6 +326,32 @@ def test_eval_loss_domain_error_line(tmp_path, capsys):
     assert "value=18.2" in out  # later entries still evaluated
 
 
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ("watershed w=1 h=2 target_w=3 target_h=4 tua=3", ["watershed", "'tua'"]),
+        ("sparse-cls p_t=0.3 kind=negative thresh=0.9", ["sparse-cls", "'thresh'"]),
+        ("angle theta_aug=0.1 theta=0.2 aug=filp r=0.5", ["angle", "'aug'", "filp"]),
+        ("angle theta_aug=0.1 theta=0.2 aug=rotate", ["angle", "'r'"]),
+        ("angle theta_aug=0.1 theta=0.2 aug=flip r=0.5", ["angle", "'r'"]),
+        ("supervised parts=1,1,1,1,1,1 weights=1,1", ["supervised", "'weights'"]),
+        ("supervised parts=1,1,1,1,1,1 weights=1,1,1,1,1,1,1", ["supervised", "'weights'"]),
+        ("total sup=1", ["total", "missing", "'unsup'"]),
+        ("watershed w=1 h=1 target_w=1 target_h=1 tau=0", ["tau"]),
+        ("sparse-cls p_t=0.3 kind=negative gamma=nan", ["gamma"]),
+    ],
+)
+def test_eval_loss_invalid_entry_is_a_line_error(tmp_path, capsys, entry, named):
+    src = tmp_path / "losses.txt"
+    src.write_text(entry + "\nsupervised parts=1,1,1,1,1,1\n")
+    assert cli.main(["eval-loss", str(src), "--check-grad"]) == cli.EXIT_ERROR
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.startswith("line 1: error: ")
+    for text in named:
+        assert text in first
+    assert second.startswith("line 2: supervised value=18.2 ")  # later entries still evaluated
+
+
 def test_eval_loss_random_gradient_sweep(capsys):
     assert cli.main(["eval-loss", "--check-grad", "--random", "5", "--seed", "0"]) == 0
     out = capsys.readouterr().out

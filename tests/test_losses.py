@@ -62,6 +62,12 @@ def test_domain_rejected():
             sparse_cls_loss(p, SampleKind.POSITIVE, DEFAULTS)
 
 
+@pytest.mark.parametrize("gamma", [-0.5, math.nan, math.inf])
+def test_focal_gamma_must_be_finite_and_nonnegative(gamma):
+    with pytest.raises(InvalidInputError, match="gamma"):
+        FocalParams(gamma=gamma)
+
+
 def test_omega_one_reduces_to_plain_focal_negative():
     params = FocalParams(alpha_t=0.25, gamma=2.0, omega=1.0, thr=0.5)
     for p in np.linspace(0.501, 0.999, 200):
@@ -348,6 +354,13 @@ def test_nonpositive_target_rejected():
         watershed_loss(OrientedBox(0, 0, 2, 2, 0), 0.0, 4)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+def test_watershed_tau_must_be_finite_and_positive(tau):
+    # at tau = 0 a matched box (d2 = 0) would divide by zero
+    with pytest.raises(InvalidInputError, match="tau"):
+        watershed_loss(OrientedBox(0, 0, 1, 1, 0), 1.0, 1.0, tau=tau)
+
+
 def test_watershed_gradient_matches_fd():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -383,6 +396,22 @@ def test_supervised_linear_in_each_part(idx, value):
     assert total_supervised_loss(parts, weights) == pytest.approx(
         weights.as_array()[idx] * value
     )
+
+
+@pytest.mark.parametrize("name", ["w_cls", "w_o", "w_w"])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_supervised_weights_must_be_finite_and_nonnegative(name, bad):
+    with pytest.raises(InvalidInputError, match=name):
+        SupervisedWeights(**{name: bad})
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+def test_smooth_l1_losses_need_finite_positive_beta(beta):
+    with pytest.raises(InvalidInputError, match="beta"):
+        angle_loss(0.1, 0.2, Flip(), beta)
+    triple = PredictionTriple(np.array([0.5]), np.array([0.5]), np.zeros((1, 4)))
+    with pytest.raises(InvalidInputError, match="beta"):
+        unsupervised_loss(triple, triple, beta)
 
 
 def test_total_loss_addition():
