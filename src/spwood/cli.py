@@ -27,7 +27,7 @@ from .errors import (
     InvalidInputError,
     NumericalDegeneracyError,
 )
-from .filtering import GmmConfig, LevelScores, PyramidLevel
+from .filtering import LevelScores, PyramidLevel
 from .geometry import PointAnnotation
 
 EXIT_OK = 0
@@ -158,15 +158,10 @@ def cmd_fit_gmm(args) -> int:
     per_level = _read_level_scores(args.input)
     if not per_level:
         raise DegenerateInputError(f"no score rows in {args.input}")
-    config = GmmConfig()
-    if args.mode == "cpf":
-        pooled = np.concatenate([ls.scores for ls in per_level])
-        fit = filtering.fit_gmm(pooled, config)
-        tau = filtering.threshold_from_fit(fit, pooled, config.rule).tau
-        rows = [_fit_row("pooled", fit, tau)]
-    else:
-        decisions = filtering.mpf_decisions(per_level, config)
-        rows = [_fit_row(d.level.value, d.fit, d.tau) for d in decisions]
+    decisions = filtering.level_decisions(per_level, args.mode)
+    # under cpf every level carries the one pooled fit, written once
+    labels = ["pooled"] if args.mode == "cpf" else [d.level.value for d in decisions]
+    rows = [_fit_row(label, d.fit, d.tau) for label, d in zip(labels, decisions)]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_comment_header(args, "-"))
         fh.write("level,w_p,mu_p,var_p,w_n,mu_n,var_n,tau,converged\n")
@@ -233,9 +228,7 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed, scenario.seed)
     out = Path(args.out)
     if args.mode in ("mpf", "cpf"):
-        report = pipeline.run_simulation(
-            scenario, pipeline.FilterMode(args.mode), seed=seed
-        )
+        report = pipeline.run_simulation(scenario, args.mode, seed=seed)
         _write_report(out, args, report)
         print(f"{args.mode}: mean_f1={report.mean_f1:.6f} rows={len(report.rows)}")
         return EXIT_OK

@@ -6,8 +6,10 @@ The selection threshold for a level is the smallest observed score whose
 posterior responsibility under the positive component reaches 1/2.
 
 Two strategies are provided: MPF fits one mixture per level, CPF pools
-every level into a single fit. Levels with too few or constant scores
-are degenerate and inherit the pooled threshold.
+every level into a single fit. Under MPF, levels with too few or
+constant scores are degenerate and inherit the pooled fit; under CPF
+every level inherits it. :func:`level_decisions` is the one routine for
+both, and a level selects its scores with ``score >= tau`` (inclusive).
 """
 
 from __future__ import annotations
@@ -29,12 +31,9 @@ class PyramidLevel(str, enum.Enum):
     P7 = "P7"
 
 
-class ThresholdRule(str, enum.Enum):
-    # posterior: decision boundary of the positive component over observed
-    # scores. mode: the positive component's mean (density peak), kept for
-    # comparison; it cannot separate the components and is not the default.
-    POSTERIOR = "posterior"
-    MODE = "mode"
+class FilterMode(str, enum.Enum):
+    MPF = "mpf"
+    CPF = "cpf"
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ class GmmConfig:
     max_iter: int = 300
     var_floor: float = 1e-6
     min_level_scores: int = 20
-    rule: ThresholdRule = ThresholdRule.POSTERIOR
 
 
 @dataclass(frozen=True)
@@ -91,12 +89,6 @@ class GmmFit:
             raise InvalidInputError("positive component must have the higher mean")
         if self.var_p <= 0 or self.var_n <= 0:
             raise InvalidInputError("variances must be positive")
-
-
-@dataclass(frozen=True)
-class LevelThreshold:
-    level: PyramidLevel
-    tau: float
 
 
 @dataclass(frozen=True)
@@ -178,21 +170,15 @@ def fit_gmm(scores, config: GmmConfig = GmmConfig()) -> GmmFit:
     return GmmFit(*w_mu_var, iterations, converged, tuple(lls))
 
 
-def threshold_from_fit(
-    fit: GmmFit, scores, rule: ThresholdRule = ThresholdRule.POSTERIOR
-) -> ThresholdResult:
-    """Selection threshold from a fitted mixture.
-
-    Default rule: the smallest observed score whose posterior
-    responsibility under the positive component is >= 1/2. If no score
-    qualifies, fall back to the maximum observed score (selects nothing
-    below the top) and flag it. The mode rule returns the positive mean.
+def threshold_from_fit(fit: GmmFit, scores) -> ThresholdResult:
+    """Selection threshold from a fitted mixture: the smallest observed
+    score whose posterior responsibility under the positive component is
+    >= 1/2. If no score qualifies, fall back to the maximum observed score
+    (selects nothing below the top) and flag it.
     """
     x = np.asarray(scores, dtype=float).ravel()
     if x.size == 0:
         raise InvalidInputError("empty score list")
-    if rule is ThresholdRule.MODE:
-        return ThresholdResult(fit.mu_p, fallback=False)
     log_p = _log_joint((x - fit.mu_p) ** 2, fit.w_p, fit.var_p)
     log_n = _log_joint((x - fit.mu_n) ** 2, fit.w_n, fit.var_n)
     acceptable = x[log_p - log_n >= 0.0]  # log-odds d >= 0
@@ -209,9 +195,10 @@ def is_degenerate_level(scores, config: GmmConfig = GmmConfig()) -> bool:
 
 @dataclass(frozen=True)
 class LevelDecision:
-    """How MPF set one level's threshold. An inherited level was
-    degenerate and carries the pooled fit and threshold; fallback marks a
-    threshold pinned to the top observed score."""
+    """How one level's threshold was set. An inherited level carries the
+    pooled fit and threshold: under MPF because the level was degenerate,
+    under CPF always. fallback marks a threshold pinned to the top
+    observed score."""
 
     level: PyramidLevel
     fit: GmmFit
@@ -222,59 +209,32 @@ class LevelDecision:
 
 def _fit_threshold(scores, config: GmmConfig) -> tuple[GmmFit, ThresholdResult]:
     fit = fit_gmm(scores, config)  # raises DegenerateInputError when unusable
-    return fit, threshold_from_fit(fit, scores, config.rule)
+    return fit, threshold_from_fit(fit, scores)
 
 
-def cpf_filter(
-    per_level: list[LevelScores], config: GmmConfig = GmmConfig()
-) -> ThresholdResult:
-    """Pool all levels' scores and fit a single global threshold."""
-    pooled = np.concatenate([ls.scores for ls in per_level]) if per_level else np.array([])
-    return _fit_threshold(pooled, config)[1]
-
-
-def mpf_decisions(
-    per_level: list[LevelScores], config: GmmConfig = GmmConfig()
+def level_decisions(
+    per_level: list[LevelScores],
+    mode: FilterMode = FilterMode.MPF,
+    config: GmmConfig = GmmConfig(),
 ) -> list[LevelDecision]:
-    """One decision per level, each from that level's own mixture fit.
+    """One decision per level, in input order.
 
-    Degenerate levels (fewer than config.min_level_scores scores, or
-    fewer than 2 distinct values) inherit the pooled CPF fit and
-    threshold. If every level is degenerate the pooled threshold is used
-    throughout; if pooling is degenerate too, the input is rejected.
+    Under MPF each level gets its own mixture fit and threshold, and
+    degenerate levels (fewer than config.min_level_scores scores, or
+    fewer than 2 distinct values) inherit the fit and threshold of all
+    levels pooled. Under CPF every level inherits the pooled fit. The
+    pooled fit is made once, and only if some level inherits it; if it is
+    needed and degenerate too, the input is rejected.
     """
     if not per_level:
         raise DegenerateInputError("no levels given")
-    degenerate = [is_degenerate_level(ls.scores, config) for ls in per_level]
+    cpf = FilterMode(mode) is FilterMode.CPF
+    inherits = [cpf or is_degenerate_level(ls.scores, config) for ls in per_level]
     pooled = None
-    if any(degenerate):
+    if any(inherits):
         pooled = _fit_threshold(np.concatenate([ls.scores for ls in per_level]), config)
     out = []
-    for ls, inherited in zip(per_level, degenerate):
+    for ls, inherited in zip(per_level, inherits):
         fit, res = pooled if inherited else _fit_threshold(ls.scores, config)
         out.append(LevelDecision(ls.level, fit, res.tau, inherited, res.fallback))
     return out
-
-
-def mpf_filter(
-    per_level: list[LevelScores], config: GmmConfig = GmmConfig()
-) -> list[LevelThreshold]:
-    """One threshold per level, as decided by mpf_decisions."""
-    return [LevelThreshold(d.level, d.tau) for d in mpf_decisions(per_level, config)]
-
-
-def select_pseudo_labels(candidates, thresholds: list[LevelThreshold]) -> list:
-    """Keep candidates whose score reaches their level's threshold.
-
-    Candidates are (level, score, payload) triples; selection is
-    inclusive (score == tau passes) and preserves input order.
-    """
-    tau_by_level = {t.level: t.tau for t in thresholds}
-    selected = []
-    for cand in candidates:
-        level, score = PyramidLevel(cand[0]), cand[1]
-        if level not in tau_by_level:
-            raise InvalidInputError(f"no threshold for level {level.value}")
-        if score >= tau_by_level[level]:
-            selected.append(cand)
-    return selected

@@ -95,6 +95,12 @@ def _boxes(text: str) -> list[OrientedBox]:
     return [OrientedBox(*row) for row in _rows(text, 5, "box {} must be cx:cy:w:h:theta")]
 
 
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise InvalidInputError(f"must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
 def _away_from(rng, low, high, avoid, margin=1e-3):
     """Uniform draw from (low, high) at least margin away from each avoid point."""
     while True:
@@ -220,7 +226,7 @@ _TABLE = {
                  _draw_angle, _angle),
     "overlap": _Op(dict(boxes=_boxes), {}, _draw_overlap, _overlap),
     "watershed": _Op(dict.fromkeys(_EXTENTS, float),
-                     dict(tau=float, raw=lambda text: bool(int(text))),
+                     dict(tau=float, raw=_flag),
                      lambda rng: {key: rng.uniform(0.5, 8.0) for key in _EXTENTS}, _watershed),
     "supervised": _Op(dict(parts=_floats), dict(weights=_floats),
                       lambda rng: dict(parts=rng.uniform(0.0, 5.0, size=6)), _supervised),
@@ -268,7 +274,13 @@ def case_from_entry(line: str) -> GradCase:
     for key in row.required:
         if key not in text:
             raise InvalidInputError(f"{op}: missing key {key!r}")
-    return _case(op, *row.build(**{key: parsers[key](text[key]) for key in parsers if key in text}))
+    values = {}
+    for key in (key for key in parsers if key in text):
+        try:
+            values[key] = parsers[key](text[key])
+        except ValueError as exc:
+            raise InvalidInputError(f"{op}: key {key!r}: {exc}") from None
+    return _case(op, *row.build(**values))
 
 
 def random_sweep(

@@ -16,13 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .filtering import (
-    GmmConfig,
-    LevelScores,
-    PyramidLevel,
-    cpf_filter,
-    mpf_filter,
-)
+from .filtering import FilterMode, GmmConfig, LevelScores, PyramidLevel, level_decisions
 
 DEFAULT_EMA_MOMENTUM = 0.999
 DEFAULT_BURN_IN_ITERS = 12800
@@ -33,11 +27,6 @@ _SCORE_EPS = 1e-6  # draws are clipped into (eps, 1 - eps)
 class Stage(enum.Enum):
     BURN_IN = "burn-in"
     SELF_TRAINING = "self-training"
-
-
-class FilterMode(str, enum.Enum):
-    MPF = "mpf"
-    CPF = "cpf"
 
 
 def ema_update(teacher, student, momentum: float = DEFAULT_EMA_MOMENTUM) -> np.ndarray:
@@ -188,13 +177,8 @@ def run_simulation(
             labels_by_level[plan.level] = np.concatenate(
                 [np.ones(plan.n_pos, dtype=bool), np.zeros(plan.n_neg, dtype=bool)]
             )
-        if filter_mode is FilterMode.MPF:
-            thresholds = {t.level: t.tau for t in mpf_filter(per_level, config)}
-        else:
-            tau = cpf_filter(per_level, config).tau
-            thresholds = {ls.level: tau for ls in per_level}
-        for ls in per_level:
-            tau = thresholds[ls.level]
+        for ls, decision in zip(per_level, level_decisions(per_level, filter_mode, config)):
+            tau = decision.tau
             selected = ls.scores >= tau
             precision, recall, f1 = _prf(selected, labels_by_level[ls.level])
             rows.append(

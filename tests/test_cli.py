@@ -252,9 +252,10 @@ def test_fit_gmm_sparse_level_inherits_pooled(tmp_path):
     assert rows["P7"][7] == pooled_row.split(",")[7]  # sparse level inherits pooled tau
 
 
-def reference_mpf_rows(per_level, config=filtering.GmmConfig()):
-    """fit-gmm --mode mpf rows as the command built them before it used
-    filtering.mpf_decisions, with its own copy of the inheritance rule."""
+def reference_rows(per_level, mode="mpf", config=filtering.GmmConfig()):
+    """fit-gmm rows as the command built them before it read
+    filtering.level_decisions, with its own copy of the inheritance rule:
+    under mpf one row per level, under cpf one 'pooled' row."""
 
     def row(level, fit, tau):
         values = (fit.w_p, fit.mu_p, fit.var_p, fit.w_n, fit.mu_n, fit.var_n, tau)
@@ -262,37 +263,52 @@ def reference_mpf_rows(per_level, config=filtering.GmmConfig()):
 
     pooled = np.concatenate(list(per_level.values()))
     pooled_fit = filtering.fit_gmm(pooled, config)
-    pooled_tau = filtering.threshold_from_fit(pooled_fit, pooled, config.rule).tau
+    pooled_tau = filtering.threshold_from_fit(pooled_fit, pooled).tau
+    if mode == "cpf":
+        return [row("pooled", pooled_fit, pooled_tau)]
     rows = []
     for level, scores in per_level.items():
         if filtering.is_degenerate_level(scores, config):
             rows.append(row(level, pooled_fit, pooled_tau))
         else:
             fit = filtering.fit_gmm(scores, config)
-            tau = filtering.threshold_from_fit(fit, scores, config.rule).tau
+            tau = filtering.threshold_from_fit(fit, scores).tau
             rows.append(row(level, fit, tau))
     return rows
 
 
-def test_fit_gmm_mpf_rows_match_pre_merge_inheritance(tmp_path):
+def inheritance_levels():
     rng = np.random.default_rng(5)
 
     def two_clusters(mu_n, mu_p):
         scores = np.concatenate([rng.normal(mu_n, 0.06, 300), rng.normal(mu_p, 0.06, 100)])
         return np.clip(scores, 0.01, 0.99)
 
-    per_level = {
+    return {
         "P3": two_clusters(0.2, 0.6),
         "P5": two_clusters(0.3, 0.7),
         "P7": np.array([0.35, 0.45, 0.55, 0.65]),  # under 20 scores: inherits the pooled fit
     }
+
+
+def fit_gmm_rows(tmp_path, per_level, mode):
     src = tmp_path / "scores.csv"
     write_scores_csv(src, per_level)
-    out = tmp_path / "fits.csv"
-    assert cli.main(["fit-gmm", "--input", str(src), "--out", str(out), "--mode", "mpf"]) == 0
+    out = tmp_path / f"fits.{mode}.csv"
+    assert cli.main(["fit-gmm", "--input", str(src), "--out", str(out), "--mode", mode]) == 0
     rows = [l for l in out.read_text().splitlines() if not l.startswith(("#", "level"))]
     as_read = {k: np.array([float(f"{s:.6f}") for s in v]) for k, v in per_level.items()}
-    assert rows == reference_mpf_rows(as_read)
+    return rows, reference_rows(as_read, mode)
+
+
+def test_fit_gmm_mpf_rows_match_pre_merge_inheritance(tmp_path):
+    rows, reference = fit_gmm_rows(tmp_path, inheritance_levels(), "mpf")
+    assert rows == reference
+
+
+def test_fit_gmm_cpf_row_matches_reference(tmp_path):
+    rows, reference = fit_gmm_rows(tmp_path, inheritance_levels(), "cpf")
+    assert rows == reference and len(rows) == 1
 
 
 def test_fit_gmm_malformed_csv_reports_line(tmp_path, capsys):
@@ -339,6 +355,14 @@ def test_eval_loss_domain_error_line(tmp_path, capsys):
         ("total sup=1", ["total", "missing", "'unsup'"]),
         ("watershed w=1 h=1 target_w=1 target_h=1 tau=0", ["tau"]),
         ("sparse-cls p_t=0.3 kind=negative gamma=nan", ["gamma"]),
+        ("watershed w=1 h=2 target_w=1.5 target_h=2 raw=2", ["watershed", "'raw'", "0 or 1"]),
+        ("watershed w=1 h=2 target_w=1.5 target_h=2 raw=-1", ["watershed", "'raw'", "0 or 1"]),
+        ("sparse-cls p_t=abc kind=positive", ["sparse-cls", "'p_t'", "'abc'"]),
+        ("sparse-cls p_t=0.3 kind=pos", ["sparse-cls", "'kind'", "'pos'"]),
+        ("overlap boxes=1:2:3", ["overlap", "'boxes'", "cx:cy:w:h:theta"]),
+        ("overlap boxes=0:0:1:2:x", ["overlap", "'boxes'", "'x'"]),
+        ("unsupervised t_conf=0.5 t_cen=0.5 t_box=1:2:3 s_conf=0.4 s_cen=0.6 s_box=1:2:3:4",
+         ["unsupervised", "'t_box'"]),
     ],
 )
 def test_eval_loss_invalid_entry_is_a_line_error(tmp_path, capsys, entry, named):

@@ -7,20 +7,18 @@ from hypothesis import strategies as st
 
 from spwood.errors import DegenerateInputError, InvalidInputError
 from spwood.filtering import (
+    FilterMode,
     GmmConfig,
     GmmFit,
     LevelDecision,
     LevelScores,
     PyramidLevel,
-    ThresholdRule,
-    cpf_filter,
     fit_gmm,
     is_degenerate_level,
-    mpf_decisions,
-    mpf_filter,
-    select_pseudo_labels,
+    level_decisions,
     threshold_from_fit,
 )
+from spwood.pipeline import LevelPlan, SimScenario, run_simulation
 
 
 def planted_scores(rng, mu_n=0.15, mu_p=0.85, sigma=0.05, n_neg=500, n_pos=500):
@@ -295,12 +293,6 @@ def test_symmetric_components_boundary_near_midpoint():
     assert abs(tau - 0.5) <= 0.02
 
 
-def test_mode_rule_returns_positive_mean():
-    scores, _ = planted_scores(np.random.default_rng(4))
-    fit = fit_gmm(scores)
-    assert threshold_from_fit(fit, scores, ThresholdRule.MODE).tau == fit.mu_p
-
-
 @given(score_lists)
 @settings(max_examples=40, deadline=None)
 def test_threshold_within_observed_range(xs):
@@ -310,6 +302,10 @@ def test_threshold_within_observed_range(xs):
 
 
 # --- per-level vs pooled ---------------------------------------------------------
+
+
+def cpf_tau(per_level):
+    return level_decisions(per_level, FilterMode.CPF)[0].tau
 
 
 def shifted_levels(rng, n_pos=200, n_neg=600, sigma=0.06):
@@ -330,11 +326,11 @@ def shifted_levels(rng, n_pos=200, n_neg=600, sigma=0.06):
 
 def test_mpf_tracks_per_level_boundaries():
     per_level, boundaries = shifted_levels(np.random.default_rng(0))
-    thresholds = mpf_filter(per_level)
-    for t in thresholds:
-        assert abs(t.tau - boundaries[t.level]) <= 0.05
-    pooled_tau = cpf_filter(per_level).tau
-    assert max(abs(t.tau - pooled_tau) for t in thresholds) > 0.05
+    decisions = level_decisions(per_level)
+    for d in decisions:
+        assert abs(d.tau - boundaries[d.level]) <= 0.05
+    pooled_tau = cpf_tau(per_level)
+    assert max(abs(d.tau - pooled_tau) for d in decisions) > 0.05
 
 
 def test_cpf_misclassifies_disjoint_level_ranges():
@@ -347,12 +343,12 @@ def test_cpf_misclassifies_disjoint_level_ranges():
         LevelScores(PyramidLevel.P3, low),
         LevelScores(PyramidLevel.P7, high),
     ]
-    tau = cpf_filter(per_level).tau
+    tau = cpf_tau(per_level)
     selected_low = low >= tau
     tp = int(np.sum(selected_low & low_labels))
     recall_low = tp / int(low_labels.sum())
     assert recall_low < 0.5  # most of the lower level's positives lost
-    mpf_taus = {t.level: t.tau for t in mpf_filter(per_level)}
+    mpf_taus = {d.level: d.tau for d in level_decisions(per_level)}
     mpf_recall_low = np.sum((low >= mpf_taus[PyramidLevel.P3]) & low_labels) / int(
         low_labels.sum()
     )
@@ -362,7 +358,10 @@ def test_cpf_misclassifies_disjoint_level_ranges():
 def test_single_level_mpf_equals_cpf():
     scores, _ = planted_scores(np.random.default_rng(6))
     per_level = [LevelScores(PyramidLevel.P4, scores)]
-    assert mpf_filter(per_level)[0].tau == cpf_filter(per_level).tau
+    (mpf,) = level_decisions(per_level)
+    (cpf,) = level_decisions(per_level, FilterMode.CPF)
+    assert mpf.tau == cpf.tau and mpf.fit == cpf.fit
+    assert not mpf.inherited and cpf.inherited
 
 
 def test_identical_levels_agree_with_pooled():
@@ -380,9 +379,9 @@ def test_identical_levels_agree_with_pooled():
             )
             for level in PyramidLevel
         ]
-        pooled_tau = cpf_filter(per_level).tau
-        for t in mpf_filter(per_level):
-            worst = max(worst, abs(t.tau - pooled_tau))
+        pooled_tau = cpf_tau(per_level)
+        for d in level_decisions(per_level):
+            worst = max(worst, abs(d.tau - pooled_tau))
     assert worst <= 0.03
 
 
@@ -394,8 +393,8 @@ def test_degenerate_level_inherits_pooled_threshold():
         LevelScores(PyramidLevel.P3, rich),
         LevelScores(PyramidLevel.P7, sparse),
     ]
-    pooled_tau = cpf_filter(per_level).tau
-    thresholds = {t.level: t.tau for t in mpf_filter(per_level)}
+    pooled_tau = cpf_tau(per_level)
+    thresholds = {d.level: d.tau for d in level_decisions(per_level)}
     assert thresholds[PyramidLevel.P7] == pooled_tau
     assert is_degenerate_level(sparse)
     assert not is_degenerate_level(rich)
@@ -409,9 +408,9 @@ def test_all_degenerate_falls_back_to_pooled():
         LevelScores(PyramidLevel.P3, a),
         LevelScores(PyramidLevel.P4, b),
     ]
-    pooled_tau = cpf_filter(per_level).tau
-    for t in mpf_filter(per_level):
-        assert t.tau == pooled_tau
+    pooled_tau = cpf_tau(per_level)
+    for d in level_decisions(per_level):
+        assert d.tau == pooled_tau and d.inherited
 
 
 def test_mpf_decisions_record_inheritance_and_fallback():
@@ -422,33 +421,54 @@ def test_mpf_decisions_record_inheritance_and_fallback():
         LevelScores(PyramidLevel.P3, rich),
         LevelScores(PyramidLevel.P7, sparse),
     ]
-    decisions = mpf_decisions(per_level)
+    decisions = level_decisions(per_level)
     assert [d.level for d in decisions] == [PyramidLevel.P3, PyramidLevel.P7]
     assert [d.inherited for d in decisions] == [False, True]
     assert all(isinstance(d, LevelDecision) and not d.fallback for d in decisions)
     pooled = np.concatenate([rich, sparse])
     assert decisions[1].fit == fit_gmm(pooled)
-    assert decisions[1].tau == cpf_filter(per_level).tau
+    assert decisions[1].tau == cpf_tau(per_level)
     assert decisions[0].fit == fit_gmm(rich)
-    assert [t.tau for t in mpf_filter(per_level)] == [d.tau for d in decisions]
+
+
+def fallback_scores():
+    rng = np.random.default_rng(4)
+    return np.clip(
+        np.concatenate([rng.normal(0.4, 0.1, 150), rng.normal(0.45, 0.02, 30)]), 0.01, 0.99
+    )
 
 
 def test_mpf_decisions_record_fallback():
     # a tight cluster inside a broad one: the higher-mean component wins at
     # no observed score, so the threshold is pinned to the top score
-    rng = np.random.default_rng(4)
-    scores = np.clip(
-        np.concatenate([rng.normal(0.4, 0.1, 150), rng.normal(0.45, 0.02, 30)]), 0.01, 0.99
-    )
-    decision = mpf_decisions([LevelScores(PyramidLevel.P4, scores)])[0]
+    decision = level_decisions([LevelScores(PyramidLevel.P4, fallback_scores())])[0]
     assert decision.fallback and not decision.inherited
-    assert decision.tau == scores.max()
+    assert decision.tau == fallback_scores().max()
+
+
+def test_cpf_decisions_all_inherit_one_pooled_fit():
+    rng = np.random.default_rng(13)
+    per_level, _ = shifted_levels(rng, n_pos=50, n_neg=150)
+    per_level.append(LevelScores(PyramidLevel.P7, np.array([0.3, 0.6])))
+    pooled = np.concatenate([ls.scores for ls in per_level])
+    fit = fit_gmm(pooled)
+    res = threshold_from_fit(fit, pooled)
+    decisions = level_decisions(per_level, FilterMode.CPF)
+    assert decisions == [
+        LevelDecision(ls.level, fit, res.tau, True, res.fallback) for ls in per_level
+    ]
+    assert level_decisions(per_level, "cpf") == decisions
+    with pytest.raises(ValueError):
+        level_decisions(per_level, "pooled")
 
 
 def test_everything_degenerate_rejected():
     per_level = [LevelScores(PyramidLevel.P3, np.full(30, 0.5))]
-    with pytest.raises(DegenerateInputError):
-        mpf_filter(per_level)
+    for mode in FilterMode:
+        with pytest.raises(DegenerateInputError):
+            level_decisions(per_level, mode)
+        with pytest.raises(DegenerateInputError):
+            level_decisions([], mode)
 
 
 def test_empty_levels_do_not_change_pooling():
@@ -458,54 +478,128 @@ def test_empty_levels_do_not_change_pooling():
         LevelScores(PyramidLevel.P5, np.array([])),
     ]
     without = [LevelScores(PyramidLevel.P3, scores)]
-    assert cpf_filter(with_empty).tau == cpf_filter(without).tau
+    assert cpf_tau(with_empty) == cpf_tau(without)
 
 
-# --- selection -------------------------------------------------------------------
+# --- level_decisions against the routines it replaced ---------------------------
+#
+# Test-only copies of filtering.cpf_filter and filtering.mpf_decisions as they
+# were before level_decisions served both modes.
+
+
+def reference_fit_threshold(scores, config):
+    fit = fit_gmm(scores, config)
+    return fit, threshold_from_fit(fit, scores)
+
+
+def reference_cpf_filter(per_level, config=GmmConfig()):
+    pooled = np.concatenate([ls.scores for ls in per_level]) if per_level else np.array([])
+    return reference_fit_threshold(pooled, config)[1]
+
+
+def reference_mpf_decisions(per_level, config=GmmConfig()):
+    if not per_level:
+        raise DegenerateInputError("no levels given")
+    degenerate = [is_degenerate_level(ls.scores, config) for ls in per_level]
+    pooled = None
+    if any(degenerate):
+        pooled = reference_fit_threshold(np.concatenate([ls.scores for ls in per_level]), config)
+    out = []
+    for ls, inherited in zip(per_level, degenerate):
+        fit, res = pooled if inherited else reference_fit_threshold(ls.scores, config)
+        out.append(LevelDecision(ls.level, fit, res.tau, inherited, res.fallback))
+    return out
+
+
+def oracle_inputs(seed):
+    """Per-level score sets: rich levels, one degenerate level, every level
+    degenerate, a fallback level, empty levels, a constant level."""
+    rng = np.random.default_rng(seed)
+    levels = list(PyramidLevel)
+
+    def rich():
+        n = int(rng.integers(20, 400))
+        mu_n = rng.uniform(0.1, 0.5)
+        return planted_scores(rng, mu_n=mu_n, mu_p=mu_n + rng.uniform(0.1, 0.4),
+                              sigma=rng.uniform(0.02, 0.1), n_neg=n, n_pos=int(rng.integers(5, n)))[0]
+
+    def sparse():
+        return np.clip(rng.uniform(0.05, 0.95, int(rng.integers(2, 20))), 0.01, 0.99)
+
+    sets = [
+        [rich() for _ in levels],
+        [rich(), rich(), sparse(), rich()],
+        [sparse() for _ in levels],
+        [rich(), rng.permutation(fallback_scores()), rich()],
+        [rich(), np.array([]), rich(), np.array([])],
+        [np.array([]), sparse(), np.array([])],
+        [rich(), np.full(40, 0.37), rich()],
+    ]
+    return [[LevelScores(lvl, sc) for lvl, sc in zip(levels, s)] for s in sets]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_level_decisions_match_reference(seed):
+    kinds = set()
+    for per_level in oracle_inputs(seed):
+        mpf = level_decisions(per_level, FilterMode.MPF)
+        assert mpf == reference_mpf_decisions(per_level)
+        cpf = level_decisions(per_level, FilterMode.CPF)
+        tau = reference_cpf_filter(per_level).tau
+        assert [d.tau for d in cpf] == [tau] * len(per_level)
+        assert all(d.inherited for d in cpf)
+        kinds |= {(d.inherited, d.fallback) for d in mpf}
+    assert {(False, False), (True, False), (False, True)} <= kinds
+
+
+# --- selection: score >= tau per level ------------------------------------------
 
 
 def test_selection_empty_when_all_below():
-    thresholds = mpf_filter(
-        [LevelScores(PyramidLevel.P3, planted_scores(np.random.default_rng(0))[0])]
-    )
-    cands = [(PyramidLevel.P3, 0.01, "a"), (PyramidLevel.P3, 0.02, "b")]
-    assert select_pseudo_labels(cands, thresholds) == []
+    scores = planted_scores(np.random.default_rng(0))[0]
+    tau = level_decisions([LevelScores(PyramidLevel.P3, scores)])[0].tau
+    assert not np.any(np.array([0.01, 0.02]) >= tau)
 
 
 def test_selection_boundary_inclusive():
-    from spwood.filtering import LevelThreshold
-
-    thresholds = [LevelThreshold(PyramidLevel.P3, 0.5)]
-    cands = [(PyramidLevel.P3, 0.5, "exact"), (PyramidLevel.P3, 0.4999, "below")]
-    assert select_pseudo_labels(cands, thresholds) == [cands[0]]
-
-
-def test_selection_missing_level_rejected():
-    from spwood.filtering import LevelThreshold
-
-    thresholds = [LevelThreshold(PyramidLevel.P3, 0.5)]
-    with pytest.raises(InvalidInputError):
-        select_pseudo_labels([(PyramidLevel.P4, 0.9, None)], thresholds)
+    # tau is an observed score, and the simulator selects score >= tau: a
+    # level with its own fit selects at least its threshold score, an
+    # inherited one a count that a replay of the draws reproduces
+    scenario = SimScenario(
+        (LevelPlan(PyramidLevel.P3, 60, 140, 0.7, 0.3, 0.1),
+         LevelPlan(PyramidLevel.P5, 40, 90, 0.75, 0.35, 0.08, drift=0.02),
+         LevelPlan(PyramidLevel.P7, 6, 8, 0.8, 0.2, 0.1)),  # under 20 scores: inherits
+        rounds=3, seed=21,
+    )
+    for mode in FilterMode:
+        report = run_simulation(scenario, mode)
+        rows = iter(report.rows)
+        rng = np.random.default_rng(scenario.seed)
+        for rnd in range(scenario.rounds):
+            per_level = []
+            for plan in scenario.levels:
+                pos = rng.normal(plan.mu_p + rnd * plan.drift, plan.sigma, plan.n_pos)
+                neg = rng.normal(plan.mu_n - rnd * plan.drift, plan.sigma, plan.n_neg)
+                per_level.append(np.clip(np.concatenate([pos, neg]), 1e-6, 1 - 1e-6))
+            pooled = np.concatenate(per_level)
+            for scores in per_level:
+                row = next(rows)
+                assert row.tau in pooled
+                assert row.n_selected == int(np.sum(scores >= row.tau))
+                if row.tau in scores:
+                    assert row.n_selected > int(np.sum(scores > row.tau)) >= 0
+            round_rows = report.rows[rnd * 3 : rnd * 3 + 3]
+            assert all(r.n_selected >= 1 for r in round_rows[:2])
+            if mode is FilterMode.MPF:
+                assert all(r.tau in s for r, s in zip(round_rows[:2], per_level))
 
 
 def test_selection_f1_on_planted_mixture():
     scores, labels = planted_scores(np.random.default_rng(10))
-    per_level = [LevelScores(PyramidLevel.P5, scores)]
-    thresholds = mpf_filter(per_level)
-    cands = [
-        (PyramidLevel.P5, float(s), bool(lab)) for s, lab in zip(scores, labels)
-    ]
-    chosen = select_pseudo_labels(cands, thresholds)
-    tp = sum(1 for c in chosen if c[2])
-    precision = tp / len(chosen)
+    tau = level_decisions([LevelScores(PyramidLevel.P5, scores)])[0].tau
+    chosen = scores >= tau
+    tp = int(np.sum(chosen & labels))
+    precision = tp / int(chosen.sum())
     recall = tp / int(labels.sum())
     f1 = 2 * precision * recall / (precision + recall)
     assert f1 >= 0.95
-
-
-def test_selection_preserves_order():
-    from spwood.filtering import LevelThreshold
-
-    thresholds = [LevelThreshold(PyramidLevel.P3, 0.1)]
-    cands = [(PyramidLevel.P3, 0.9, i) for i in range(10)]
-    assert [c[2] for c in select_pseudo_labels(cands, thresholds)] == list(range(10))
