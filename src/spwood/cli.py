@@ -85,9 +85,9 @@ def cmd_sparsify(args) -> int:
     ann_dir = out_dir / "annotations"
     ann_dir.mkdir(parents=True, exist_ok=True)
     if args.weaken == "none":
-        rendered = dataset.serialize_dota(sparse)
+        rendered, dropped = dataset.serialize_dota(sparse), None
     else:
-        rendered = dataset.serialize_weak(sparse, dataset.WeakKind(args.weaken))
+        rendered, dropped = dataset.serialize_weak(sparse, dataset.WeakKind(args.weaken))
     for image_id in sorted(rendered):
         (ann_dir / f"{image_id}.txt").write_text(rendered[image_id], encoding="utf-8")
 
@@ -105,7 +105,22 @@ def cmd_sparsify(args) -> int:
         kept, total = after.get(cat, 0), before[cat]
         print(f"{cat}: kept {kept}/{total} ({100.0 * kept / total:.1f}%)")
     print(f"wrote {len(rendered)} annotation files to {ann_dir}")
-    return EXIT_OK
+    if not dropped:
+        return EXIT_OK
+    _report_dropped(dropped, args.weaken)
+    return EXIT_DEGENERATE
+
+
+def _report_dropped(dropped: dataset.AnnotationSet, kind: str) -> None:
+    """On stderr: each record left without a weak label, by image id and
+    annotation line, then the number dropped per category."""
+    texts = dataset.serialize_dota(dropped)
+    for image_id in dropped.ids:
+        for line in texts[image_id].splitlines():
+            print(f"{image_id}: dropped {line!r}: no valid {kind} label", file=sys.stderr)
+    counts = dropped.category_counts()
+    for cat in sorted(counts, key=dataset.category_sort_key):
+        print(f"{cat}: dropped {counts[cat]} record(s) with no valid {kind} label", file=sys.stderr)
 
 
 # --- fit-gmm -----------------------------------------------------------------
@@ -195,15 +210,13 @@ def cmd_eval_loss(args) -> int:
                 continue
             try:
                 case = gradcheck.case_from_entry(line)
+                fd = f" fd_max_rel_err={gradcheck.check_case(case):.3g}" if args.check_grad else ""
             except (InvalidInputError, NumericalDegeneracyError, ValueError) as exc:
                 print(f"line {line_no}: error: {exc}")
                 failed = True
                 continue
             grad = ",".join(_fmt(g) for g in np.asarray(case.analytic).ravel())
-            out = f"line {line_no}: {case.op} value={_fmt(case.value)} grad={grad}"
-            if args.check_grad:
-                out += f" fd_max_rel_err={gradcheck.check_case(case):.3g}"
-            print(out)
+            print(f"line {line_no}: {case.op} value={_fmt(case.value)} grad={grad}{fd}")
     return EXIT_ERROR if failed else EXIT_OK
 
 

@@ -299,25 +299,15 @@ def write_dota_dir(ann: AnnotationSet, path) -> None:
         (out / f"{image_id}.txt").write_text(text, encoding="utf-8")
 
 
-def weaken_corners(corners, target: WeakKind) -> np.ndarray:
-    """Weak labels of (N, 4, 2) corner quads, one row per quad.
-
-    point gives the (x, y) centroid; hbox the corner bounds (xmin, ymin,
-    xmax, ymax); rbox the oriented box (cx, cy, w, h, theta): center from
-    the corner centroid, extents from mean opposite-edge lengths, angle
-    from the longer edge. The first quad without a valid label raises what
-    the label type raises, or DegenerateInputError for a zero-area quad.
-    """
-    target = WeakKind(target)
-    corners = np.ascontiguousarray(corners, dtype=np.float64).reshape(-1, 4, 2)
+def _weak_labels(corners: np.ndarray, target: WeakKind):
+    """(labels, bad, area): the weak label row of each quad of (N, 4, 2)
+    corners, the ascending rows of the quads without a valid label, and
+    under rbox the quad areas (None otherwise)."""
     if target is WeakKind.POINT:
-        return corners.mean(axis=1)
+        return corners.mean(axis=1), np.array([], dtype=np.intp), None
     if target is WeakKind.HBOX:
         boxes = np.concatenate([corners.min(axis=1), corners.max(axis=1)], axis=1)
-        bad = ~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))
-        if bad.any():
-            HorizontalBox(*boxes[np.argmax(bad)].tolist())
-        return boxes
+        return boxes, np.flatnonzero(~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))), None
     # Products go through matmul, which makes the dot calls np.dot and
     # np.linalg.norm make on one quad, and angles through math.atan2, not
     # np.arctan2's SIMD loop, so each row is bit-identical to one quad's.
@@ -337,12 +327,27 @@ def weaken_corners(corners, target: WeakKind) -> np.ndarray:
             corners.mean(axis=1), np.where(along_a, len_a, len_b), np.where(along_a, len_b, len_a), theta,
         ])
     bad = (area < 1e-9) | ~(np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if area[i] < 1e-9:
+    return boxes, np.flatnonzero(bad), area
+
+
+def weaken_corners(corners, target: WeakKind) -> np.ndarray:
+    """Weak labels of (N, 4, 2) corner quads, one row per quad.
+
+    point gives the (x, y) centroid; hbox the corner bounds (xmin, ymin,
+    xmax, ymax); rbox the oriented box (cx, cy, w, h, theta): center from
+    the corner centroid, extents from mean opposite-edge lengths, angle
+    from the longer edge. The first quad without a valid label raises what
+    the label type raises, or DegenerateInputError for a zero-area quad.
+    """
+    target = WeakKind(target)
+    corners = np.ascontiguousarray(corners, dtype=np.float64).reshape(-1, 4, 2)
+    labels, bad, area = _weak_labels(corners, target)
+    if len(bad):
+        i = bad[0]
+        if area is not None and area[i] < 1e-9:
             raise DegenerateInputError(f"zero-area quadrilateral {tuple(map(tuple, corners[i].tolist()))}")
-        OrientedBox(*boxes[i].tolist())
-    return boxes
+        (HorizontalBox if target is WeakKind.HBOX else OrientedBox)(*labels[i].tolist())
+    return labels
 
 
 def weaken(record: AnnotationRecord, target: WeakKind):
@@ -361,15 +366,23 @@ def record_from_box(box: OrientedBox, image_id: str, category: str, difficulty: 
     return AnnotationRecord(image_id, corners, category, difficulty)
 
 
-def serialize_weak(ann: AnnotationSet, kind: WeakKind) -> dict[str, str]:
+def serialize_weak(ann: AnnotationSet, kind: WeakKind) -> tuple[dict[str, str], AnnotationSet]:
     """Weak-label text per image: "x y category" lines for points,
     "xmin ymin xmax ymax category" for horizontal boxes, corner format
-    for recovered oriented boxes."""
+    for recovered oriented boxes. A record without a valid label (see
+    weaken_corners) is left out of the text; the second value holds the
+    records left out, without headers."""
     kind = WeakKind(kind)
-    weak = weaken_corners(ann.corners, kind)
+    weak, bad = _weak_labels(ann.corners, kind)[:2]
+    kept = ann
+    if len(bad):
+        keep = np.delete(np.arange(len(ann)), bad)
+        kept, weak = ann._select(keep), weak[keep]
     if kind is WeakKind.RBOX:
-        return _render(ann, corners_of_boxes(weak), True, {})
-    return _render(ann, weak, False, {})
+        text = _render(kept, corners_of_boxes(weak), True, {})
+    else:
+        text = _render(kept, weak, False, {})
+    return text, ann._select(bad, headers={})
 
 
 def round_half_up(x: float) -> int:

@@ -51,6 +51,20 @@ class OrientedBox:
         object.__setattr__(self, "theta", normalize_angle(self.theta))
 
 
+def box_rows(rows) -> np.ndarray:
+    """A float copy of (..., 5) box rows (cx, cy, w, h, theta), each row
+    checked as OrientedBox checks a box (the first bad row raises its
+    error) and its theta normalized once, as OrientedBox normalizes it."""
+    rows = np.array(rows, dtype=float)
+    if rows.ndim < 2 or rows.shape[-1] != 5:
+        raise InvalidInputError(f"box rows must have shape (..., n, 5), got {rows.shape}")
+    ok = np.isfinite(rows).all(axis=-1) & (rows[..., 2] > 0) & (rows[..., 3] > 0)
+    if not ok.all():
+        OrientedBox(*rows[~ok][0].tolist())
+    rows[..., 4] = normalize_angle(rows[..., 4])
+    return rows
+
+
 @dataclass(frozen=True)
 class HorizontalBox:
     """Axis-aligned box given by its corner coordinates."""

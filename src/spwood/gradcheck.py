@@ -1,17 +1,17 @@
 """Finite-difference verification for the loss gradients.
 
 Each loss is wrapped as a :class:`GradCase`: a flat parameter vector, a
-value function over it, and the analytic gradient reported by the loss.
-Central differences over the same vector give an independent numeric
-gradient to compare against.
+value function over (k, d) stacks of such vectors, and the analytic
+gradient reported by the loss. Central differences over the same vector,
+all 2·d points in one call, give an independent gradient to compare against.
 
 Every loss op is one row of ``_TABLE``: the keys of its entry line
 (``op key=value ...``, README "Loss entries") with a parser for each
 value, a seeded draw of a random interior point away from the few
 non-smooth spots (branch thresholds, smooth-L1 kinks, angle wrap
 boundaries), and a builder that turns either into the flat ``x0`` and
-one ``evaluate(x)`` returning the loss value and gradient at ``x``.
-:func:`random_case` and :func:`case_from_entry` both go through it.
+one ``evaluate(x)`` returning the loss values and gradients at the rows of
+``x``. :func:`random_case` and :func:`case_from_entry` both go through it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from . import losses
-from .errors import InvalidInputError
-from .geometry import OrientedBox
+from .errors import InvalidInputError, NumericalDegeneracyError
+from .geometry import OrientedBox, box_rows
 from .losses import (
     Flip,
     FocalParams,
@@ -43,32 +43,34 @@ DEFAULT_REL_TOL = 1e-5
 class GradCase:
     op: str
     x0: np.ndarray
-    func: Callable[[np.ndarray], float]
+    func: Callable[[np.ndarray], np.ndarray]  # (k, d) stack of points -> (k,) values
     analytic: np.ndarray
     value: float
 
 
-def central_difference(f: Callable[[np.ndarray], float], x, step: float = DEFAULT_STEP) -> np.ndarray:
+def central_difference(f: Callable[[np.ndarray], np.ndarray], x, step: float = DEFAULT_STEP) -> np.ndarray:
+    """(f(x + step e_i) - f(x - step e_i)) / (2 step) for every coordinate i.
+    f maps a (k, d) stack of points to their k values and is called once, on
+    the stencil x + step e_i for every i, then x - step e_i for every i."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = step
-        out[i] = (f(x + e) - f(x - e)) / (2.0 * step)
-    return out
+    e = step * np.eye(x.size)
+    values = f(np.concatenate([x + e, x - e]))
+    return (values[: x.size] - values[x.size :]) / (2.0 * step)
 
 
 def max_relative_error(analytic, numeric, floor: float = 1e-3) -> float:
     a = np.asarray(analytic, dtype=float).ravel()
     n = np.asarray(numeric, dtype=float).ravel()
-    if a.size == 0:
-        return 0.0
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-    return float(np.max(np.abs(a - n) / denom))
+    return float(np.max(np.abs(a - n) / denom, initial=0.0))
 
 
 def check_case(case: GradCase, step: float = DEFAULT_STEP) -> float:
-    return max_relative_error(case.analytic, central_difference(case.func, case.x0, step))
+    try:
+        numeric = central_difference(case.func, case.x0, step)
+    except (ValueError, NumericalDegeneracyError) as exc:
+        raise InvalidInputError(f"{case.op}: a finite-difference step left the loss's domain: {exc}") from None
+    return max_relative_error(case.analytic, numeric)
 
 
 # --- the op table -----------------------------------------------------------
@@ -91,14 +93,26 @@ def _margins(text: str) -> np.ndarray:
     return np.array(_rows(text, 4, "margins {} must be four ':'-separated values"))
 
 
-def _boxes(text: str) -> list[OrientedBox]:
-    return [OrientedBox(*row) for row in _rows(text, 5, "box {} must be cx:cy:w:h:theta")]
+def _boxes(text: str) -> np.ndarray:
+    return box_rows(_rows(text, 5, "box {} must be cx:cy:w:h:theta"))
 
 
 def _flag(text: str) -> bool:
     if text not in ("0", "1"):
         raise InvalidInputError(f"must be 0 or 1, got {text!r}")
     return text == "1"
+
+
+def _per_row(loss):
+    """An evaluate over (k, d) stacks that maps ``loss``, the loss at one
+    point, over the rows. The scalar losses keep their math-module
+    arithmetic, which numpy's vector loops do not reproduce to the last bit."""
+
+    def evaluate(x):
+        rows = [loss(row) for row in x]
+        return LossValueGrad(np.array([r.value for r in rows]), np.array([r.grad for r in rows]))
+
+    return evaluate
 
 
 def _away_from(rng, low, high, avoid, margin=1e-3):
@@ -111,7 +125,7 @@ def _away_from(rng, low, high, avoid, margin=1e-3):
 
 def _sparse_cls(p_t, kind, **focal):
     params = FocalParams(**focal)
-    return np.array([p_t]), lambda x: losses.sparse_cls_loss(float(x[0]), kind, params)
+    return np.array([p_t]), _per_row(lambda x: losses.sparse_cls_loss(float(x[0]), kind, params))
 
 
 def _draw_sparse_cls(rng):
@@ -127,9 +141,9 @@ def _angle(theta_aug, theta, aug, r=None, **opt):
     if (aug == "rotate") != (r is not None):
         raise InvalidInputError("angle: key 'r' must be given with aug=rotate, and only then")
     transform = Flip() if r is None else Rotate(r)
-    return np.array([theta_aug, theta]), lambda x: losses.angle_loss(
+    return np.array([theta_aug, theta]), _per_row(lambda x: losses.angle_loss(
         float(x[0]), float(x[1]), transform, **opt
-    )
+    ))
 
 
 def _draw_angle(rng):
@@ -146,25 +160,22 @@ def _draw_angle(rng):
 
 
 def _overlap(boxes):
-    x0 = np.array([[b.cx, b.cy, b.w, b.h, b.theta] for b in boxes]).ravel()
-    return x0, lambda x: losses.gaussian_overlap_loss(
-        [OrientedBox(*row) for row in x.reshape(-1, 5)]
-    )
+    return boxes.ravel(), lambda x: losses.gaussian_overlap_loss(x.reshape(len(x), -1, 5))
 
 
 def _draw_overlap(rng):
     bounds = ((-4, 4), (-4, 4), (0.5, 4.0), (0.5, 4.0), (-1.4, 1.4))
     n = int(rng.integers(2, 4))
-    return dict(boxes=[OrientedBox(*(rng.uniform(*b) for b in bounds)) for _ in range(n)])
+    return dict(boxes=box_rows([[rng.uniform(*b) for b in bounds] for _ in range(n)]))
 
 
 _EXTENTS = ("w", "h", "target_w", "target_h")  # watershed's predicted and target extents
 
 
 def _watershed(w, h, target_w, target_h, **opt):
-    return np.array([w, h]), lambda x: losses.watershed_loss(
+    return np.array([w, h]), _per_row(lambda x: losses.watershed_loss(
         OrientedBox(0.0, 0.0, float(x[0]), float(x[1]), 0.0), target_w, target_h, **opt
-    )
+    ))
 
 
 def _supervised(parts, weights=None):
@@ -172,22 +183,19 @@ def _supervised(parts, weights=None):
     if weights is not None and len(weights) != n:
         raise InvalidInputError(f"supervised: key 'weights' needs {n} values, got {len(weights)}")
     w = SupervisedWeights() if weights is None else SupervisedWeights(*weights)
-    return np.asarray(parts, dtype=float), lambda x: LossValueGrad(
+    return np.asarray(parts, dtype=float), _per_row(lambda x: LossValueGrad(
         losses.total_supervised_loss(x.tolist(), w), w.as_array()
-    )
+    ))
 
 
 def _unsupervised(t_conf, t_cen, t_box, s_conf, s_cen, s_box, **opt):
     teacher = PredictionTriple(t_conf, t_cen, t_box)
     student = PredictionTriple(s_conf, s_cen, s_box)
     n = len(student)
-
-    def evaluate(x):
-        s = PredictionTriple(x[:n], x[n : 2 * n], x[2 * n :].reshape(n, 4))
-        return losses.unsupervised_loss(teacher, s, **opt)
-
     x0 = np.concatenate([student.conf, student.centerness, student.box_margins.ravel()])
-    return x0, evaluate
+    return x0, lambda x: losses.unsupervised_loss(  # a stack of students, one per row
+        teacher, PredictionTriple(x[:, :n], x[:, n : 2 * n], x[:, 2 * n :].reshape(len(x), n, 4)), **opt
+    )
 
 
 def _draw_unsupervised(rng):
@@ -200,9 +208,9 @@ def _draw_unsupervised(rng):
 
 
 def _total(sup, unsup):
-    return np.array([sup, unsup]), lambda x: LossValueGrad(
+    return np.array([sup, unsup]), _per_row(lambda x: LossValueGrad(
         losses.total_loss(float(x[0]), float(x[1])), np.array([1.0, 1.0])
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -210,7 +218,7 @@ class _Op:
     """One loss op. ``required`` and ``optional`` map its entry keys to value
     parsers; an omitted optional key keeps the loss's own default. The parsed
     entry or ``draw(rng)`` is ``build``'s keyword arguments, and ``build``
-    returns the flat x0 and ``evaluate(x) -> LossValueGrad``."""
+    returns the flat x0 and ``evaluate(x) -> LossValueGrad`` over (k, d) stacks."""
 
     required: dict[str, Callable[[str], object]]
     optional: dict[str, Callable[[str], object]]
@@ -247,8 +255,8 @@ def _op(op: str) -> _Op:
 
 
 def _case(op: str, x0: np.ndarray, evaluate: Callable[[np.ndarray], LossValueGrad]) -> GradCase:
-    res = evaluate(x0)
-    return GradCase(op, x0, lambda x: evaluate(x).value, np.ravel(res.grad), res.value)
+    res = evaluate(x0[None])
+    return GradCase(op, x0, lambda x: evaluate(x).value, np.ravel(res.grad[0]), float(res.value[0]))
 
 
 def random_case(op: str, rng: np.random.Generator) -> GradCase:

@@ -3,7 +3,8 @@
 Every loss here returns a :class:`LossValueGrad` carrying the scalar value
 and the exact partial derivatives with respect to its prediction inputs,
 so each one can be verified against central finite differences. Weighted
-totals return plain floats.
+totals return plain floats. The overlap and distillation losses also take
+inputs with leading batch dimensions; their value then has the batch shape.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import OrientedBox, bhattacharyya_boxes, normalize_angle
+from .geometry import OrientedBox, bhattacharyya_boxes, box_rows, normalize_angle
 
 
 class SampleKind(enum.Enum):
@@ -72,13 +73,10 @@ class SupervisedWeights:
 
 @dataclass(frozen=True)
 class LossValueGrad:
-    """A loss value plus its gradient w.r.t. the prediction inputs."""
+    """A loss value plus its gradient w.r.t. the prediction inputs, per row if batched."""
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,8 @@ class PredictionTriple:
     """Per-location confidence, centerness, and edge margins.
 
     conf and centerness are open-interval (0, 1) scores; box_margins is an
-    (n, 4) array of distances from each location to its box edges.
+    (n, 4) array of distances from each location to its box edges. A student
+    stack adds leading batch dimensions, e.g. conf (k, n), box_margins (k, n, 4).
     """
 
     conf: np.ndarray
@@ -112,11 +111,9 @@ class PredictionTriple:
         conf = np.asarray(self.conf, dtype=float)
         cen = np.asarray(self.centerness, dtype=float)
         margins = np.asarray(self.box_margins, dtype=float)
-        if margins.ndim != 2 or margins.shape[1] != 4:
-            raise InvalidInputError(
-                f"box_margins must have shape (n, 4), got {margins.shape}"
-            )
-        if not (len(conf) == len(cen) == len(margins)):
+        if margins.ndim < 2 or margins.shape[-1] != 4:
+            raise InvalidInputError(f"box_margins must have shape (..., n, 4), got {margins.shape}")
+        if not conf.shape == cen.shape == margins.shape[:-1]:
             raise InvalidInputError("prediction triple fields disagree on length")
         for name, arr in (("conf", conf), ("centerness", cen)):
             if arr.size and not (np.all(arr > 0.0) and np.all(arr < 1.0)):
@@ -128,7 +125,7 @@ class PredictionTriple:
         object.__setattr__(self, "box_margins", margins)
 
     def __len__(self) -> int:
-        return len(self.conf)
+        return self.conf.shape[-1]
 
 
 def sparse_cls_loss(
@@ -202,23 +199,30 @@ def angle_loss(
     return LossValueGrad(value, np.array([d, d * d_orig]))
 
 
-def gaussian_overlap_loss(boxes: list[OrientedBox]) -> LossValueGrad:
+def gaussian_overlap_loss(boxes) -> LossValueGrad:
     """Mean pairwise Bhattacharyya distance over the boxes' Gaussian models.
 
     Sums over ordered pairs i != j and divides by the number of boxes.
     Minimizing it pulls predicted boxes apart, bounding object scale from
-    above. grad has shape (n, 5) with columns (cx, cy, w, h, theta).
+    above. ``boxes`` is a list of n OrientedBox, or an (..., n, 5) array of
+    rows checked and normalized by geometry.box_rows. value has the batch
+    shape (a float if none); grad the shape of the rows, (n, 5) for a list.
     """
-    if not boxes:
+    if isinstance(boxes, np.ndarray):
+        x = box_rows(boxes)
+    else:  # their thetas are normalized already
+        x = np.array([(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes], dtype=float).reshape(-1, 5)
+    batch, n = x.shape[:-2], x.shape[-2]
+    if n == 0:
         raise InvalidInputError("need at least one box")
-    n = len(boxes)
-    x = np.array([(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes], dtype=float)
     i, j = np.triu_indices(n, 1)
-    value, grad_i, grad_j = bhattacharyya_boxes(x[i], x[j])
-    pair_grad = np.zeros((n, n, 5))  # [k, l]: d B(k, l) / d box k
-    pair_grad[i, j], pair_grad[j, i] = grad_i, grad_j
+    value, grad_i, grad_j = bhattacharyya_boxes(x[..., i, :].reshape(-1, 5), x[..., j, :].reshape(-1, 5))
+    pair_grad = np.zeros(batch + (n, n, 5))  # [..., k, l]: d B(k, l) / d box k
+    pair_grad[..., i, j, :] = grad_i.reshape(batch + (len(i), 5))
+    pair_grad[..., j, i, :] = grad_j.reshape(batch + (len(i), 5))
     # ordered pairs: (i, j) and (j, i) contribute equally
-    return LossValueGrad(2.0 * float(value.sum()) / n, 2.0 * pair_grad.sum(axis=1) / n)
+    value = 2.0 * value.reshape(batch + (len(i),)).sum(axis=-1) / n
+    return LossValueGrad(value if batch else float(value), 2.0 * pair_grad.sum(axis=-2) / n)
 
 
 def watershed_loss(
@@ -274,9 +278,9 @@ def total_supervised_loss(parts, weights: SupervisedWeights = SupervisedWeights(
     )
 
 
-def _bce(target: np.ndarray, pred: np.ndarray) -> tuple[float, np.ndarray]:
-    value = float(np.mean(-target * np.log(pred) - (1.0 - target) * np.log1p(-pred)))
-    grad = (-target / pred + (1.0 - target) / (1.0 - pred)) / len(pred)
+def _bce(target: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    value = np.mean(-target * np.log(pred) - (1.0 - target) * np.log1p(-pred), axis=-1)
+    grad = (-target / pred + (1.0 - target) / (1.0 - pred)) / pred.shape[-1]
     return value, grad
 
 
@@ -289,6 +293,8 @@ def unsupervised_loss(
     (finite beta > 0) on the four edge margins, each averaged over matched
     locations. Teacher values are fixed targets; grad covers only student
     inputs, laid out as [conf (n), centerness (n), margins row-major (4n)].
+    A student with leading batch dimensions gives a value of the batch shape
+    and a grad of shape (..., 6n); a one-row student gives a float.
     """
     n = len(teacher)
     if len(student) != n:
@@ -301,14 +307,14 @@ def unsupervised_loss(
         raise InvalidInputError(f"beta must be finite and positive, got {beta}")
     conf_v, conf_g = _bce(teacher.conf, student.conf)
     cen_v, cen_g = _bce(teacher.centerness, student.centerness)
-    residual = (student.box_margins - teacher.box_margins).ravel()
+    residual = (student.box_margins - teacher.box_margins).reshape(*student.conf.shape[:-1], 4 * n)
     magnitude = np.abs(residual)
     inside = magnitude < beta
     box = np.where(inside, 0.5 * residual * residual / beta, magnitude - 0.5 * beta)
-    box_v = float(box.sum()) / n
     box_g = np.where(inside, residual / beta, np.copysign(1.0, residual)) / n
-    value = conf_v + cen_v + box_v
-    return LossValueGrad(value, np.concatenate([conf_g, cen_g, box_g]))
+    value = conf_v + cen_v + box.sum(axis=-1) / n
+    grad = np.concatenate([conf_g, cen_g, box_g], axis=-1)
+    return LossValueGrad(value if np.ndim(value) else float(value), grad)
 
 
 def total_loss(sup: float, unsup: float) -> float:

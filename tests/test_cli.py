@@ -1,9 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spwood import cli, filtering
+from spwood import cli, filtering, gradcheck
 from spwood.dataset import WeakKind, load_dota_dir, round_half_up, weaken
 from spwood.geometry import OrientedBox, box_corners
 from spwood.layout import write_pgm
@@ -145,6 +146,37 @@ def test_sparsify_weaken_rbox_output(tmp_path, corpus_dir):
             assert np.array(got.corners).tolist() == box_corners(weaken(rec, WeakKind.RBOX)).tolist()
             # the recovered box has the input rectangle's corners, up to rounding
             assert np.allclose(np.sort(np.array(got.corners), axis=0), np.sort(np.array(rec.corners), axis=0), atol=1e-9)
+
+
+DEGENERATE = {"img000": "10 10 20 20 30 30 40 40 SH 0", "img001": "7 0 7 5 7 9 7 3 BR 0"}
+
+
+@pytest.mark.parametrize("weaken, dropped", [("rbox", ["img000", "img001"]), ("hbox", ["img001"]), ("point", [])])
+def test_sparsify_weaken_drops_degenerate_records(tmp_path, corpus_dir, capsys, weaken, dropped):
+    """A zero-area quad (SH in img000) and a zero-width one (BR in img001)
+    lose their weak label: every other record is written, each dropped one
+    is named on stderr with a count per category, and the exit code is 3."""
+    def run(tag, skip):
+        src = tmp_path / f"{tag}_anns"
+        src.mkdir()
+        for path in corpus_dir.iterdir():
+            extra = DEGENERATE.get(path.stem) if path.stem not in skip else None
+            (src / path.name).write_text(path.read_text() + (extra + "\n" if extra else ""))
+        capsys.readouterr()
+        code = cli.main(["sparsify", "--input", str(src), "--out", str(tmp_path / tag), "--method", "overall",
+                         "--sparse", "1.0", "--weaken", weaken])
+        return code, read_tree(tmp_path / tag / "annotations"), capsys.readouterr().err.splitlines()
+
+    clean = run("clean", dropped)  # without the records that lose their label
+    assert clean[0] == cli.EXIT_OK and clean[2] == []
+    code, written, err = run("out", [])
+    assert code == (cli.EXIT_DEGENERATE if dropped else cli.EXIT_OK)
+    assert written == clean[1]
+    named = [f"{image_id}: dropped {DEGENERATE[image_id]!r}: no valid {weaken} label" for image_id in dropped]
+    assert err[: len(dropped)] == named
+    categories = [DEGENERATE[image_id].split()[8] for image_id in dropped]
+    counts = [f"{cat}: dropped 1 record(s) with no valid {weaken} label" for cat in sorted(categories)]
+    assert err[len(dropped):] == counts  # BR before SH in the DOTA order
 
 
 def test_seed_env_var_and_flag_precedence(tmp_path, corpus_dir, monkeypatch):
@@ -374,6 +406,45 @@ def test_eval_loss_invalid_entry_is_a_line_error(tmp_path, capsys, entry, named)
     for text in named:
         assert text in first
     assert second.startswith("line 2: supervised value=18.2 ")  # later entries still evaluated
+
+
+@pytest.mark.parametrize("entry, reason", [
+    ("sparse-cls p_t=0.999999 kind=positive", "p_t must lie strictly in (0, 1), got 1.000009"),
+    ("watershed w=5e-6 h=2 target_w=3 target_h=4", "box extents must be positive, got w=-5e-06, h=2.0"),
+    ("overlap boxes=0:0:1:5e-6:0,1:1:2:1:0", "box extents must be positive, got w=1.0, h=-5e-06"),
+    ("unsupervised t_conf=0.5 t_cen=0.5 t_box=0:0:0:0 s_conf=0.999995 s_cen=0.5 s_box=0:0:0:0",
+     "conf values must lie strictly in (0, 1)"),
+])
+def test_eval_loss_check_grad_step_out_of_domain_is_a_line_error(tmp_path, capsys, entry, reason):
+    op = entry.split()[0]
+    src = tmp_path / "losses.txt"
+    src.write_text(f"sparse-cls p_t=0.5 kind=positive\n{entry}\n"
+                   "watershed w=1 h=2 target_w=3 target_h=4\nangle theta_aug=0.1 theta=0.2 aug=flip\n")
+    assert cli.main(["eval-loss", str(src), "--check-grad"]) == cli.EXIT_ERROR
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert out.err == "" and len(lines) == 4
+    assert lines[0].startswith("line 1: sparse-cls value=")
+    assert lines[1] == f"line 2: error: {op}: a finite-difference step left the loss's domain: {reason}"
+    assert lines[2].startswith("line 3: watershed value=")  # later entries still evaluated
+    assert lines[3].startswith("line 4: angle value=")
+    assert cli.main(["eval-loss", str(src)]) == cli.EXIT_OK  # the entry itself is valid
+
+
+LOSS_ENTRIES = Path(__file__).parent / "data" / "loss_entries.txt"
+
+
+def test_eval_loss_committed_entry_file(capsys):
+    """The entry file CI also runs through the installed console script:
+    the README's four examples, then one line per op."""
+    lines = [line for line in LOSS_ENTRIES.read_text().splitlines() if line and not line.startswith("#")]
+    readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    assert all(line in readme for line in lines[:4])
+    assert cli.main(["eval-loss", str(LOSS_ENTRIES), "--check-grad"]) == cli.EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[2] for line in out] == [line.split()[0] for line in lines]
+    assert set(line.split()[0] for line in lines[4:]) == set(gradcheck.OPS)
+    assert all(float(line.rsplit("fd_max_rel_err=", 1)[1]) < gradcheck.DEFAULT_REL_TOL for line in out)
 
 
 def test_eval_loss_random_gradient_sweep(capsys):

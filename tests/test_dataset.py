@@ -319,9 +319,11 @@ def test_compare_stats_on_sets_and_ordering():
 
 def test_serialize_weak_formats():
     ann = AnnotationSet.from_records([record("a", [(0, 0), (4, 0), (4, 2), (0, 2)], "ship")])
-    assert serialize_weak(ann, WeakKind.POINT)["a"] == "2 1 ship\n"
-    assert serialize_weak(ann, WeakKind.HBOX)["a"] == "0 0 4 2 ship\n"
-    rbox_text = serialize_weak(ann, WeakKind.RBOX)["a"]
+    assert serialize_weak(ann, WeakKind.POINT)[0]["a"] == "2 1 ship\n"
+    assert serialize_weak(ann, WeakKind.HBOX)[0]["a"] == "0 0 4 2 ship\n"
+    rbox_text, dropped = serialize_weak(ann, WeakKind.RBOX)
+    rbox_text = rbox_text["a"]
+    assert len(dropped) == 0
     reparsed = parse_dota(rbox_text, image_id="a")
     assert list(reparsed.records())[0].category == "ship"
 
@@ -329,7 +331,7 @@ def test_serialize_weak_formats():
 def test_serialize_weak_rbox_non_integer_corners_parse_as_floats():
     box = OrientedBox(10.5, 20, 4, 2, 0)
     ann = AnnotationSet.from_records([record_from_box(box, "a", "ship")])
-    tokens = serialize_weak(ann, WeakKind.RBOX)["a"].split()
+    tokens = serialize_weak(ann, WeakKind.RBOX)[0]["a"].split()
     assert len(tokens) == 10
     corners = [float(t) for t in tokens[:8]]
     assert np.allclose(np.reshape(corners, (4, 2)), box_corners(box))
@@ -656,7 +658,7 @@ def test_rbox_angle_rounded_up_to_half_pi_wraps_like_the_record_code():
         old.cx, old.cy, old.w, old.h, old.theta,
     ]
     ann = AnnotationSet.from_records([rec])
-    assert serialize_weak(ann, WeakKind.RBOX) == ref_serialize_weak({"a": [rec]}, WeakKind.RBOX)
+    assert serialize_weak(ann, WeakKind.RBOX)[0] == ref_serialize_weak({"a": [rec]}, WeakKind.RBOX)
 
 
 def test_sparsifiers_match_record_reference_on_memory_sets():
@@ -732,22 +734,37 @@ def test_zero_area_quad_in_batch_raises_under_rbox():
     flat = record("a", [(0, 0), (1, 1), (2, 2), (3, 3)])
     ann = AnnotationSet.from_records([good] * 500 + [flat] + [good] * 10)
     with pytest.raises(DegenerateInputError) as exc:
-        serialize_weak(ann, WeakKind.RBOX)
+        weaken_corners(ann.corners, WeakKind.RBOX)
     with pytest.raises(DegenerateInputError) as ref:
         ref_weaken(flat, WeakKind.RBOX)
     assert str(exc.value) == str(ref.value)
     # corners that overflow when differenced give a non-finite box
     huge = record("a", [(-1e308, 0), (1e308, 0), (1e308, 1), (-1e308, 1)])
     with pytest.raises(InvalidInputError, match="non-finite box field 'w'"):
-        serialize_weak(AnnotationSet.from_records([good, huge]), WeakKind.RBOX)
+        weaken_corners(AnnotationSet.from_records([good, huge]).corners, WeakKind.RBOX)
     with pytest.raises(InvalidInputError, match="non-finite box field 'w'"), np.errstate(over="ignore"):
         ref_weaken(huge, WeakKind.RBOX)
     # a vertical segment has no horizontal box
     thin = record("a", [(1, 0), (1, 1), (1, 2), (1, 1)])
     with pytest.raises(InvalidInputError, match="empty horizontal box"):
-        serialize_weak(AnnotationSet.from_records([good, thin]), WeakKind.HBOX)
+        weaken_corners(AnnotationSet.from_records([good, thin]).corners, WeakKind.HBOX)
     with pytest.raises(InvalidInputError, match="empty horizontal box"):
         ref_weaken(thin, WeakKind.HBOX)
+
+
+def test_serialize_weak_leaves_out_records_without_a_label():
+    good = record("a", [(0, 0), (4, 0), (4, 2), (0, 2)], "ship")
+    flat = record("a", [(0, 0), (1, 1), (2, 2), (3, 3)], "bridge")  # zero area, a valid hbox
+    thin = record("b", [(1, 0), (1, 1), (1, 2), (1, 1)], "harbor")  # zero width
+    other = record("b", [(5, 5), (9, 5), (9, 6), (5, 6)], "ship")
+    ann = AnnotationSet.from_records([good, flat, thin, other], {"a": ("hdr",)}, image_ids=["c"])
+    for kind, bad in ((WeakKind.RBOX, [flat, thin]), (WeakKind.HBOX, [thin]), (WeakKind.POINT, [])):
+        kept = [r for r in (good, flat, thin, other) if r not in bad]
+        text, dropped = serialize_weak(ann, kind)
+        want = serialize_weak(AnnotationSet.from_records(kept, image_ids=["a", "b", "c"]), kind)
+        assert text == want[0] and len(want[1]) == 0
+        assert list(dropped.records()) == bad and dropped.headers == {}
+        assert dropped.image_ids() == ["a", "b", "c"]
 
 
 # --- columns ------------------------------------------------------------------------
@@ -775,7 +792,8 @@ def test_sets_without_records_sample_and_render():
     for out in (sparsify_single(empty, 0.5, 0), sparsify_overall(empty, 0.5, 0)):
         assert out.image_ids() == ["e"] and len(out) == 0
         assert serialize_dota(out) == {"e": "imagesource:x\n"}
-    assert serialize_weak(empty, WeakKind.RBOX) == {"e": ""}
+    text, dropped = serialize_weak(empty, WeakKind.RBOX)
+    assert text == {"e": ""} and len(dropped) == 0
     assert len(merge_sets([])) == 0
 
 

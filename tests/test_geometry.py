@@ -12,6 +12,7 @@ from spwood.geometry import (
     OrientedBox,
     bhattacharyya,
     box_corners,
+    box_rows,
     flip_box,
     gwd_squared,
     hbox_of,
@@ -219,3 +220,27 @@ def test_gaussian_validation():
         Gaussian2D([0, 0], [[1, 0.5], [0.0, 1]])  # asymmetric
     with pytest.raises(InvalidInputError):
         Gaussian2D([0, 0], [[1, 0], [0, -1]])  # not PD
+
+
+@given(st.lists(st.tuples(finite, finite, extent, extent, st.floats(-50.0, 50.0, allow_nan=False)),
+                min_size=1, max_size=12))
+@example([(0.0, 0.0, 1.0, 1.0, t) for t in (-0.0, math.pi / 2, -math.pi / 2, math.pi, 1e-17, -1e-17,
+                                             math.nextafter(-math.pi / 2, -math.inf))])
+@settings(max_examples=80)
+def test_box_rows_match_oriented_box_bit_for_bit(rows):
+    got = box_rows(np.array(rows).reshape(1, -1, 5))[0]
+    want = np.array([[b.cx, b.cy, b.w, b.h, b.theta] for b in (OrientedBox(*r) for r in rows)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_box_rows_raise_what_oriented_box_raises():
+    rows = np.ones((2, 3, 5))
+    for bad in ((1.0, 1.0, 0.0, 1.0, 0.0), (1.0, math.nan, 1.0, 1.0, 0.0), (1.0, 1.0, 1.0, -1.0, math.inf)):
+        rows[1, 2] = bad
+        with pytest.raises(InvalidInputError) as exc:
+            box_rows(rows)
+        with pytest.raises(InvalidInputError) as ref:
+            OrientedBox(*bad)
+        assert str(exc.value) == str(ref.value)
+    with pytest.raises(InvalidInputError, match="shape"):
+        box_rows(np.ones(5))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spwood.errors import InvalidInputError, NumericalDegeneracyError
-from spwood.geometry import OrientedBox, bhattacharyya, rbox_to_gaussian, rotation_matrix
+from spwood.geometry import OrientedBox, bhattacharyya, bhattacharyya_boxes, rbox_to_gaussian, rotation_matrix
 from spwood.losses import (
     Flip,
     FocalParams,
@@ -322,6 +322,151 @@ def test_overlap_gradient_thin_boxes_matches_mpmath():
 
                     exact = float(mp.diff(f, row[c]))
                     assert abs(res.grad[k, c] - exact) <= 1e-10 * abs(exact)
+
+
+# --- batch axis: each row of a stack is its one-row call, bit for bit ----------
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def box_stack(rng, k, n):
+    """(k, n, 5) rows: thetas far outside [-pi/2, pi/2), on its ends and at
+    -0.0, thin boxes (aspect up to 1e4) among well-shaped ones."""
+    rows = np.column_stack([
+        rng.uniform(-5, 5, k * n), rng.uniform(-5, 5, k * n), rng.uniform(0.5, 300.0, k * n),
+        np.exp(rng.uniform(math.log(0.03), math.log(4.0), k * n)), rng.uniform(-9.0, 9.0, k * n),
+    ])
+    # the last one normalizes to +pi/2 in one pass, and to -pi/2 in two
+    special = [-0.0, 0.0, -math.pi / 2, math.pi / 2, math.pi, -3 * math.pi / 2, 1e-17,
+               np.nextafter(-math.pi / 2, -math.inf)]
+    pick = rng.random(k * n) < 0.3
+    rows[pick, 4] = rng.choice(special, pick.sum())
+    return rows.reshape(k, n, 5)
+
+
+# Reference: the one-row bodies of the two losses as they were before the
+# batch axis. Every row of a stack matches them bit for bit, which keeps the
+# values and gradients eval-loss prints byte-identical.
+
+
+def ref_overlap_one_row(boxes):
+    n = len(boxes)
+    x = np.array([(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes], dtype=float)
+    i, j = np.triu_indices(n, 1)
+    value, grad_i, grad_j = bhattacharyya_boxes(x[i], x[j])
+    pair_grad = np.zeros((n, n, 5))
+    pair_grad[i, j], pair_grad[j, i] = grad_i, grad_j
+    return 2.0 * float(value.sum()) / n, 2.0 * pair_grad.sum(axis=1) / n
+
+
+def ref_unsupervised_one_row(teacher, conf, cen, margins, beta=1.0):
+    def bce(target, pred):
+        value = float(np.mean(-target * np.log(pred) - (1.0 - target) * np.log1p(-pred)))
+        return value, (-target / pred + (1.0 - target) / (1.0 - pred)) / len(pred)
+
+    n = len(conf)
+    conf_v, conf_g = bce(teacher.conf, conf)
+    cen_v, cen_g = bce(teacher.centerness, cen)
+    residual = (margins - teacher.box_margins).ravel()
+    magnitude = np.abs(residual)
+    inside = magnitude < beta
+    box = np.where(inside, 0.5 * residual * residual / beta, magnitude - 0.5 * beta)
+    box_g = np.where(inside, residual / beta, np.copysign(1.0, residual)) / n
+    return conf_v + cen_v + float(box.sum()) / n, np.concatenate([conf_g, cen_g, box_g])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_overlap_batch_rows_match_one_row_calls(n):
+    rng = np.random.default_rng(40 + n)
+    stack = box_stack(rng, 24, n)
+    res = gaussian_overlap_loss(stack)
+    assert res.value.shape == (24,) and res.grad.shape == (24, n, 5)
+    for b, rows in enumerate(stack):
+        boxes = [OrientedBox(*row) for row in rows.tolist()]
+        one = gaussian_overlap_loss(boxes)
+        assert isinstance(one.value, float) and same_bits(res.value[b], one.value)
+        assert same_bits(res.grad[b], one.grad)
+        ref_value, ref_grad = ref_overlap_one_row(boxes)
+        assert same_bits(one.value, ref_value) and same_bits(one.grad, ref_grad)
+        unbatched = gaussian_overlap_loss(rows)  # no batch dimension: a float, like the list
+        assert isinstance(unbatched.value, float) and same_bits(unbatched.value, one.value)
+        assert same_bits(unbatched.grad, one.grad)
+    nested = gaussian_overlap_loss(stack.reshape(4, 6, n, 5))
+    assert same_bits(nested.value, res.value.reshape(4, 6))
+    assert same_bits(nested.grad, res.grad.reshape(4, 6, n, 5))
+    empty = gaussian_overlap_loss(stack[:0])
+    assert empty.value.shape == (0,) and empty.grad.shape == (0, n, 5)
+
+
+def test_overlap_batch_normalizes_theta_once():
+    thetas = (2.0, -2.0, -0.0, np.nextafter(-math.pi / 2, -math.inf))
+    rows = np.array([[[0.0, 0.0, 3.0, 1.0, t], [1.0, 0.5, 2.0, 0.7, -0.0]] for t in thetas])
+    stack = gaussian_overlap_loss(rows)
+    for b, row in enumerate(rows):
+        # the list form takes boxes normalized once, at construction
+        boxes = [OrientedBox(*r) for r in row.tolist()]
+        assert same_bits(stack.value[b], gaussian_overlap_loss(boxes).value)
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 0.0, 1, 0), (0, 0, 1, -2.0, 0), (math.nan, 0, 1, 1, 0),
+                                 (0, 0, 1, 1, math.inf), (0, 0, math.inf, 1, 0)])
+def test_overlap_batch_rejects_a_bad_row_as_oriented_box_does(bad):
+    stack = box_stack(np.random.default_rng(5), 4, 3)
+    stack[2, 1] = bad
+    with pytest.raises(InvalidInputError) as exc:
+        gaussian_overlap_loss(stack)
+    with pytest.raises(InvalidInputError) as ref:
+        OrientedBox(*map(float, bad))
+    assert str(exc.value) == str(ref.value)
+
+
+def test_overlap_batch_rejects_bad_shapes():
+    for shape in ((5,), (3, 4), (2, 0, 5)):
+        with pytest.raises(InvalidInputError):
+            gaussian_overlap_loss(np.ones(shape))
+
+
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_unsupervised_batch_rows_match_one_row_calls(n):
+    rng = np.random.default_rng(70 + n)
+    teacher = triple(rng.uniform(0.05, 0.95, n), rng.uniform(0.05, 0.95, n), rng.uniform(-3, 3, (n, 4)))
+    k = 30
+    conf, cen = rng.uniform(0.001, 0.999, (2, k, n))
+    margins = teacher.box_margins + rng.uniform(-3, 3, (k, n, 4))
+    margins[0, 0, 0] = teacher.box_margins[0, 0]  # a residual of exactly 0
+    margins[1, 0, :2] = teacher.box_margins[0, :2] + [1.0, -1.0]  # on the smooth-L1 kink
+    res = unsupervised_loss(teacher, triple(conf, cen, margins))
+    assert res.value.shape == (k,) and res.grad.shape == (k, 6 * n)
+    for b in range(k):
+        one = unsupervised_loss(teacher, triple(conf[b], cen[b], margins[b]))
+        assert isinstance(one.value, float) and same_bits(res.value[b], one.value)
+        assert same_bits(res.grad[b], one.grad)
+        ref_value, ref_grad = ref_unsupervised_one_row(teacher, conf[b], cen[b], margins[b])
+        assert same_bits(one.value, ref_value) and same_bits(one.grad, ref_grad)
+    nested = unsupervised_loss(teacher, triple(conf.reshape(5, 6, n), cen.reshape(5, 6, n),
+                                               margins.reshape(5, 6, n, 4)), beta=0.7)
+    flat = unsupervised_loss(teacher, triple(conf, cen, margins), beta=0.7)
+    assert same_bits(nested.value, flat.value.reshape(5, 6))
+    assert same_bits(nested.grad, flat.grad.reshape(5, 6, 6 * n))
+
+
+def test_unsupervised_batch_rejects_a_bad_row_as_one_row_call_does():
+    teacher = triple([0.5, 0.5], [0.5, 0.5], np.zeros((2, 4)))
+    conf = np.full((3, 2), 0.5)
+    conf[1, 1] = 1.0
+    with pytest.raises(InvalidInputError) as exc:
+        unsupervised_loss(teacher, triple(conf, conf * 0 + 0.5, np.zeros((3, 2, 4))))
+    with pytest.raises(InvalidInputError) as ref:
+        unsupervised_loss(teacher, triple(conf[1], [0.5, 0.5], np.zeros((2, 4))))
+    assert str(exc.value) == str(ref.value)
+    for bad in ((np.full((3, 2), 0.5), np.full((3, 3), 0.5), np.zeros((3, 2, 4))),  # fields disagree
+                (np.full((3, 2), 0.5), np.full((3, 2), 0.5), np.zeros((3, 2, 3))),  # not four margins
+                (np.full((3, 3), 0.5), np.full((3, 3), 0.5), np.zeros((3, 3, 4)))):  # three locations
+        with pytest.raises(InvalidInputError):
+            unsupervised_loss(teacher, triple(*bad))
 
 
 # --- watershed scale loss -----------------------------------------------------
