@@ -5,18 +5,28 @@ cell a two-marker watershed (seed pixel vs. cell boundary) floods the
 gradient-magnitude surface to recover a foreground mask, whose rotated
 extents become the width/height regression targets.
 
-The flood is a priority flood (Vincent & Soille, 1991) keyed by (gradient
-at the pixel, row-major pixel index), so results are bit-reproducible:
-ascending gradient first, ties swept in row-major order. A pixel is queued
-once and takes the label of the first flood to reach it.
+The masks are those of a queue-once priority flood (Vincent & Soille,
+1991) keyed by (gradient at the pixel, row-major pixel index). Markers go
+first, cell by cell in seed order, the seed pixel before the boundary;
+then pixels pop in ascending key order. A pixel is queued once and takes
+the label of the first marker or popped pixel to reach it, so results are
+bit-reproducible.
+
+The flood runs in whole-array passes, with no per-pixel queue (the
+minimum-spanning-forest view of marker flooding, Cousty et al., 2009). A
+free pixel pops at its level: the least, over paths from a marker, of the
+largest key on the path. Borůvka hooking finds these bottleneck levels in
+a logarithmic number of passes. The pixel whose own key is a pixel's level
+is its pass pixel, and the pixel takes its label. A pass pixel takes the
+label of its first marker neighbour, else that of its neighbour of lowest
+level, which pops before its other neighbours.
+
 Pixel (x, y) sits at lattice coordinates (x, y); distances are measured
 from these lattice points.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -114,9 +124,6 @@ def gradient_magnitude(intensity: np.ndarray) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
-_FG, _BG, _FENCE = 1, 2, 3
-
-
 def watershed_segment(
     image: RasterImage, cells: VoronoiLabelMap
 ) -> list[np.ndarray]:
@@ -124,7 +131,10 @@ def watershed_segment(
 
     The seed marker is the pixel of the seed's own cell nearest to the
     seed (ties to the lowest row-major index); the background marker is
-    the rest of the cell's boundary.
+    the rest of the cell's boundary. The masks are those of the queue-once
+    flood in the module docstring, found in whole-array passes: each free
+    pixel's flood level by Borůvka hooking (`_flood_levels`), then its
+    label from its pass pixel (`_pass_labels`).
 
     Parameters
     ----------
@@ -145,49 +155,169 @@ def watershed_segment(
             f"image {image.width} x {image.height} does not match "
             f"partition {cells.width} x {cells.height}"
         )
-    h, w = cells.height, cells.width
-    # All cells flood in one frame padded by a fence pixel on each side, so
-    # neighbor lookups need no bounds checks. Padding keeps row-major order,
-    # so the priority rank(gradient) * size + index sorts pixels exactly as
-    # the key (gradient, row-major index).
-    stride, size = w + 2, (h + 2) * (w + 2)
-    rank = np.unique(gradient_magnitude(image.intensity), return_inverse=True)[1]
-    index = np.arange(size).reshape(h + 2, stride)
-    prio = (np.pad(rank.reshape(h, w), 1) * size + index).ravel()
-    cell = np.pad(cells.cell_id, 1, constant_values=-1)
-    inner = cell[1:-1, 1:-1]
-    boundary = (
-        (cell[:-2, 1:-1] != inner)
-        | (cell[2:, 1:-1] != inner)
-        | (cell[1:-1, :-2] != inner)
-        | (cell[1:-1, 2:] != inner)
-    )
-    label = np.pad(boundary * np.uint8(_BG), 1, constant_values=_FENCE)
-    rows, cols = _snap_seeds(cells)
-    label[rows + 1, cols + 1] = _FG
-    label, cell = label.ravel(), cell.ravel()
-    # Markers go cell by cell in seed order: the seed pixel, then the cell's
-    # boundary pixels in row-major order. Each pixel is queued once, by the
-    # first marker or flooded pixel to reach it, which fixes its label.
-    marked = np.flatnonzero((label == _FG) | (label == _BG))
-    markers = marked[np.lexsort((label[marked], cell[marked]))].tolist()
-    cell_v, prio_v, label_v = memoryview(cell), memoryview(prio), memoryview(label)
-    heap: list[int] = []
-    push, pop = heapq.heappush, heapq.heappop
-
-    def popped():
-        while heap:
-            yield pop(heap) % size
-
-    for i in itertools.chain(markers, popped()):
-        c, lab = cell_v[i], label_v[i]
-        for j in (i - stride, i - 1, i + 1, i + stride):
-            if not label_v[j] and cell_v[j] == c:
-                label_v[j] = lab
-                push(heap, prio_v[j])
-    fg = label.reshape(h + 2, stride)[1:-1, 1:-1] == _FG
-    owner = np.where(fg, cells.cell_id, -1)
+    owner = np.where(_foreground(image, cells), cells.cell_id, -1)
     return [owner == k for k in range(len(cells.seeds))]
+
+
+def _foreground(image: RasterImage, cells: VoronoiLabelMap) -> np.ndarray:
+    """The pixels that the flood labels with their cell's seed."""
+    rank = _flood_ranks(gradient_magnitude(image.intensity))
+    seed = np.zeros(rank.shape, dtype=bool)
+    seed[_snap_seeds(cells)] = True
+    # Markers: the seed pixels and every pixel with a 4-neighbour in another
+    # cell or outside the image. So the free pixels are interior, and all
+    # their neighbours lie in their own cell.
+    cell = np.pad(cells.cell_id, 1, constant_values=-1)
+    marker = seed.copy()
+    for view in _neighbours(cell):
+        marker |= view != cells.cell_id
+    del cell
+    level = _flood_levels(rank, marker)
+    return _pass_labels(rank, level, seed)
+
+
+def _neighbours(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the up, left, right and down neighbours of a[1:-1, 1:-1]."""
+    return a[:-2, 1:-1], a[1:-1, :-2], a[1:-1, 2:], a[2:, 1:-1]
+
+
+def _jump(pointer: np.ndarray) -> np.ndarray:
+    """Follow every pointer to the fixed point at the end of its chain."""
+    while True:
+        after = pointer[pointer]
+        if np.array_equal(after, pointer):
+            return pointer
+        pointer = after
+
+
+def _flood_ranks(grad: np.ndarray) -> np.ndarray:
+    """Each pixel's place (int32) in the flood order, the key (gradient,
+    row-major index)."""
+    size = grad.size
+    key = np.unique(grad, return_inverse=True)[1].ravel() * size
+    key += np.arange(size)
+    key.sort()
+    np.remainder(key, size, out=key)  # row-major indices in flood order
+    rank = np.empty(size, dtype=np.int32)
+    rank[key] = np.arange(size, dtype=np.int32)
+    return rank.reshape(grad.shape)
+
+
+def _flood_levels(rank: np.ndarray, marker: np.ndarray) -> np.ndarray:
+    """The level (a rank) at which the flood pops each free pixel; -1 on
+    markers.
+
+    The level is a bottleneck distance: the least, over paths from a
+    marker, of the largest rank on the path, the marker left out. Borůvka's
+    algorithm finds it on the graph of 4-adjacent free pixels, whose edges
+    are ordered by the key (larger rank, smaller rank), with all markers as
+    one source node. Each node hooks along its least edge; the hook trees
+    contract into the next level's nodes, and a tree that reaches the
+    source is settled. A node's level is the larger of its hook's weight
+    (the edge's larger rank) and its next-level node's level.
+    """
+    h, w = rank.shape
+    size = h * w
+    # Level 0 by grid shifts: a free pixel's least edge goes to its lowest
+    # neighbour, or to the source when a neighbour is a marker.
+    keyed = np.where(marker, np.int32(-1), rank)
+    low = np.full((h, w), -1, dtype=np.int32)
+    step = np.zeros((h, w), dtype=np.int32)
+    lo, st = low[1:-1, 1:-1], step[1:-1, 1:-1]
+    up, left, right, down = _neighbours(keyed)
+    np.minimum(np.minimum(up, left), np.minimum(right, down), out=lo)
+    st[...] = w
+    for view, offset in ((right, 1), (left, -1), (up, -w)):
+        np.copyto(st, offset, where=view == lo)  # free ranks are unique
+    del keyed
+    hook = np.arange(size + 1, dtype=np.int32)  # node `size` is the source
+    hook[:size] += step.ravel()
+    hook[:size][marker.ravel() | (low.ravel() < 0)] = size
+    del step
+    node = _contract(hook)
+    del hook
+    weight = np.maximum(low, rank, out=low).ravel()  # of each pixel's hook
+    # Later levels work on the edges between different level-1 nodes. A
+    # row-wrapping pair (v, v + 1) joins two border pixels, both markers.
+    rows = np.flatnonzero(node[: size - 1] != node[1:size])
+    columns = np.flatnonzero(node[: size - w] != node[w:size])
+    u = np.concatenate((rows, columns)).astype(np.int32)
+    v = np.concatenate((rows + 1, columns + w)).astype(np.int32)
+    del rows, columns
+    ranks = rank.ravel()
+    key = np.maximum(ranks[u], ranks[v]).astype(np.int64)
+    key *= size
+    key += np.minimum(ranks[u], ranks[v])
+    u, v = node[u], node[v]
+    levels = []
+    count = int(node[-1])
+    while count:
+        least = np.full(count + 1, np.iinfo(np.int64).max)
+        np.minimum.at(least, u, key)
+        np.minimum.at(least, v, key)
+        hooked = np.full(count + 1, count, dtype=np.int32)
+        won = key == least[u]
+        hooked[u[won]] = v[won]
+        won = key == least[v]
+        hooked[v[won]] = u[won]
+        hooked[count] = count
+        up = _contract(hooked)
+        levels.append(((least[:count] // size).astype(np.int32), up))
+        u, v = up[u], up[v]
+        keep = u != v
+        u, v, key = u[keep], v[keep], key[keep]
+        count = int(up[-1])
+    above = np.full(1, -1, dtype=np.int32)  # the top level: the source alone
+    for weights, up in reversed(levels):
+        above = np.append(np.maximum(weights, above[up[:-1]]), np.int32(-1))
+    level = np.maximum(weight, above[node[:size]])
+    level[marker.ravel()] = -1
+    return level.reshape(h, w)
+
+
+def _contract(hook: np.ndarray) -> np.ndarray:
+    """Each node's next-level node once the nodes hook as `hook` says.
+
+    The last node is the source and hooks to itself. Returns, per node, its
+    hook tree's place among the trees that miss the source, or their count
+    (the next level's source) for the trees that reach it.
+    """
+    node = np.arange(hook.size, dtype=np.int32)
+    # Both nodes of a mutual pair chose the edge between them; the lower
+    # one becomes the root.
+    np.copyto(hook, node, where=(hook[hook] == node) & (node < hook))
+    root = _jump(hook)
+    roots = np.flatnonzero(root[:-1] == node[:-1])
+    up = np.full(hook.size, roots.size, dtype=np.int32)
+    up[roots] = np.arange(roots.size, dtype=np.int32)
+    return up[root]
+
+
+def _pass_labels(rank: np.ndarray, level: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Foreground pixels of the flood, given the levels of `_flood_levels`.
+
+    A free pixel takes the label of its pass pixel, the one whose rank is
+    its level. A pass pixel takes the label of the neighbour that reached
+    it first: a marker when it has one, the seed pixel before the boundary,
+    else its neighbour of lowest level, which is popped before the others.
+    Pointer jumping through the pass pixels resolves the chains.
+    """
+    h, w = rank.shape
+    size = h * w
+    fg_end, bg_end = size, size + 1
+    low = np.full((h, w), size, dtype=np.int32)
+    touch = np.zeros((h, w), dtype=bool)
+    lo, to = low[1:-1, 1:-1], touch[1:-1, 1:-1]
+    for lv, sv in zip(_neighbours(level), _neighbours(seed)):
+        np.minimum(lo, lv, out=lo)
+        to |= sv
+    passes = np.flatnonzero(level == rank)
+    first = low.ravel()[passes]  # -1 where a marker is a neighbour
+    ends = np.where(touch.ravel()[passes], fg_end, bg_end)
+    label = np.arange(size + 2, dtype=np.int32)  # indexed by rank
+    label[rank.ravel()[passes]] = np.where(first >= 0, first, ends)
+    end = _jump(label)
+    return seed | ((level >= 0) & (end[level] == fg_end))
 
 
 def _snap_seeds(cells: VoronoiLabelMap) -> tuple[np.ndarray, np.ndarray]:
@@ -223,6 +353,9 @@ def scale_target_from_mask(mask: np.ndarray, theta: float) -> ScaleTarget:
     )
 
 
+_PGM_TOKEN = re.compile(rb"\s*(#[^\n]*\n|\S+)")
+
+
 def read_pgm(path) -> RasterImage:
     """Read a binary (P5) 8-bit PGM, scaling values to [0, 1]."""
     with open(path, "rb") as fh:
@@ -231,7 +364,7 @@ def read_pgm(path) -> RasterImage:
     tokens = []
     pos = 0
     while len(tokens) < 4:
-        m = re.compile(rb"\s*(#[^\n]*\n|\S+)").match(data, pos)
+        m = _PGM_TOKEN.match(data, pos)
         if m is None:
             raise InvalidInputError(f"truncated PGM header in {path}")
         pos = m.end()
@@ -240,12 +373,15 @@ def read_pgm(path) -> RasterImage:
             tokens.append(tok)
     if tokens[0] != b"P5":
         raise InvalidInputError(f"not a binary PGM (magic {tokens[0]!r})")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise InvalidInputError(f"bad PGM size or maxval in {path}")
     width, height, maxval = (int(t) for t in tokens[1:])
     if not 0 < maxval <= 255:
         raise InvalidInputError(f"unsupported PGM maxval {maxval}")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos + 1)
-    if pixels.size != width * height:
+    # one whitespace byte ends the header
+    if len(data) - (pos + 1) < width * height:
         raise InvalidInputError(f"PGM payload too short in {path}")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos + 1)
     intensity = pixels.reshape(height, width).astype(float) / maxval
     return RasterImage(width, height, intensity)
 
@@ -255,7 +391,7 @@ def write_pgm(path, array: np.ndarray) -> None:
     boolean masks map to 0/255."""
     arr = np.asarray(array)
     if arr.dtype == bool:
-        data = np.where(arr, 255, 0).astype(np.uint8)
+        data = arr * np.uint8(255)
     else:
         data = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()

@@ -554,6 +554,52 @@ def test_watershed_command(tmp_path):
     assert abs(float(w_t) - 24) <= 2 and abs(float(h_t) - 12) <= 2
 
 
+DATA = Path(__file__).parent / "data"
+README_WATERSHED = ["watershed", "--image", "scene.pgm", "--points", "pts.txt", "--out-dir", "masks/",
+                    "--theta", "0.5"]
+
+
+def test_watershed_readme_example_matches_golden_outputs(tmp_path, monkeypatch, capsys):
+    """The README's watershed example on the committed 48 x 48 scene, run in
+    its own directory as CI runs it through the console script. Every mask,
+    targets.csv (whose header names the version and command line) and stdout
+    must equal the committed golden bytes."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert "spwood " + " ".join(README_WATERSHED) in readme
+    (tmp_path / "scene.pgm").write_bytes((DATA / "scene_48.pgm").read_bytes())
+    (tmp_path / "pts.txt").write_bytes((DATA / "scene_48_points.txt").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(README_WATERSHED) == cli.EXIT_OK
+    assert capsys.readouterr().out == (DATA / "watershed_48_stdout.txt").read_text()
+    assert read_tree(tmp_path / "masks") == read_tree(DATA / "watershed_48")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"P5\n4 4\n255\n" + bytes(10), b"P5\n4 4\n255\n", b"P5\n4 4\n255"],
+    ids=["short", "empty", "no-separator"],
+)
+def test_watershed_pgm_payload_too_short(tmp_path, capsys, content):
+    image = tmp_path / "short.pgm"
+    image.write_bytes(content)
+    (tmp_path / "pts.txt").write_text("1 1\n")
+    code = cli.main(["watershed", "--image", str(image), "--points", str(tmp_path / "pts.txt"),
+                     "--out-dir", str(tmp_path / "masks")])
+    assert code == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: PGM payload too short in {image}\n"
+    assert not (tmp_path / "masks").exists()
+
+
+def test_watershed_pgm_bad_header_number(tmp_path, capsys):
+    image = tmp_path / "bad.pgm"
+    image.write_bytes(b"P5\nfour 4\n255\n" + bytes(16))
+    (tmp_path / "pts.txt").write_text("1 1\n")
+    code = cli.main(["watershed", "--image", str(image), "--points", str(tmp_path / "pts.txt"),
+                     "--out-dir", str(tmp_path / "masks")])
+    assert code == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: bad PGM size or maxval in {image}\n"
+
+
 def test_watershed_negative_scientific_theta_as_separate_token(tmp_path):
     img = np.zeros((32, 32))
     img[10:22, 6:26] = 1.0

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -12,6 +13,7 @@ from spwood.errors import InvalidInputError
 from spwood.geometry import PointAnnotation
 from spwood.layout import (
     RasterImage,
+    _snap_seeds,
     gradient_magnitude,
     read_pgm,
     scale_target_from_mask,
@@ -71,6 +73,96 @@ def reference_flood(grad, cell, seed):
             labels[y, x] = label
             push_neighbors(x, y, label)
     return labels == 1
+
+
+_FG, _BG, _FENCE = 1, 2, 3
+
+
+def queue_flood(image, cells):
+    """The heap flood that watershed_segment replaced, kept verbatim as the
+    oracle for its masks: one heapq push and pop per pixel, keyed by
+    (gradient rank, row-major index), each pixel queued once."""
+    if (image.width, image.height) != (cells.width, cells.height):
+        raise InvalidInputError(
+            f"image {image.width} x {image.height} does not match "
+            f"partition {cells.width} x {cells.height}"
+        )
+    h, w = cells.height, cells.width
+    # All cells flood in one frame padded by a fence pixel on each side, so
+    # neighbor lookups need no bounds checks. Padding keeps row-major order,
+    # so the priority rank(gradient) * size + index sorts pixels exactly as
+    # the key (gradient, row-major index).
+    stride, size = w + 2, (h + 2) * (w + 2)
+    rank = np.unique(gradient_magnitude(image.intensity), return_inverse=True)[1]
+    index = np.arange(size).reshape(h + 2, stride)
+    prio = (np.pad(rank.reshape(h, w), 1) * size + index).ravel()
+    cell = np.pad(cells.cell_id, 1, constant_values=-1)
+    inner = cell[1:-1, 1:-1]
+    boundary = (
+        (cell[:-2, 1:-1] != inner)
+        | (cell[2:, 1:-1] != inner)
+        | (cell[1:-1, :-2] != inner)
+        | (cell[1:-1, 2:] != inner)
+    )
+    label = np.pad(boundary * np.uint8(_BG), 1, constant_values=_FENCE)
+    rows, cols = _snap_seeds(cells)
+    label[rows + 1, cols + 1] = _FG
+    label, cell = label.ravel(), cell.ravel()
+    # Markers go cell by cell in seed order: the seed pixel, then the cell's
+    # boundary pixels in row-major order. Each pixel is queued once, by the
+    # first marker or flooded pixel to reach it, which fixes its label.
+    marked = np.flatnonzero((label == _FG) | (label == _BG))
+    markers = marked[np.lexsort((label[marked], cell[marked]))].tolist()
+    cell_v, prio_v, label_v = memoryview(cell), memoryview(prio), memoryview(label)
+    heap: list[int] = []
+    push, pop = heapq.heappush, heapq.heappop
+
+    def popped():
+        while heap:
+            yield pop(heap) % size
+
+    for i in itertools.chain(markers, popped()):
+        c, lab = cell_v[i], label_v[i]
+        for j in (i - stride, i - 1, i + 1, i + stride):
+            if not label_v[j] and cell_v[j] == c:
+                label_v[j] = lab
+                push(heap, prio_v[j])
+    fg = label.reshape(h + 2, stride)[1:-1, 1:-1] == _FG
+    owner = np.where(fg, cells.cell_id, -1)
+    return [owner == k for k in range(len(cells.seeds))]
+
+
+def assert_same_masks(image, cells):
+    masks = watershed_segment(image, cells)
+    expected = queue_flood(image, cells)
+    assert len(masks) == len(expected)
+    for mask, want in zip(masks, expected):
+        assert mask.dtype == want.dtype and mask.tobytes() == want.tobytes()
+
+
+def rectangle_scene(rng, side, grid, n):
+    """A raster benchmark scene: n non-overlapping rotated rectangles on a
+    noisy background, one per chosen grid cell, quantised to 8 bits as a
+    PGM round trip leaves them. Returns the intensity and the centres."""
+    cell = side / grid
+    jitter = 0.08 * cell
+    radius = cell / 2 - jitter - 3.0
+    chosen = rng.choice(grid * grid, size=n, replace=False)
+    centres = np.stack([chosen % grid, chosen // grid], axis=1) * cell + cell / 2
+    centres = centres + rng.uniform(-jitter, jitter, (n, 2))
+    aspect = rng.uniform(0.35, 0.9, n)
+    w = 2 * radius * rng.uniform(0.75, 1.0, n) / np.sqrt(1 + aspect**2)
+    h = aspect * w
+    theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
+    ys, xs = np.mgrid[0:side, 0:side].astype(float)
+    image = np.full((side, side), 0.25)
+    c, s = math.cos(theta), math.sin(theta)
+    for (cx, cy), wk, hk in zip(centres, w, h):
+        dx, dy = xs - cx, ys - cy
+        inside = (np.abs(c * dx + s * dy) <= wk / 2) & (np.abs(-s * dx + c * dy) <= hk / 2)
+        image[inside] = 0.75
+    image = np.clip(image + rng.normal(0.0, 0.02, image.shape), 0.0, 1.0)
+    return np.rint(image * 255) / 255, centres
 
 
 def nearest_own_pixel(cell_id, k, seed):
@@ -235,13 +327,22 @@ def coordinates(limit):
     )
 
 
+IMAGES = {
+    "random": lambda rng, shape: rng.random(shape),
+    "uniform": lambda rng, shape: np.full(shape, 0.5),
+    "coarse": lambda rng, shape: rng.integers(0, 3, shape) / 2.0,  # three levels
+    "quantised": lambda rng, shape: rng.integers(0, 256, shape) / 255.0,
+}
+
+
 @st.composite
 def seeded_scenes(draw):
     width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     points = st.builds(PointAnnotation, coordinates(width), coordinates(height))
     seeds = draw(st.lists(points, min_size=1, max_size=8))
     seeds += draw(st.lists(st.sampled_from(seeds), max_size=2))  # duplicates
-    image = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((height, width))
+    make = IMAGES[draw(st.sampled_from(sorted(IMAGES)))]
+    image = make(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), (height, width))
     return width, height, seeds, image
 
 
@@ -266,6 +367,28 @@ def test_non_integer_seeds_confined_disjoint_and_seeded(scene):
     assert total.max() <= 1
 
 
+@given(seeded_scenes())
+@settings(max_examples=300, deadline=None)
+def test_masks_match_queue_flood(scene):
+    width, height, seeds, image = scene
+    assert_same_masks(RasterImage.from_array(image), voronoi_partition(seeds, width, height))
+
+
+@pytest.mark.parametrize("side, grid, n, seed", [(320, 5, 24, 0), (160, 8, 60, 1), (160, 8, 60, 2)])
+def test_masks_match_queue_flood_on_benchmark_scenes(side, grid, n, seed):
+    intensity, centres = rectangle_scene(np.random.default_rng(seed), side, grid, n)
+    seeds = [PointAnnotation(x, y) for x, y in centres.tolist()]
+    assert_same_masks(RasterImage.from_array(intensity), voronoi_partition(seeds, side, side))
+
+
+def test_nan_intensities_flood_like_the_queue_flood():
+    rng = np.random.default_rng(4)
+    image = rng.random((20, 24))
+    image[rng.random(image.shape) < 0.2] = np.nan  # RasterImage lets NaN through
+    seeds = [PointAnnotation(x, y) for x, y in rng.uniform(0, 19, (6, 2)).tolist()]
+    assert_same_masks(RasterImage.from_array(image), voronoi_partition(seeds, 24, 20))
+
+
 def test_voronoi_memory_is_linear_in_pixels():
     rng = np.random.default_rng(3)
     seeds = [PointAnnotation(x, y) for x, y in rng.uniform(0, 512, (100, 2)).tolist()]
@@ -276,6 +399,21 @@ def test_voronoi_memory_is_linear_in_pixels():
     finally:
         tracemalloc.stop()
     assert peak < 16e6  # an (n_seeds, H, W) distance stack needs about 210 MB
+
+
+def test_watershed_memory_beyond_its_masks():
+    rng = np.random.default_rng(3)
+    seeds = [PointAnnotation(x, y) for x, y in rng.uniform(0, 512, (100, 2)).tolist()]
+    cells = voronoi_partition(seeds, 512, 512)
+    image = RasterImage.from_array(rng.random((512, 512)))
+    tracemalloc.start()
+    try:
+        masks = watershed_segment(image, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(masks) == 100
+    assert peak - 100 * 512 * 512 < 12e6  # the returned masks alone take 26.2 MB
 
 
 def test_dimension_mismatch_rejected():
