@@ -241,39 +241,57 @@ def merge_sets(sets) -> AnnotationSet:
     if len(set(ids)) < len(ids):
         duplicate = next(i for k, i in enumerate(ids) if i in ids[:k])
         raise InvalidInputError(f"duplicate image id {duplicate!r}")
-    if not sets:
-        return AnnotationSet((), (0,), [], [], [], [])
     names = sorted({name for s in sets for name in s.names})
     code = {name: i for i, name in enumerate(names)}
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    sizes = np.concatenate([np.diff(s.offsets) for s in sets])
-    rows = np.argsort(np.repeat(np.argsort(order), sizes), kind="stable")
+    recode = [np.array([code[n] for n in s.names], np.intp) for s in sets]
+    # (id, set, rows) of every image in id order: each column is one
+    # concatenation of these row slices
+    images = sorted(
+        (image_id, k, slice(start, stop))
+        for k, s in enumerate(sets)
+        for image_id, start, stop in zip(s.ids, s.offsets.tolist(), s.offsets[1:].tolist())
+    )
+
+    def column(take):
+        return np.concatenate([take(k, rows) for _, k, rows in images]) if images else []
+
     return AnnotationSet(
-        [ids[i] for i in order],
-        np.concatenate([[0], np.cumsum(sizes[order])]),
-        np.concatenate([s.corners for s in sets])[rows],
-        np.concatenate([np.array([code[n] for n in s.names], np.intp)[s.codes] for s in sets])[rows],
+        [image_id for image_id, _, _ in images],
+        np.cumsum([0] + [rows.stop - rows.start for _, _, rows in images]),
+        column(lambda k, rows: sets[k].corners[rows]),
+        column(lambda k, rows: recode[k][sets[k].codes[rows]]),
         names,
-        np.concatenate([s.difficulty for s in sets])[rows],
+        column(lambda k, rows: sets[k].difficulty[rows]),
         {image_id: h for s in sets for image_id, h in s.headers.items()},
     )
+
+
+# Records formatted at once by _render; it bounds the token and line lists.
+_BATCH_RECORDS = 512
 
 
 def _render(ann: AnnotationSet, values, with_difficulty: bool, headers) -> dict[str, str]:
     """Text per image: its header lines, then one line per record with the
     record's row of ``values`` (full precision, integers without a
-    fraction), its category and, if asked, its difficulty."""
-    tails = [ann.names[c] for c in ann.codes.tolist()]
-    if with_difficulty:
-        tails = [f"{c} {d}" for c, d in zip(tails, ann.difficulty.tolist())]
-    tokens = iter([str(int(v)) if v.is_integer() else repr(v) for v in np.ravel(values).tolist()])
+    fraction), its category and, if asked, its difficulty. Records are
+    formatted in batches of whole images of at most _BATCH_RECORDS rows; a
+    larger image is a batch of its own."""
     width = values.size // max(len(values), 1)
-    lines = [f"{' '.join(v)} {t}" for v, t in zip(zip(*[tokens] * width), tails)]
     bounds = ann.offsets.tolist()
     out = {}
-    for image_id, start, stop in zip(ann.ids, bounds, bounds[1:]):
-        body = [*headers.get(image_id, ()), *lines[start:stop]]
-        out[image_id] = "\n".join(body) + "\n" if body else ""
+    first = 0
+    while first < len(ann.ids):
+        last = max(first + 1, bisect.bisect_right(bounds, bounds[first] + _BATCH_RECORDS) - 1)
+        lo, hi = bounds[first], bounds[last]
+        tails = [ann.names[c] for c in ann.codes[lo:hi].tolist()]
+        if with_difficulty:
+            tails = [f"{c} {d}" for c, d in zip(tails, ann.difficulty[lo:hi].tolist())]
+        tokens = iter([str(int(v)) if v.is_integer() else repr(v) for v in np.ravel(values[lo:hi]).tolist()])
+        lines = [f"{' '.join(v)} {t}" for v, t in zip(zip(*[tokens] * width), tails)]
+        for image_id, start, stop in zip(ann.ids[first:last], bounds[first:last], bounds[first + 1 : last + 1]):
+            body = [*headers.get(image_id, ()), *lines[start - lo : stop - lo]]
+            out[image_id] = "\n".join(body) + "\n" if body else ""
+        first = last
     return out
 
 
@@ -283,13 +301,26 @@ def serialize_dota(ann: AnnotationSet) -> dict[str, str]:
 
 
 def load_dota_dir(path) -> AnnotationSet:
-    """Load every .txt file in a directory; image ids are file stems."""
+    """Load every .txt file in a directory; image ids are file stems. An
+    error in a file (see parse_dota, or text that is not UTF-8) names it."""
     files = sorted(Path(path).glob("*.txt"))
     if not files:
         raise InvalidInputError(f"no .txt annotation files in {path}")
-    return merge_sets(
-        parse_dota(f.read_text(encoding="utf-8"), image_id=f.stem) for f in files
-    )
+    return merge_sets(map(_load_file, files))
+
+
+def _load_file(path: Path) -> AnnotationSet:
+    """parse_dota of one file; an error names the file."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason} at offset {exc.start})") from None
+    try:
+        return parse_dota(text, image_id=path.stem)
+    except DotaParseError as exc:
+        raise DotaParseError(exc.message, exc.line_no, path) from None
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def write_dota_dir(ann: AnnotationSet, path) -> None:

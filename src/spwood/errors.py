@@ -16,8 +16,10 @@ class NumericalDegeneracyError(ArithmeticError):
 
 
 class DotaParseError(ValueError):
-    """A malformed annotation line; carries the 1-based line number."""
+    """A malformed annotation line; carries the 1-based line number and,
+    for a line read from a file, the file's path."""
 
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    def __init__(self, message: str, line_no: int, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {message}")
+        self.message, self.line_no, self.path = message, line_no, path

@@ -52,7 +52,7 @@ class RasterImage:
                 f"intensity shape {arr.shape} does not match "
                 f"{self.height} x {self.width}"
             )
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both tests
             raise InvalidInputError("intensity values must lie in [0, 1]")
         object.__setattr__(self, "intensity", arr)
 

@@ -1,4 +1,5 @@
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ from spwood import cli, filtering, gradcheck
 from spwood.dataset import WeakKind, load_dota_dir, round_half_up, weaken
 from spwood.geometry import OrientedBox, box_corners
 from spwood.layout import write_pgm
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(autouse=True)
@@ -531,6 +534,69 @@ def test_report_compares_directories(tmp_path, corpus_dir, capsys):
         assert int(cs) == single_counts.get(cat, 0)
 
 
+BAD_FILES = {
+    "line": (b"0 0 4 0 4 2 0 2 PL 0\n0 0 4 0 4 x 0 2 PL 0\n", "line 2: bad coordinate in '0 0 4 0 4 x 0 2 PL 0'"),
+    "nan": (b"0 0 4 0 4 nan 0 2 PL 0\n", "non-finite corner coordinate"),
+    "utf8": (b"hdr:\xff\n0 0 4 0 4 2 0 2 PL 0\n", "not UTF-8 text (invalid start byte at offset 4)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_FILES))
+@pytest.mark.parametrize("command", ["sparsify", "report"])
+def test_load_errors_name_the_file(tmp_path, corpus_dir, capsys, command, fault):
+    """One bad file among twelve: the error names it, nothing is written,
+    and the exit code is 1."""
+    content, message = BAD_FILES[fault]
+    bad = corpus_dir / "img005.txt"
+    bad.write_bytes(content)
+    good = tmp_path / "good"
+    good.mkdir()
+    (good / "x.txt").write_text("0 0 4 0 4 2 0 2 PL 0\n")
+    out = tmp_path / "out"
+    argv = {
+        "sparsify": ["sparsify", "--input", str(corpus_dir), "--out", str(out), "--method", "single",
+                     "--sparse", "0.5"],
+        "report": ["report", "--single", str(good), "--overall", str(corpus_dir), "--out", str(out)],
+    }[command]
+    assert cli.main(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+    assert not out.exists()
+
+
+README_DOTA = {
+    "overall": ["sparsify", "--input", "anns/", "--out", "out_overall/", "--method", "overall", "--sparse", "0.1",
+                "--seed", "7"],
+    "single": ["sparsify", "--input", "anns/", "--out", "out_single/", "--method", "single", "--sparse", "0.1",
+               "--partial", "0.3"],
+    "rbox": ["sparsify", "--input", "anns/", "--out", "out_rbox/", "--method", "single", "--sparse", "0.1",
+             "--weaken", "rbox"],
+    "report": ["report", "--single", "out_single/annotations", "--overall", "out_overall/annotations",
+               "--out", "stats.csv"],
+}
+
+
+def test_dota_readme_examples_match_golden_outputs(tmp_path, monkeypatch, capsys):
+    """The README's sparsify and report examples on the committed 14-image
+    corpus, run in their own directory as CI runs them through the console
+    script. The corpus has a header mid-file, the ids a and a-b (whose file
+    order is not their id order) and a zero-area quad that --weaken rbox
+    drops (exit 3). Each command's stdout, stderr and exit code, and every
+    file it writes, must equal the committed golden bytes."""
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().replace("\\\n", " ").split())
+    for argv in README_DOTA.values():
+        assert " ".join(["spwood", *argv]) in readme
+    shutil.copytree(DATA / "dota_14", tmp_path / "anns")
+    (tmp_path / "log").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for name, argv in README_DOTA.items():
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        for suffix, text in (("stdout", out), ("stderr", err), ("exit", f"{code}\n")):
+            (tmp_path / "log" / f"{name}.{suffix}").write_text(text)
+    shutil.rmtree(tmp_path / "anns")
+    assert read_tree(tmp_path) == read_tree(DATA / "dota_14_golden")
+
+
 # --- watershed ------------------------------------------------------------------
 
 
@@ -554,7 +620,6 @@ def test_watershed_command(tmp_path):
     assert abs(float(w_t) - 24) <= 2 and abs(float(h_t) - 12) <= 2
 
 
-DATA = Path(__file__).parent / "data"
 README_WATERSHED = ["watershed", "--image", "scene.pgm", "--points", "pts.txt", "--out-dir", "masks/",
                     "--theta", "0.5"]
 

@@ -1,14 +1,19 @@
+import gc
 import math
+import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spwood import cli
+from spwood import cli, dataset
 from spwood.dataset import (
+    DOTA_CATEGORY_ORDER,
     AnnotationRecord,
     AnnotationSet,
     SparsifyConfig,
@@ -27,6 +32,7 @@ from spwood.dataset import (
     sparsify,
     sparsify_overall,
     sparsify_single,
+    subset_images,
     weaken,
     weaken_corners,
 )
@@ -729,6 +735,18 @@ def test_parse_rejects_difficulty_beyond_int64():
     assert exc.value.line_no == 2
 
 
+def test_load_errors_name_the_file(tmp_path):
+    (tmp_path / "a.txt").write_text(f"{GOOD}\n")
+    (tmp_path / "b.txt").write_text(f"hdr\n{GOOD}\n{BAD_LINES[5]}\n")
+    with pytest.raises(DotaParseError) as exc:
+        load_dota_dir(tmp_path)
+    assert (exc.value.path, exc.value.line_no) == (tmp_path / "b.txt", 3)
+    assert str(exc.value) == f"{tmp_path / 'b.txt'}: line 3: bad difficulty '1.5'"
+    (tmp_path / "b.txt").write_bytes(b"\x80")
+    with pytest.raises(InvalidInputError, match=r"b\.txt: not UTF-8 text \(invalid start byte at offset 0\)$"):
+        load_dota_dir(tmp_path)
+
+
 def test_zero_area_quad_in_batch_raises_under_rbox():
     good = record("a", [(0, 0), (4, 0), (4, 2), (0, 2)])
     flat = record("a", [(0, 0), (1, 1), (2, 2), (3, 3)])
@@ -804,3 +822,171 @@ def test_columns_reject_inconsistent_input():
         AnnotationSet(("a",), (0, 1), np.zeros((1, 4, 2)), [1], ["ship"], [0])
     with pytest.raises(InvalidInputError, match="non-finite"):
         AnnotationSet(("a",), (0, 1), np.full((1, 4, 2), np.inf), [0], ["ship"], [0])
+
+
+# --- batched rendering and one-copy merging ------------------------------------------
+
+
+def whole_set_render(ann, values, with_difficulty, headers):
+    """dataset._render before it formatted records in batches, kept
+    verbatim as the oracle for its bytes: every record's tokens and lines
+    of the whole set at once."""
+    tails = [ann.names[c] for c in ann.codes.tolist()]
+    if with_difficulty:
+        tails = [f"{c} {d}" for c, d in zip(tails, ann.difficulty.tolist())]
+    tokens = iter([str(int(v)) if v.is_integer() else repr(v) for v in np.ravel(values).tolist()])
+    width = values.size // max(len(values), 1)
+    lines = [f"{' '.join(v)} {t}" for v, t in zip(zip(*[tokens] * width), tails)]
+    bounds = ann.offsets.tolist()
+    out = {}
+    for image_id, start, stop in zip(ann.ids, bounds, bounds[1:]):
+        body = [*headers.get(image_id, ()), *lines[start:stop]]
+        out[image_id] = "\n".join(body) + "\n" if body else ""
+    return out
+
+
+def argsort_merge_sets(sets):
+    """dataset.merge_sets before it concatenated per-image row slices, kept
+    verbatim as the oracle: rows put in id order by an argsort and a
+    fancy-index copy of each concatenated column."""
+    sets = list(sets)
+    ids = [image_id for s in sets for image_id in s.ids]
+    if len(set(ids)) < len(ids):
+        duplicate = next(i for k, i in enumerate(ids) if i in ids[:k])
+        raise InvalidInputError(f"duplicate image id {duplicate!r}")
+    if not sets:
+        return AnnotationSet((), (0,), [], [], [], [])
+    names = sorted({name for s in sets for name in s.names})
+    code = {name: i for i, name in enumerate(names)}
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    sizes = np.concatenate([np.diff(s.offsets) for s in sets])
+    rows = np.argsort(np.repeat(np.argsort(order), sizes), kind="stable")
+    return AnnotationSet(
+        [ids[i] for i in order],
+        np.concatenate([[0], np.cumsum(sizes[order])]),
+        np.concatenate([s.corners for s in sets])[rows],
+        np.concatenate([np.array([code[n] for n in s.names], np.intp)[s.codes] for s in sets])[rows],
+        names,
+        np.concatenate([s.difficulty for s in sets])[rows],
+        {image_id: h for s in sets for image_id, h in s.headers.items()},
+    )
+
+
+def assert_same_set(got, want):
+    assert got.ids == want.ids and got.names == want.names and got.headers == want.headers
+    for column in ("offsets", "corners", "codes", "difficulty"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# integer-valued, signed-zero and fractional coordinates
+COORDINATES = st.one_of(
+    st.integers(-5000, 5000).map(float),
+    st.sampled_from([0.0, -0.0, 0.5, -2.5, 1e-300, 2.0**60, 1e22]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+HEADER_LINES = st.lists(st.sampled_from(["imagesource:GoogleEarth", "gsd:0.146", "note: 1 2"]), min_size=1, max_size=2)
+
+
+@st.composite
+def annotation_sets(draw, max_records=13):
+    """Sets whose images hold one record each, or from none to
+    ``max_records``; an image may have headers, records, both or neither."""
+    ids = sorted(draw(st.sets(st.text("ab-.x0", min_size=1, max_size=3), max_size=9)))
+    each = st.just(1) if draw(st.booleans()) else st.integers(0, max_records)
+    sizes = [draw(each) for _ in ids]
+    n = sum(sizes)
+    corners = draw(st.lists(COORDINATES, min_size=8 * n, max_size=8 * n))
+    names = sorted(draw(st.sets(st.sampled_from(["SV", "plane", "ship", "small-vehicle"]), min_size=1)))
+    codes = draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n))
+    difficulty = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n))
+    headers = {i: tuple(draw(HEADER_LINES)) for i in ids if draw(st.booleans())}
+    return AnnotationSet(ids, np.cumsum([0] + sizes), np.reshape(corners, (n, 4, 2)), codes, names, difficulty, headers)
+
+
+@given(annotation_sets(), st.one_of(st.integers(1, 6), st.just(dataset._BATCH_RECORDS)))
+@settings(max_examples=200, deadline=None)
+def test_render_in_batches_matches_whole_set_render(ann, batch):
+    """Mostly batches far smaller than the images, so most images are larger
+    than a batch and every batch edge falls somewhere new."""
+    with mock.patch.object(dataset, "_BATCH_RECORDS", batch):
+        assert serialize_dota(ann) == whole_set_render(ann, ann.corners, True, ann.headers)
+        for values in (ann.corners[:, :, 0], ann.corners[:, 0]):  # 4 and 2 values a record
+            assert dataset._render(ann, values, False, {}) == whole_set_render(ann, values, False, {})
+        points = weaken_corners(ann.corners, WeakKind.POINT)
+        assert serialize_weak(ann, WeakKind.POINT)[0] == whole_set_render(ann, points, False, {})
+
+
+@st.composite
+def interleaved_sets(draw):
+    """Pieces of one set whose image ids interleave, some with a category
+    table of their own (as parse_dota gives) and some with the whole one."""
+    whole = draw(annotation_sets())
+    k = draw(st.integers(1, 4))
+    owner = [draw(st.integers(0, k - 1)) for _ in whole.ids]
+    pieces = [subset_images(whole, [i for i, o in zip(whole.ids, owner) if o == j]) for j in range(k)]
+    return [
+        AnnotationSet.from_records(list(p.records()), p.headers, p.ids) if draw(st.booleans()) else p
+        for p in pieces
+    ]
+
+
+@given(interleaved_sets())
+@settings(max_examples=150, deadline=None)
+def test_merge_matches_argsort_merge(sets):
+    assert_same_set(merge_sets(sets), argsort_merge_sets(sets))
+    assert_same_set(merge_sets(sets[::-1]), argsort_merge_sets(sets[::-1]))
+
+
+# Records per image of the benchmark's corpus: 10 to 250, mostly small,
+# 8,798 over 150 images.
+LARGE_COUNTS = np.rint(10 * 25 ** ((np.arange(150) / 149) ** 1.5)).astype(int)
+
+
+@pytest.fixture(scope="module")
+def large_set():
+    rng = np.random.default_rng(17)
+    n = int(LARGE_COUNTS.sum())
+    boxes = np.column_stack([
+        rng.uniform(0, 4000, (n, 2)), rng.uniform(6, 150, n), rng.uniform(2, 40, n), rng.uniform(-1.5, 1.5, n),
+    ])
+    ids = [f"P{i:04d}" for i in range(len(LARGE_COUNTS))]
+    names = sorted(DOTA_CATEGORY_ORDER)
+    return AnnotationSet(
+        ids, np.cumsum([0, *rng.permutation(LARGE_COUNTS)]), corners_of_boxes(boxes),
+        rng.integers(0, len(names), n), names, (rng.random(n) < 0.1).astype(int),
+        {i: ("imagesource:GoogleEarth", "gsd:0.146") for i in ids},
+    )
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the tracemalloc peak of the call in bytes)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_set_renders_and_merges_like_the_oracles(large_set):
+    texts = serialize_dota(large_set)
+    assert len(large_set) == 8798 and texts == whole_set_render(large_set, large_set.corners, True, large_set.headers)
+    sets = [parse_dota(text, image_id) for image_id, text in texts.items()]
+    assert_same_set(merge_sets(sets[::-1]), argsort_merge_sets(sets[::-1]))
+    one_image = merge_sets([parse_dota("".join(texts.values()), "big")])  # 8,798 records, 17 batches
+    assert serialize_dota(one_image) == whole_set_render(one_image, one_image.corners, True, one_image.headers)
+
+
+def test_serialize_memory_beyond_its_texts(large_set):
+    texts, peak = traced_peak(serialize_dota, large_set)
+    size = sum(map(sys.getsizeof, texts.values()))
+    assert peak - size < 2**20  # rendering the whole set at once took 6.4 MB more than the texts
+
+
+def test_merge_memory_beyond_its_columns(large_set):
+    sets = [parse_dota(text, image_id) for image_id, text in serialize_dota(large_set).items()]
+    merged, peak = traced_peak(merge_sets, sets)
+    columns = sum(getattr(merged, c).nbytes for c in ("offsets", "corners", "codes", "difficulty"))
+    assert peak - columns < 0.25 * 2**20  # the argsort and fancy-index copies took 0.48 MB more

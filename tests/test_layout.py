@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,9 +385,21 @@ def test_masks_match_queue_flood_on_benchmark_scenes(side, grid, n, seed):
 def test_nan_intensities_flood_like_the_queue_flood():
     rng = np.random.default_rng(4)
     image = rng.random((20, 24))
-    image[rng.random(image.shape) < 0.2] = np.nan  # RasterImage lets NaN through
+    image[rng.random(image.shape) < 0.2] = np.nan
     seeds = [PointAnnotation(x, y) for x, y in rng.uniform(0, 19, (6, 2)).tolist()]
-    assert_same_masks(RasterImage.from_array(image), voronoi_partition(seeds, 24, 20))
+    # RasterImage rejects NaN, so the floods get a stand-in with the same fields
+    raw = SimpleNamespace(width=24, height=20, intensity=image)
+    assert_same_masks(raw, voronoi_partition(seeds, 24, 20))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, -1e-12, 1.0 + 1e-12])
+def test_raster_image_rejects_intensities_outside_unit_range(bad):
+    image = np.full((3, 4), 0.5)
+    image[1, 2] = bad
+    with pytest.raises(InvalidInputError, match=r"must lie in \[0, 1\]"):
+        RasterImage.from_array(image)
+    image[1, 2], image[0, 0] = 1.0, 0.0  # the bounds themselves are in range
+    assert RasterImage.from_array(image).intensity[1, 2] == 1.0
 
 
 def test_voronoi_memory_is_linear_in_pixels():
