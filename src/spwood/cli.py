@@ -81,19 +81,14 @@ def cmd_sparsify(args) -> int:
         seed=seed,
     )
     sparse = dataset.sparsify(labeled, config)
+    before, after = labeled.category_counts(), sparse.category_counts()
+    categories = sorted(before, key=dataset.category_sort_key)
+    del ann, labeled  # the writer needs only the sparse set beside one batch
 
     ann_dir = out_dir / "annotations"
-    ann_dir.mkdir(parents=True, exist_ok=True)
-    if args.weaken == "none":
-        rendered, dropped = dataset.serialize_dota(sparse), None
-    else:
-        rendered, dropped = dataset.serialize_weak(sparse, dataset.WeakKind(args.weaken))
-    for image_id in sorted(rendered):
-        (ann_dir / f"{image_id}.txt").write_text(rendered[image_id], encoding="utf-8")
+    kind = None if args.weaken == "none" else dataset.WeakKind(args.weaken)
+    written, dropped = dataset.write_dota_dir(sparse, ann_dir, kind)
 
-    before = labeled.category_counts()
-    after = sparse.category_counts()
-    categories = sorted(before, key=dataset.category_sort_key)
     stats_path = Path(args.stats) if args.stats else out_dir / "stats.csv"
     with open(stats_path, "w", encoding="utf-8") as fh:
         fh.write(_comment_header(args, seed))
@@ -104,7 +99,7 @@ def cmd_sparsify(args) -> int:
     for cat in categories:
         kept, total = after.get(cat, 0), before[cat]
         print(f"{cat}: kept {kept}/{total} ({100.0 * kept / total:.1f}%)")
-    print(f"wrote {len(rendered)} annotation files to {ann_dir}")
+    print(f"wrote {written} annotation files to {ann_dir}")
     if not dropped:
         return EXIT_OK
     _report_dropped(dropped, args.weaken)
@@ -259,9 +254,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    single = dataset.load_dota_dir(args.single)
-    overall = dataset.load_dota_dir(args.overall)
-    stats = dataset.compare_stats(single, overall)
+    # counted one directory at a time, so only one is loaded at once
+    single = dataset.load_dota_dir(args.single).category_counts()
+    overall = dataset.load_dota_dir(args.overall).category_counts()
+    stats = dataset.compare_counts(single, overall)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_comment_header(args, "-"))
         fh.write(stats.to_csv())

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -177,7 +178,7 @@ def _check_row(tokens, raw: str, line_no: int) -> None:
     except (ValueError, OverflowError):
         raise DotaParseError(f"bad difficulty {tokens[9]!r}", line_no) from None
     if not all(math.isfinite(v) for v in coords):
-        raise InvalidInputError("non-finite corner coordinate")
+        raise DotaParseError("non-finite corner coordinate", line_no)
 
 
 def _columns(rows, first):
@@ -235,69 +236,103 @@ def parse_dota(text: str, image_id: str = "") -> AnnotationSet:
 
 
 def merge_sets(sets) -> AnnotationSet:
-    """One set with the images of all ``sets``, which must not share an id."""
-    sets = list(sets)
-    ids = [image_id for s in sets for image_id in s.ids]
-    if len(set(ids)) < len(ids):
-        duplicate = next(i for k, i in enumerate(ids) if i in ids[:k])
-        raise InvalidInputError(f"duplicate image id {duplicate!r}")
-    names = sorted({name for s in sets for name in s.names})
-    code = {name: i for i, name in enumerate(names)}
-    recode = [np.array([code[n] for n in s.names], np.intp) for s in sets]
-    # (id, set, rows) of every image in id order: each column is one
-    # concatenation of these row slices
-    images = sorted(
-        (image_id, k, slice(start, stop))
-        for k, s in enumerate(sets)
-        for image_id, start, stop in zip(s.ids, s.offsets.tolist(), s.offsets[1:].tolist())
-    )
+    """One set with the images of all ``sets``, which must not share an id.
 
-    def column(take):
-        return np.concatenate([take(k, rows) for _, k, rows in images]) if images else []
+    ``sets`` is consumed one set at a time: each set's columns are appended
+    to growing buffers before the next set is taken, so the merge holds one
+    copy of the columns plus one set. Rows are gathered into id order once,
+    and only when the images did not arrive in id order."""
+    corners, codes, difficulty = array("d"), array("q"), array("q")
+    names: dict[str, int] = {}  # category -> code, in order of arrival
+    ids, seen, starts, sizes, headers = [], set(), [], [], {}
+    for s in sets:
+        for image_id in s.ids:
+            if image_id in seen:
+                raise InvalidInputError(f"duplicate image id {image_id!r}")
+            seen.add(image_id)
+        ids += s.ids
+        starts += (s.offsets[:-1] + len(codes)).tolist()
+        sizes += np.diff(s.offsets).tolist()
+        recode = np.array([names.setdefault(name, len(names)) for name in s.names], np.int64)
+        corners.frombytes(s.corners.tobytes())
+        codes.frombytes(recode[s.codes].tobytes())
+        difficulty.frombytes(s.difficulty.tobytes())
+        headers.update(s.headers)
+    rank = {name: i for i, name in enumerate(sorted(names))}
+    codes = np.array([rank[name] for name in names], np.intp)[np.frombuffer(codes, np.int64)]
+    corners, difficulty = np.frombuffer(corners, np.float64).reshape(-1, 4, 2), np.frombuffer(difficulty, np.int64)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    sizes, starts = np.array(sizes, np.intp)[order], np.array(starts, np.intp)[order]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    if order != list(range(len(ids))):
+        rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
+        corners, codes, difficulty = corners[rows], codes[rows], difficulty[rows]
+    return AnnotationSet([ids[i] for i in order], offsets, corners, codes, sorted(names), difficulty, headers)
 
-    return AnnotationSet(
-        [image_id for image_id, _, _ in images],
-        np.cumsum([0] + [rows.stop - rows.start for _, _, rows in images]),
-        column(lambda k, rows: sets[k].corners[rows]),
-        column(lambda k, rows: recode[k][sets[k].codes[rows]]),
-        names,
-        column(lambda k, rows: sets[k].difficulty[rows]),
-        {image_id: h for s in sets for image_id, h in s.headers.items()},
-    )
 
-
-# Records formatted at once by _render; it bounds the token and line lists.
+# Records weakened and formatted at once; it bounds the label, token and
+# line lists and the texts a writer holds.
 _BATCH_RECORDS = 512
+
+
+def _batches(ann: AnnotationSet):
+    """(first row, view) of ``ann`` over runs of whole images of at most
+    _BATCH_RECORDS records in all, in id order; a larger image is a batch
+    of its own."""
+    bounds = ann.offsets.tolist()
+    first = 0
+    while first < len(ann.ids):
+        last = max(first + 1, bisect.bisect_right(bounds, bounds[first] + _BATCH_RECORDS) - 1)
+        lo, hi = bounds[first], bounds[last]
+        ids = ann.ids[first:last]
+        yield lo, AnnotationSet(
+            ids, ann.offsets[first : last + 1] - lo, ann.corners[lo:hi], ann.codes[lo:hi], ann.names,
+            ann.difficulty[lo:hi], {i: ann.headers[i] for i in ids if i in ann.headers},
+        )
+        first = last
 
 
 def _render(ann: AnnotationSet, values, with_difficulty: bool, headers) -> dict[str, str]:
     """Text per image: its header lines, then one line per record with the
     record's row of ``values`` (full precision, integers without a
-    fraction), its category and, if asked, its difficulty. Records are
-    formatted in batches of whole images of at most _BATCH_RECORDS rows; a
-    larger image is a batch of its own."""
+    fraction), its category and, if asked, its difficulty."""
     width = values.size // max(len(values), 1)
+    tails = [ann.names[c] for c in ann.codes.tolist()]
+    if with_difficulty:
+        tails = [f"{c} {d}" for c, d in zip(tails, ann.difficulty.tolist())]
+    tokens = iter([str(int(v)) if v.is_integer() else repr(v) for v in np.ravel(values).tolist()])
+    lines = [f"{' '.join(v)} {t}" for v, t in zip(zip(*[tokens] * width), tails)]
     bounds = ann.offsets.tolist()
     out = {}
-    first = 0
-    while first < len(ann.ids):
-        last = max(first + 1, bisect.bisect_right(bounds, bounds[first] + _BATCH_RECORDS) - 1)
-        lo, hi = bounds[first], bounds[last]
-        tails = [ann.names[c] for c in ann.codes[lo:hi].tolist()]
-        if with_difficulty:
-            tails = [f"{c} {d}" for c, d in zip(tails, ann.difficulty[lo:hi].tolist())]
-        tokens = iter([str(int(v)) if v.is_integer() else repr(v) for v in np.ravel(values[lo:hi]).tolist()])
-        lines = [f"{' '.join(v)} {t}" for v, t in zip(zip(*[tokens] * width), tails)]
-        for image_id, start, stop in zip(ann.ids[first:last], bounds[first:last], bounds[first + 1 : last + 1]):
-            body = [*headers.get(image_id, ()), *lines[start - lo : stop - lo]]
-            out[image_id] = "\n".join(body) + "\n" if body else ""
-        first = last
+    for image_id, start, stop in zip(ann.ids, bounds, bounds[1:]):
+        body = [*headers.get(image_id, ()), *lines[start:stop]]
+        out[image_id] = "\n".join(body) + "\n" if body else ""
     return out
+
+
+def _texts(ann: AnnotationSet, kind: WeakKind | None, dropped: list):
+    """(image id, text) of every image in id order, weakened and rendered
+    one batch at a time: the corner format with headers when ``kind`` is
+    None, else ``kind`` labels (see serialize_weak). Under a weak kind the
+    records without a valid label are left out of the text and their rows
+    appended to ``dropped``."""
+    for lo, part in _batches(ann):
+        if kind is None:
+            yield from _render(part, part.corners, True, part.headers).items()
+            continue
+        labels, bad = _weak_labels(part.corners, kind)[:2]
+        if len(bad):
+            dropped.extend((lo + bad).tolist())
+            keep = np.delete(np.arange(len(part)), bad)
+            part, labels = part._select(keep), labels[keep]
+        if kind is WeakKind.RBOX:
+            labels = corners_of_boxes(labels)
+        yield from _render(part, labels, kind is WeakKind.RBOX, {}).items()
 
 
 def serialize_dota(ann: AnnotationSet) -> dict[str, str]:
     """Render each image back to annotation text, headers first."""
-    return _render(ann, ann.corners, True, ann.headers)
+    return dict(_texts(ann, None, []))
 
 
 def load_dota_dir(path) -> AnnotationSet:
@@ -323,11 +358,18 @@ def _load_file(path: Path) -> AnnotationSet:
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
-def write_dota_dir(ann: AnnotationSet, path) -> None:
+def write_dota_dir(ann: AnnotationSet, path, kind: WeakKind | None = None) -> tuple[int, AnnotationSet]:
+    """Write each image's text to ``path``/<image id>.txt: the corner
+    format with headers, or with ``kind`` its weak labels (see
+    serialize_weak). Each batch of images is weakened, rendered and written
+    before the next, so beyond ``ann`` the writer holds one batch. Returns
+    the number of files written and the records left without a weak label."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    for image_id, text in serialize_dota(ann).items():
+    dropped = []
+    for image_id, text in _texts(ann, None if kind is None else WeakKind(kind), dropped):
         (out / f"{image_id}.txt").write_text(text, encoding="utf-8")
+    return len(ann.ids), ann._select(np.array(dropped, np.intp), headers={})
 
 
 def _weak_labels(corners: np.ndarray, target: WeakKind):
@@ -403,17 +445,9 @@ def serialize_weak(ann: AnnotationSet, kind: WeakKind) -> tuple[dict[str, str], 
     for recovered oriented boxes. A record without a valid label (see
     weaken_corners) is left out of the text; the second value holds the
     records left out, without headers."""
-    kind = WeakKind(kind)
-    weak, bad = _weak_labels(ann.corners, kind)[:2]
-    kept = ann
-    if len(bad):
-        keep = np.delete(np.arange(len(ann)), bad)
-        kept, weak = ann._select(keep), weak[keep]
-    if kind is WeakKind.RBOX:
-        text = _render(kept, corners_of_boxes(weak), True, {})
-    else:
-        text = _render(kept, weak, False, {})
-    return text, ann._select(bad, headers={})
+    dropped = []
+    texts = dict(_texts(ann, WeakKind(kind), dropped))
+    return texts, ann._select(np.array(dropped, np.intp), headers={})
 
 
 def round_half_up(x: float) -> int:

@@ -536,7 +536,7 @@ def test_report_compares_directories(tmp_path, corpus_dir, capsys):
 
 BAD_FILES = {
     "line": (b"0 0 4 0 4 2 0 2 PL 0\n0 0 4 0 4 x 0 2 PL 0\n", "line 2: bad coordinate in '0 0 4 0 4 x 0 2 PL 0'"),
-    "nan": (b"0 0 4 0 4 nan 0 2 PL 0\n", "non-finite corner coordinate"),
+    "nan": (b"0 0 4 0 4 2 0 2 PL 0\n\n0 0 4 0 4 nan 0 2 PL 0\n", "line 3: non-finite corner coordinate"),
     "utf8": (b"hdr:\xff\n0 0 4 0 4 2 0 2 PL 0\n", "not UTF-8 text (invalid start byte at offset 4)"),
 }
 
@@ -570,6 +570,12 @@ README_DOTA = {
                "--partial", "0.3"],
     "rbox": ["sparsify", "--input", "anns/", "--out", "out_rbox/", "--method", "single", "--sparse", "0.1",
              "--weaken", "rbox"],
+    "hbox": ["sparsify", "--input", "anns/", "--out", "out_hbox/", "--method", "single", "--sparse", "0.1",
+             "--weaken", "hbox"],
+    "point": ["sparsify", "--input", "anns/", "--out", "out_point/", "--method", "overall", "--sparse", "0.1",
+              "--weaken", "point"],
+    "partial_rbox": ["sparsify", "--input", "anns/", "--out", "out_partial_rbox/", "--method", "single",
+                     "--sparse", "0.1", "--partial", "0.5", "--weaken", "rbox"],
     "report": ["report", "--single", "out_single/annotations", "--overall", "out_overall/annotations",
                "--out", "stats.csv"],
 }

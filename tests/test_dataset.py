@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -35,6 +36,7 @@ from spwood.dataset import (
     subset_images,
     weaken,
     weaken_corners,
+    write_dota_dir,
 )
 from spwood.errors import DegenerateInputError, DotaParseError, InvalidInputError
 from spwood.geometry import (
@@ -373,6 +375,8 @@ def ref_parse(text, image_id):
             difficulty = int(tokens[9])
         except ValueError:
             raise DotaParseError(f"bad difficulty {tokens[9]!r}", line_no) from None
+        if not all(math.isfinite(v) for v in coords):
+            raise DotaParseError("non-finite corner coordinate", line_no)
         corners = tuple((coords[2 * i], coords[2 * i + 1]) for i in range(4))
         records.append(AnnotationRecord(image_id, corners, tokens[8], difficulty))
     return records, tuple(headers)
@@ -600,6 +604,74 @@ def test_sparsify_cli_bytes_match_record_reference(tmp_path, oracle_corpus, meth
     assert stats[1:] == ["category,kept,total,retention_percent"] + rows
 
 
+# Records that lose their weak label, appended to files of later batches;
+# each category is new to its image, so the single method keeps it.
+DEGENERATE_LINES = {
+    "P0025": "10 10 20 20 30 30 40 40 RA 0",  # zero area: no rbox
+    "P0031": "7 0 7 5 7 9 7 3 TC 1",  # zero width: no rbox, no hbox
+    "P0038": "3 3 3 3 3 3 3 3 BD 0",  # a point: no rbox, no hbox
+}
+
+
+@pytest.fixture(scope="module")
+def degenerate_corpus(tmp_path_factory):
+    path = write_oracle_corpus(tmp_path_factory.mktemp("degenerate") / "anns", seed=3)
+    for image_id, line in DEGENERATE_LINES.items():
+        with open(path / f"{image_id}.txt", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+    return path
+
+
+def ref_weak_outputs(images, kind):
+    """ref_serialize_weak's texts with each record whose reference label
+    raises left out, and the stderr lines naming the records left out."""
+    kept, dropped = {}, []
+    for image_id in sorted(images):
+        kept[image_id] = []
+        for rec in images[image_id]:
+            try:
+                ref_weaken(rec, kind)
+            except (DegenerateInputError, InvalidInputError):
+                dropped.append(rec)
+            else:
+                kept[image_id].append(rec)
+    lines = [ref_serialize({r.image_id: [r]}, {})[r.image_id].rstrip() for r in dropped]
+    err = [f"{r.image_id}: dropped {line!r}: no valid {kind.value} label" for r, line in zip(dropped, lines)]
+    counts = ref_counts({"": dropped})
+    err += [
+        f"{c}: dropped {counts[c]} record(s) with no valid {kind.value} label"
+        for c in sorted(counts, key=category_sort_key)
+    ]
+    return ref_serialize_weak(kept, kind), err
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 6, 64])
+@pytest.mark.parametrize("weak", ["rbox", "hbox"])
+def test_streamed_weak_sparsify_matches_record_reference(tmp_path, degenerate_corpus, capsys, weak, batch):
+    """Each batch is weakened, rendered and written before the next; the
+    records that lose their label lie in later batches."""
+    out = tmp_path / "out"
+    with mock.patch.object(dataset, "_BATCH_RECORDS", batch):
+        code = cli.main([
+            "sparsify", "--input", str(degenerate_corpus), "--out", str(out), "--method", "single",
+            "--sparse", "0.5", "--seed", "3", "--weaken", weak,
+        ])
+    images, _ = ref_load(degenerate_corpus)
+    sparse = ref_sparsify_single(images, 0.5, 3)
+    texts, err = ref_weak_outputs(sparse, WeakKind(weak))
+    before, after = ref_counts(images), ref_counts(sparse)
+    categories = sorted(before, key=category_sort_key)
+    kept = {c: (after.get(c, 0), before[c], 100.0 * after.get(c, 0) / before[c]) for c in categories}
+    stdout = [f"{c}: kept {k}/{n} ({pct:.1f}%)" for c, (k, n, pct) in kept.items()]
+    stdout.append(f"wrote {len(sparse)} annotation files to {out / 'annotations'}")
+    stats = [f"{c},{k},{n},{pct:.10g}" for c, (k, n, pct) in kept.items()]
+    assert len(err) == {"rbox": 6, "hbox": 4}[weak]
+    assert code == cli.EXIT_DEGENERATE
+    assert read_texts(out / "annotations") == texts
+    assert (out / "stats.csv").read_text().splitlines()[2:] == stats
+    assert capsys.readouterr() == ("\n".join(stdout) + "\n", "\n".join(err) + "\n")
+
+
 def test_report_cli_bytes_match_record_reference(tmp_path, oracle_corpus):
     images, headers = ref_load(oracle_corpus)
     dirs = {}
@@ -726,7 +798,7 @@ def test_parse_first_bad_line_wins():
     lines[40] = BAD_LINES[0]  # field count at line 41
     text = "\n".join(lines)
     assert parse_outcome(parse_dota, text) == parse_outcome(ref_parse, text)
-    assert parse_outcome(parse_dota, text)[0] is InvalidInputError
+    assert parse_outcome(parse_dota, text) == (DotaParseError, "line 11: non-finite corner coordinate", 11)
 
 
 def test_parse_rejects_difficulty_beyond_int64():
@@ -872,6 +944,46 @@ def argsort_merge_sets(sets):
     )
 
 
+def concat_merge_sets(sets):
+    """dataset.merge_sets before it appended each set to growing buffers,
+    kept verbatim as the oracle: every set taken at once, each column one
+    concatenation of per-image row slices in id order."""
+    sets = list(sets)
+    ids = [image_id for s in sets for image_id in s.ids]
+    if len(set(ids)) < len(ids):
+        duplicate = next(i for k, i in enumerate(ids) if i in ids[:k])
+        raise InvalidInputError(f"duplicate image id {duplicate!r}")
+    names = sorted({name for s in sets for name in s.names})
+    code = {name: i for i, name in enumerate(names)}
+    recode = [np.array([code[n] for n in s.names], np.intp) for s in sets]
+    # (id, set, rows) of every image in id order: each column is one
+    # concatenation of these row slices
+    images = sorted(
+        (image_id, k, slice(start, stop))
+        for k, s in enumerate(sets)
+        for image_id, start, stop in zip(s.ids, s.offsets.tolist(), s.offsets[1:].tolist())
+    )
+
+    def column(take):
+        return np.concatenate([take(k, rows) for _, k, rows in images]) if images else []
+
+    return AnnotationSet(
+        [image_id for image_id, _, _ in images],
+        np.cumsum([0] + [rows.stop - rows.start for _, _, rows in images]),
+        column(lambda k, rows: sets[k].corners[rows]),
+        column(lambda k, rows: recode[k][sets[k].codes[rows]]),
+        names,
+        column(lambda k, rows: sets[k].difficulty[rows]),
+        {image_id: h for s in sets for image_id, h in s.headers.items()},
+    )
+
+
+def concat_load_dota_dir(path):
+    """load_dota_dir as it was before merging streamed: every file parsed,
+    then merged by concat_merge_sets."""
+    return concat_merge_sets(map(dataset._load_file, sorted(Path(path).glob("*.txt"))))
+
+
 def assert_same_set(got, want):
     assert got.ids == want.ids and got.names == want.names and got.headers == want.headers
     for column in ("offsets", "corners", "codes", "difficulty"):
@@ -936,6 +1048,43 @@ def interleaved_sets(draw):
 def test_merge_matches_argsort_merge(sets):
     assert_same_set(merge_sets(sets), argsort_merge_sets(sets))
     assert_same_set(merge_sets(sets[::-1]), argsort_merge_sets(sets[::-1]))
+    assert_same_set(merge_sets(iter(sets)), concat_merge_sets(sets))
+
+
+@st.composite
+def annotation_dirs(draw):
+    """File texts by name: the images of an annotation set, each parsed
+    with its own category table, beside an empty and a header-only file.
+    Ids such as "a-b" and "a" arrive out of id order."""
+    ann = draw(annotation_sets())
+    texts = {f"f{image_id}.txt": text for image_id, text in serialize_dota(ann).items()}
+    return {**texts, "fempty.txt": "", "fhdr.txt": "imagesource:GoogleEarth\n\n"}
+
+
+@given(annotation_dirs())
+@settings(max_examples=100, deadline=None)
+def test_load_dir_matches_concat_merge(texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in texts.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
+        assert_same_set(load_dota_dir(tmp), concat_load_dota_dir(tmp))
+
+
+def test_committed_corpus_loads_like_concat_merge():
+    path = Path(__file__).parent / "data" / "dota_14"
+    assert_same_set(load_dota_dir(path), concat_load_dota_dir(path))
+
+
+def test_load_names_the_first_bad_file_in_path_order(tmp_path):
+    (tmp_path / "a.txt").write_text(f"{GOOD}\n{BAD_LINES[2]}\n")
+    (tmp_path / "a-b.txt").write_text(f"hdr\n{GOOD}\n{BAD_LINES[7]}\n")  # before a.txt in path order
+    with pytest.raises(DotaParseError) as exc:
+        load_dota_dir(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'a-b.txt'}: line 3: non-finite corner coordinate"
+    (tmp_path / "a-b.txt").write_text(f"{GOOD}\n")
+    with pytest.raises(DotaParseError) as exc:
+        load_dota_dir(tmp_path)
+    assert (exc.value.path, exc.value.line_no) == (tmp_path / "a.txt", 2)
 
 
 # Records per image of the benchmark's corpus: 10 to 250, mostly small,
@@ -990,3 +1139,38 @@ def test_merge_memory_beyond_its_columns(large_set):
     merged, peak = traced_peak(merge_sets, sets)
     columns = sum(getattr(merged, c).nbytes for c in ("offsets", "corners", "codes", "difficulty"))
     assert peak - columns < 0.25 * 2**20  # the argsort and fancy-index copies took 0.48 MB more
+
+
+
+@pytest.fixture(scope="module")
+def large_dir(large_set, tmp_path_factory):
+    """large_set written out, one file per image."""
+    path = tmp_path_factory.mktemp("large") / "anns"
+    count, dropped = write_dota_dir(large_set, path)
+    assert count == 150 and len(dropped) == 0
+    return path
+
+
+def column_bytes(ann):
+    return sum(getattr(ann, c).nbytes for c in ("offsets", "corners", "codes", "difficulty"))
+
+
+def test_large_dir_loads_like_concat_merge(large_set, large_dir):
+    loaded = load_dota_dir(large_dir)
+    assert_same_set(loaded, concat_load_dota_dir(large_dir))
+    assert_same_set(loaded, large_set)
+
+
+def test_load_memory_beyond_its_columns(large_dir):
+    loaded, peak = traced_peak(load_dota_dir, large_dir)
+    assert peak - column_bytes(loaded) < 0.6 * 2**20  # 0.41 MB; parsing every file before the merge took 1.18 MB
+
+
+def test_sparsify_memory_beyond_the_loaded_columns(large_dir, tmp_path, capsys):
+    argv = ["sparsify", "--input", str(large_dir), "--method", "single", "--sparse", "0.3", "--weaken", "rbox"]
+    assert cli.main([*argv, "--out", str(tmp_path / "warm")]) == 0  # lazy imports happen before the trace
+    code, peak = traced_peak(cli.main, [*argv, "--out", str(tmp_path / "out")])
+    assert code == 0
+    # 0.82 MB; parsing every file before the merge, weakening the whole
+    # sparse set and rendering every text before writing took 1.61 MB
+    assert peak - column_bytes(load_dota_dir(large_dir)) < 1.1 * 2**20
