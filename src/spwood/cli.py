@@ -73,6 +73,7 @@ def cmd_sparsify(args) -> int:
         labeled = dataset.subset_images(ann, labeled_ids)
     else:
         labeled = ann
+    del ann  # only the labeled images are sparsified
 
     config = dataset.SparsifyConfig(
         method=args.method,
@@ -83,7 +84,7 @@ def cmd_sparsify(args) -> int:
     sparse = dataset.sparsify(labeled, config)
     before, after = labeled.category_counts(), sparse.category_counts()
     categories = sorted(before, key=dataset.category_sort_key)
-    del ann, labeled  # the writer needs only the sparse set beside one batch
+    del labeled  # the writer needs only the sparse set beside one batch
 
     ann_dir = out_dir / "annotations"
     kind = None if args.weaken == "none" else dataset.WeakKind(args.weaken)

@@ -394,7 +394,7 @@ def _weak_labels(corners: np.ndarray, target: WeakKind):
         along_a = len_a >= len_b
         direction = np.where(along_a[:, None], edges[:, 0] - edges[:, 2], edges[:, 1] - edges[:, 3]) * 0.5
         theta = np.array([math.atan2(dy, dx) for dx, dy in direction.tolist()], dtype=np.float64)
-        # the second pass is OrientedBox's; it maps an angle rounded up to +pi/2 back to -pi/2
+        # the second pass is OrientedBox's, which normalizes the angle it is given
         theta = normalize_angle(normalize_angle(theta))
         boxes = np.column_stack([
             corners.mean(axis=1), np.where(along_a, len_a, len_b), np.where(along_a, len_b, len_a), theta,

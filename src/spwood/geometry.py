@@ -1,9 +1,10 @@
-"""Oriented boxes, their 2-D Gaussian models, and the two statistical
-distances the losses are built on.
+"""Oriented boxes and the two statistical distances between their 2-D
+Gaussian models that the losses are built on.
 
 Angle convention: boxes carry a rotation ``theta`` in radians, normalized
-to ``[-pi/2, pi/2)`` (long-edge style half-period). Flips and rotations
-stay closed under this convention.
+to ``[-pi/2, pi/2)`` (long-edge style half-period). The distances take
+(m, 5) arrays of (cx, cy, w, h, theta) box rows and are written in each
+box's own frame; no covariance matrix is formed.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from .errors import InvalidInputError, NumericalDegeneracyError
 
 HALF_PERIOD = math.pi
 
-# Eigenvalue floor applied to a covariance before it is read as a box;
-# watershed targets can produce near-zero extents.
-COV_EIGENVALUE_FLOOR = 1e-12
-
 
 def normalize_angle(theta: float) -> float:
-    """Wrap an angle into [-pi/2, pi/2)."""
-    return (theta + math.pi / 2.0) % HALF_PERIOD - math.pi / 2.0
+    """Wrap an angle, or an array of angles, into [-pi/2, pi/2)."""
+    r = (theta + math.pi / 2.0) % HALF_PERIOD
+    # an angle just below -pi/2 leaves a remainder that rounds up to the
+    # period itself; it counts as 0
+    return r * (r < HALF_PERIOD) - math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -91,44 +91,6 @@ class PointAnnotation:
     category: str = ""
 
 
-class Gaussian2D:
-    """Bivariate normal with a symmetric positive-definite covariance."""
-
-    __slots__ = ("mean", "cov")
-
-    def __init__(self, mean, cov):
-        mean = np.asarray(mean, dtype=float)
-        cov = np.asarray(cov, dtype=float)
-        if mean.shape != (2,) or cov.shape != (2, 2):
-            raise InvalidInputError(
-                f"expected mean (2,) and cov (2, 2), got {mean.shape} and {cov.shape}"
-            )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise InvalidInputError("non-finite Gaussian parameters")
-        if abs(cov[0, 1] - cov[1, 0]) > 1e-9 * max(1.0, float(np.abs(cov).max())):
-            raise InvalidInputError("covariance must be symmetric")
-        if np.linalg.eigvalsh(cov).min() <= 0:
-            raise InvalidInputError("covariance must be positive definite")
-        self.mean = mean
-        self.cov = 0.5 * (cov + cov.T)
-
-    def __repr__(self):
-        return f"Gaussian2D(mean={self.mean.tolist()}, cov={self.cov.tolist()})"
-
-
-def rotation_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def rbox_to_gaussian(box: OrientedBox) -> Gaussian2D:
-    """Model a box as a Gaussian: mean at the center, covariance
-    R(theta) @ diag((w/2)^2, (h/2)^2) @ R(theta).T."""
-    r = rotation_matrix(box.theta)
-    d = np.diag([(box.w / 2.0) ** 2, (box.h / 2.0) ** 2])
-    return Gaussian2D(np.array([box.cx, box.cy]), r @ d @ r.T)
-
-
 def bhattacharyya_boxes(p: np.ndarray, q: np.ndarray):
     """Bhattacharyya distance between the Gaussian models of box pairs,
     with its gradient.
@@ -178,56 +140,27 @@ def bhattacharyya_boxes(p: np.ndarray, q: np.ndarray):
     return value, grad_p, grad_q
 
 
-def _as_box(g: Gaussian2D) -> np.ndarray:
-    """(1, 5) box row of a Gaussian, its eigenvalues floored at
-    COV_EIGENVALUE_FLOOR."""
-    vals, vecs = np.linalg.eigh(g.cov)
-    w, h = 2.0 * np.sqrt(np.maximum(vals, COV_EIGENVALUE_FLOOR))
-    return np.array([[g.mean[0], g.mean[1], w, h, math.atan2(vecs[1, 0], vecs[0, 0])]])
+def gwd_squared(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared 2-Wasserstein distance between the Gaussian models of box
+    pairs.
 
-
-def bhattacharyya(a: Gaussian2D, b: Gaussian2D) -> float:
-    """Bhattacharyya distance between two Gaussians.
-
-    B = 1/8 * d^T S^-1 d + 1/2 * ln(det S / sqrt(det Sa * det Sb))
-    with S the average covariance and d the mean difference, evaluated by
-    bhattacharyya_boxes on each Gaussian's eigen-box. Symmetric (exactly),
-    nonnegative, zero iff the distributions coincide.
+    p and q are (m, 5) arrays of (cx, cy, w, h, theta) rows; row k of p is
+    paired with row k of q. Returns the (m,) distances
+        W2^2 = |mu_p - mu_q|^2 + Tr(Sp + Sq - 2 (Sq^1/2 Sp Sq^1/2)^1/2).
+    Work in each box's own frame: with x, y = w/2, h/2 and D = theta_q - theta_p,
+        (Tr (Sq^1/2 Sp Sq^1/2)^1/2)^2 = Tr(Sp Sq) + 2 sqrt(det Sp det Sq)
+        = cos^2 D (xp xq + yp yq)^2 + sin^2 D (xp yq + yp xq)^2.
+    Every term is a product of half-extents, so thin boxes lose no digits,
+    and swapping p and q gives exactly the same value.
     """
-    return float(bhattacharyya_boxes(_as_box(a), _as_box(b))[0][0])
-
-
-def gwd_squared(a: Gaussian2D, b: Gaussian2D) -> float:
-    """Squared 2-Wasserstein distance between two Gaussians.
-
-    W2^2 = |mu_a - mu_b|^2 + Tr(Sa + Sb - 2 * (Sb^1/2 Sa Sb^1/2)^1/2).
-    For 2x2 matrices Tr (Sb^1/2 Sa Sb^1/2)^1/2
-    = sqrt(Tr(Sa Sb) + 2 sqrt(det Sa det Sb)); every term below is
-    written symmetrically in a and b, so d(a, b) == d(b, a) exactly.
-    """
-    (a11, a12), (_, a22) = a.cov.tolist()
-    (b11, b12), (_, b22) = b.cov.tolist()
-    dx, dy = (a.mean - b.mean).tolist()
-    tr_ab = a11 * b11 + 2.0 * a12 * b12 + a22 * b22
-    det_ab = (a11 * a22 - a12 * a12) * (b11 * b22 - b12 * b12)
-    cross = math.sqrt(max(tr_ab + 2.0 * math.sqrt(max(det_ab, 0.0)), 0.0))
-    scale = (a11 + a22) + (b11 + b22) - 2.0 * cross
-    # tiny negatives from rounding when a == b
-    return dx * dx + dy * dy + max(scale, 0.0)
-
-
-def flip_box(box: OrientedBox, image_height: float) -> OrientedBox:
-    """Vertical flip: the center reflects about the image midline and the
-    angle negates."""
-    return OrientedBox(box.cx, image_height - box.cy, box.w, box.h, -box.theta)
-
-
-def rotate_box(box: OrientedBox, r: float, image_center) -> OrientedBox:
-    """Rotate the box by r radians about ``image_center``."""
-    ox, oy = image_center
-    rot = rotation_matrix(r)
-    cx, cy = rot @ np.array([box.cx - ox, box.cy - oy]) + np.array([ox, oy])
-    return OrientedBox(float(cx), float(cy), box.w, box.h, box.theta + r)
+    dx, dy = p[:, 0] - q[:, 0], p[:, 1] - q[:, 1]
+    xp, yp, xq, yq = p[:, 2] / 2.0, p[:, 3] / 2.0, q[:, 2] / 2.0, q[:, 3] / 2.0
+    # |D| is the same for (p, q) and (q, p); cos^2 and sin^2 are even
+    delta = np.abs(q[:, 4] - p[:, 4])
+    cross = np.sqrt(np.cos(delta) ** 2 * (xp * xq + yp * yq) ** 2 + np.sin(delta) ** 2 * (xp * yq + yp * xq) ** 2)
+    scale = (xp * xp + yp * yp) + (xq * xq + yq * yq) - 2.0 * cross
+    # tiny negatives from rounding when p == q
+    return (dx * dx + dy * dy) + np.maximum(scale, 0.0)
 
 
 def corners_of_boxes(boxes) -> np.ndarray:
@@ -235,9 +168,8 @@ def corners_of_boxes(boxes) -> np.ndarray:
     (N, 4, 2), each counterclockwise from the corner at (-w/2, -h/2) in
     its box's frame."""
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 5)
-    # math.cos/sin and one matmul per box, the same calls rotation_matrix
-    # and a (4, 2) @ (2, 2) product make, so a row's corners do not depend
-    # on the batch it is in
+    # math.cos/sin and one (4, 2) @ (2, 2) matmul per box, so a row's
+    # corners do not depend on the batch it is in
     cos = np.array([math.cos(t) for t in boxes[:, 4].tolist()], dtype=float)
     sin = np.array([math.sin(t) for t in boxes[:, 4].tolist()], dtype=float)
     rot = np.stack([cos, -sin, sin, cos], axis=1).reshape(-1, 2, 2)
@@ -250,11 +182,3 @@ def box_corners(box: OrientedBox) -> np.ndarray:
     """Corner coordinates, shape (4, 2), counterclockwise from the corner
     at (-w/2, -h/2) in the box frame."""
     return corners_of_boxes([box.cx, box.cy, box.w, box.h, box.theta])[0]
-
-
-def hbox_of(box: OrientedBox) -> HorizontalBox:
-    """Tightest axis-aligned box around the rotated corners."""
-    corners = box_corners(box)
-    xmin, ymin = corners.min(axis=0)
-    xmax, ymax = corners.max(axis=0)
-    return HorizontalBox(float(xmin), float(ymin), float(xmax), float(ymax))

@@ -46,7 +46,6 @@ from spwood.geometry import (
     box_corners,
     corners_of_boxes,
     normalize_angle,
-    rotation_matrix,
 )
 
 
@@ -442,12 +441,17 @@ def ref_weaken(record, target):
     return OrientedBox(float(cx), float(cy), float(w), float(h), theta)
 
 
+def rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 def ref_box_corners(box):
     half = np.array(
         [[-box.w / 2.0, -box.h / 2.0], [box.w / 2.0, -box.h / 2.0],
          [box.w / 2.0, box.h / 2.0], [-box.w / 2.0, box.h / 2.0]]
     )
-    return half @ rotation_matrix(box.theta).T + np.array([box.cx, box.cy])
+    return half @ rotation(box.theta).T + np.array([box.cx, box.cy])
 
 
 def ref_serialize_weak(images, kind):
@@ -727,8 +731,9 @@ def test_thin_boxes_weaken_bit_for_bit():
 
 
 def test_rbox_angle_rounded_up_to_half_pi_wraps_like_the_record_code():
-    # atan2 gives -pi/2 - 1e-16 here; one normalize_angle rounds that up to
-    # +pi/2, and OrientedBox's second pass wraps it to -pi/2
+    # atan2 gives -pi/2 - 1e-16 here, whose remainder modulo the period
+    # rounds up to the period itself; normalize_angle counts it as 0 and
+    # wraps it to -pi/2
     rec = record("a", [(0.0, 0.0), (-1e-16, -1.0), (0.25 - 1e-16, -1.0), (0.25, 0.0)])
     old = ref_weaken(rec, WeakKind.RBOX)
     assert old.theta == -math.pi / 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spwood.errors import InvalidInputError, NumericalDegeneracyError
-from spwood.geometry import OrientedBox, bhattacharyya, bhattacharyya_boxes, rbox_to_gaussian, rotation_matrix
+from spwood.geometry import OrientedBox, bhattacharyya_boxes, gwd_squared
 from spwood.losses import (
     Flip,
     FocalParams,
@@ -166,9 +166,9 @@ def test_overlap_matches_pairwise_distances():
         OrientedBox(1.5, -0.5, 4, 1, -0.6),
         OrientedBox(-1, 2, 1.5, 1.5, 1.1),
     ]
-    g = [rbox_to_gaussian(b) for b in boxes]
+    rows = np.array([(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes])
     expected = sum(
-        bhattacharyya(g[i], g[j])
+        bhattacharyya_boxes(rows[[i]], rows[[j]])[0][0]
         for i in range(3)
         for j in range(3)
         if i != j
@@ -209,31 +209,38 @@ def test_overlap_gradient_matches_fd():
 _ROT90_GEN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+def rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 def reference_overlap_loss(boxes):
     n = len(boxes)
-    gaussians = [rbox_to_gaussian(b) for b in boxes]
-    derivs = []
-    for b, g in zip(boxes, gaussians):
-        r = rotation_matrix(b.theta)
+    means = [np.array([b.cx, b.cy]) for b in boxes]
+    covs, derivs = [], []
+    for b in boxes:
+        r = rotation(b.theta)
+        cov = r @ np.diag([(b.w / 2.0) ** 2, (b.h / 2.0) ** 2]) @ r.T
+        covs.append(cov)
         derivs.append((
             r @ np.diag([b.w / 2.0, 0.0]) @ r.T,
             r @ np.diag([0.0, b.h / 2.0]) @ r.T,
-            _ROT90_GEN @ g.cov - g.cov @ _ROT90_GEN,
+            _ROT90_GEN @ cov - cov @ _ROT90_GEN,
         ))
     value, grad = 0.0, np.zeros((n, 5))
     for i in range(n):
         for j in range(i + 1, n):
-            ga, gb = gaussians[i], gaussians[j]
-            avg_inv = np.linalg.inv(0.5 * (ga.cov + gb.cov))
-            d = ga.mean - gb.mean
+            cov_a, cov_b = covs[i], covs[j]
+            avg_inv = np.linalg.inv(0.5 * (cov_a + cov_b))
+            d = means[i] - means[j]
             sd = avg_inv @ d
-            det_avg = np.linalg.det(0.5 * (ga.cov + gb.cov))
-            det_a, det_b = np.linalg.det(ga.cov), np.linalg.det(gb.cov)
+            det_avg = np.linalg.det(0.5 * (cov_a + cov_b))
+            det_a, det_b = np.linalg.det(cov_a), np.linalg.det(cov_b)
             value += 2.0 * (0.125 * d @ sd + 0.5 * math.log(det_avg / math.sqrt(det_a * det_b)))
             common = -0.0625 * np.outer(sd, sd) + 0.25 * avg_inv
             for k, dmu, dcov in (
-                (i, 0.25 * sd, common - 0.25 * np.linalg.inv(ga.cov)),
-                (j, -0.25 * sd, common - 0.25 * np.linalg.inv(gb.cov)),
+                (i, 0.25 * sd, common - 0.25 * np.linalg.inv(cov_a)),
+                (j, -0.25 * sd, common - 0.25 * np.linalg.inv(cov_b)),
             ):
                 grad[k, :2] += 2.0 * dmu
                 grad[k, 2:] += [2.0 * np.sum(dcov * m) for m in derivs[k]]
@@ -339,7 +346,8 @@ def box_stack(rng, k, n):
         rng.uniform(-5, 5, k * n), rng.uniform(-5, 5, k * n), rng.uniform(0.5, 300.0, k * n),
         np.exp(rng.uniform(math.log(0.03), math.log(4.0), k * n)), rng.uniform(-9.0, 9.0, k * n),
     ])
-    # the last one normalizes to +pi/2 in one pass, and to -pi/2 in two
+    # the last one sums with pi/2 to a tiny negative, whose remainder rounds
+    # up to the period; it wraps to -pi/2
     special = [-0.0, 0.0, -math.pi / 2, math.pi / 2, math.pi, -3 * math.pi / 2, 1e-17,
                np.nextafter(-math.pi / 2, -math.inf)]
     pick = rng.random(k * n) < 0.3
@@ -492,6 +500,17 @@ def test_monotone_in_width_error():
 def test_raw_mode_is_squared_distance():
     res = watershed_loss(OrientedBox(0, 0, 2, 4, 0), 4, 4, raw=True)
     assert res.value == pytest.approx(1.0)
+    gwd = gwd_squared(np.array([[0, 0, 2, 4, 0.0]]), np.array([[0, 0, 4, 4, 0.0]]))[0]
+    assert res.value == pytest.approx(gwd, rel=1e-12)
+
+
+@given(*[st.floats(1e-3, 300.0)] * 4)
+@settings(max_examples=50)
+def test_raw_mode_is_gwd_of_cocentred_axis_aligned_boxes(w, h, target_w, target_h):
+    raw = watershed_loss(OrientedBox(0, 0, w, h, 0), target_w, target_h, raw=True).value
+    gwd = gwd_squared(np.array([[0, 0, w, h, 0.0]]), np.array([[0, 0, target_w, target_h, 0.0]]))[0]
+    # relative to the traces, the scale of the terms the box form subtracts
+    assert abs(raw - gwd) <= 1e-12 * (w * w + h * h + target_w * target_w + target_h * target_h) / 4.0
 
 
 def test_nonpositive_target_rejected():
