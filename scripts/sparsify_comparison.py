@@ -15,41 +15,27 @@ import argparse
 
 import numpy as np
 
-from spwood.dataset import (
-    AnnotationRecord,
-    AnnotationSet,
-    compare_stats,
-    sparsify_overall,
-    sparsify_single,
-)
+from spwood.dataset import AnnotationSet, compare_counts, sparsify_overall, sparsify_single
 
 RARE = ("BD", "GTF", "SBF", "RA", "HC")
 BULK = ("PL", "SV", "LV", "SH", "ST", "HA", "SP")
+# a 12 x 6 axis-aligned rectangle from its first corner, counterclockwise
+RECTANGLE = np.array([(0, 0), (12, 0), (12, 6), (0, 6)], dtype=float)
 
 
 def build_corpus(n_images: int, seed: int) -> AnnotationSet:
     rng = np.random.default_rng(seed)
-    image_ids = [f"img{i:05d}" for i in range(n_images)]
-    records = []
-    for image_id in image_ids:
-        for cat in RARE:
-            n = int(rng.random() < 0.35)  # usually absent, else a singleton
-            records.extend(_make(rng, image_id, cat, n))
-        for cat in BULK:
-            records.extend(_make(rng, image_id, cat, int(rng.integers(0, 25))))
-    return AnnotationSet.from_records(records, image_ids=image_ids)
-
-
-def _make(rng, image_id, cat, n):
-    out = []
-    for _ in range(n):
-        x, y = rng.uniform(0, 999, 2)
-        out.append(
-            AnnotationRecord(
-                image_id, ((x, y), (x + 12, y), (x + 12, y + 6), (x, y + 6)), cat
-            )
-        )
-    return out
+    names = sorted(RARE + BULK)
+    corners, codes, offsets = [], [], [0]
+    for _ in range(n_images):
+        for cat in RARE + BULK:
+            # a rare category is usually absent, else a singleton
+            n = int(rng.random() < 0.35) if cat in RARE else int(rng.integers(0, 25))
+            corners += [xy + RECTANGLE for xy in rng.uniform(0, 999, (n, 1, 2))]
+            codes += [names.index(cat)] * n
+        offsets.append(len(codes))
+    ids = [f"img{i:05d}" for i in range(n_images)]
+    return AnnotationSet(ids, offsets, corners, codes, names, np.zeros(len(codes), int))
 
 
 def main() -> int:
@@ -63,7 +49,7 @@ def main() -> int:
     corpus = build_corpus(args.images, args.seed)
     single = sparsify_single(corpus, args.sparse, seed=args.seed)
     overall = sparsify_overall(corpus, args.sparse, seed=args.seed)
-    stats = compare_stats(single, overall)
+    stats = compare_counts(single.category_counts(), overall.category_counts())
 
     totals = corpus.category_counts()
     print(f"corpus: {len(corpus)} records, {args.images} images, ratio {args.sparse}")

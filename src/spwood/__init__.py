@@ -16,7 +16,6 @@ from .geometry import (
     OrientedBox,
     PointAnnotation,
     bhattacharyya_boxes,
-    box_corners,
     box_rows,
     corners_of_boxes,
     gwd_squared,
@@ -82,24 +81,18 @@ from .pipeline import (
     sign_test_p_value,
 )
 from .dataset import (
-    AnnotationRecord,
     AnnotationSet,
     CategoryRow,
     CategoryStats,
-    SparsifyConfig,
     WeakKind,
     compare_counts,
-    compare_stats,
     load_dota_dir,
     parse_dota,
     round_half_up,
     select_partial,
     serialize_dota,
-    serialize_weak,
-    sparsify,
     sparsify_overall,
     sparsify_single,
-    weaken,
     weaken_corners,
     write_dota_dir,
 )

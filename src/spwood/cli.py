@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 input or runtime error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -39,9 +40,12 @@ def _resolve_seed(explicit, default: int) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("SPWOOD_SEED")
-    if env is not None:
+    if env is None:
+        return default
+    try:
         return int(env)
-    return default
+    except ValueError:
+        raise InvalidInputError(f"SPWOOD_SEED must be an integer, got {env!r}") from None
 
 
 def _comment_header(args, seed) -> str:
@@ -62,7 +66,7 @@ def cmd_sparsify(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.partial < 1.0:
+    if args.partial != 1.0:  # select_partial rejects a ratio outside (0, 1]
         labeled_ids, unlabeled_ids = dataset.select_partial(ann, args.partial, seed)
         (out_dir / "labeled_ids.txt").write_text(
             "".join(f"{i}\n" for i in labeled_ids), encoding="utf-8"
@@ -75,13 +79,8 @@ def cmd_sparsify(args) -> int:
         labeled = ann
     del ann  # only the labeled images are sparsified
 
-    config = dataset.SparsifyConfig(
-        method=args.method,
-        partial_ratio=args.partial,
-        sparse_ratio=args.sparse,
-        seed=seed,
-    )
-    sparse = dataset.sparsify(labeled, config)
+    sample = dataset.sparsify_single if args.method == "single" else dataset.sparsify_overall
+    sparse = sample(labeled, args.sparse, seed)
     before, after = labeled.category_counts(), sparse.category_counts()
     categories = sorted(before, key=dataset.category_sort_key)
     del labeled  # the writer needs only the sparse set beside one batch
@@ -287,14 +286,19 @@ def _read_points(path) -> list[PointAnnotation]:
                 raise InvalidInputError(
                     f"{path}: line {line_no}: expected 'x y [category]'"
                 )
-            category = tokens[2] if len(tokens) > 2 else ""
-            points.append(PointAnnotation(float(tokens[0]), float(tokens[1]), category))
+            try:
+                x, y = float(tokens[0]), float(tokens[1])
+            except ValueError:
+                raise InvalidInputError(f"{path}: line {line_no}: bad coordinate in {line!r}") from None
+            points.append(PointAnnotation(x, y, tokens[2] if len(tokens) > 2 else ""))
     if not points:
         raise InvalidInputError(f"no points in {path}")
     return points
 
 
 def cmd_watershed(args) -> int:
+    if not math.isfinite(args.theta):
+        raise InvalidInputError(f"theta must be finite, got {args.theta}")
     image = layout.read_pgm(args.image)
     seeds = _read_points(args.points)
     cells = layout.voronoi_partition(seeds, image.width, image.height)

@@ -25,14 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, DotaParseError, InvalidInputError
-from .geometry import (
-    HorizontalBox,
-    OrientedBox,
-    PointAnnotation,
-    box_corners,
-    corners_of_boxes,
-    normalize_angle,
-)
+from .geometry import HorizontalBox, OrientedBox, corners_of_boxes, normalize_angle
 
 # report ordering used for category tables; unknown categories follow,
 # sorted by name
@@ -54,26 +47,6 @@ class WeakKind(str, enum.Enum):
     RBOX = "rbox"
     HBOX = "hbox"
     POINT = "point"
-
-
-@dataclass(frozen=True)
-class AnnotationRecord:
-    """One annotated object: four corners, category, difficulty flag."""
-
-    image_id: str
-    corners: tuple[tuple[float, float], ...]
-    category: str
-    difficulty: int = 0
-
-    def __post_init__(self):
-        if len(self.corners) != 4:
-            raise InvalidInputError(f"expected 4 corners, got {len(self.corners)}")
-        if not self.category:
-            raise InvalidInputError("category must be non-empty")
-        corners = tuple((float(x), float(y)) for x, y in self.corners)
-        if not all(math.isfinite(v) for xy in corners for v in xy):
-            raise InvalidInputError("non-finite corner coordinate")
-        object.__setattr__(self, "corners", corners)
 
 
 class AnnotationSet:
@@ -104,40 +77,12 @@ class AnnotationSet:
         if not np.isfinite(self.corners).all():
             raise InvalidInputError("non-finite corner coordinate")
 
-    @classmethod
-    def from_records(cls, records, headers=None, image_ids=()) -> AnnotationSet:
-        """Columns from AnnotationRecord rows; each image keeps its records
-        in the given order. ``image_ids`` adds images without records."""
-        records = sorted(records, key=lambda r: r.image_id)
-        keys = [r.image_id for r in records]
-        ids = sorted(set(image_ids) | set(keys))
-        names = sorted({r.category for r in records})
-        return cls(
-            ids, [bisect.bisect_left(keys, i) for i in ids] + [len(keys)], [r.corners for r in records],
-            [names.index(r.category) for r in records], names, [r.difficulty for r in records], headers,
-        )
-
     def __len__(self) -> int:
         return len(self.codes)
-
-    def image_ids(self) -> list[str]:
-        return list(self.ids)
-
-    def records(self, image_id=None):
-        """AnnotationRecord rows of every image in id order, or of one image."""
-        for i in range(len(self.ids)) if image_id is None else [self.ids.index(image_id)]:
-            rows = slice(self.offsets[i], self.offsets[i + 1])
-            for corners, code, difficulty in zip(
-                self.corners[rows].tolist(), self.codes[rows].tolist(), self.difficulty[rows].tolist()
-            ):
-                yield AnnotationRecord(self.ids[i], tuple(map(tuple, corners)), self.names[code], difficulty)
 
     def category_counts(self) -> dict[str, int]:
         counts = np.bincount(self.codes, minlength=len(self.names)).tolist()
         return {name: n for name, n in zip(self.names, counts) if n}
-
-    def categories(self) -> list[str]:
-        return list(self.category_counts())
 
     def _image_of_rows(self) -> np.ndarray:
         """(N,) index into ``ids`` of each row's image."""
@@ -313,7 +258,7 @@ def _render(ann: AnnotationSet, values, with_difficulty: bool, headers) -> dict[
 def _texts(ann: AnnotationSet, kind: WeakKind | None, dropped: list):
     """(image id, text) of every image in id order, weakened and rendered
     one batch at a time: the corner format with headers when ``kind`` is
-    None, else ``kind`` labels (see serialize_weak). Under a weak kind the
+    None, else ``kind`` labels (see write_dota_dir). Under a weak kind the
     records without a valid label are left out of the text and their rows
     appended to ``dropped``."""
     for lo, part in _batches(ann):
@@ -360,10 +305,13 @@ def _load_file(path: Path) -> AnnotationSet:
 
 def write_dota_dir(ann: AnnotationSet, path, kind: WeakKind | None = None) -> tuple[int, AnnotationSet]:
     """Write each image's text to ``path``/<image id>.txt: the corner
-    format with headers, or with ``kind`` its weak labels (see
-    serialize_weak). Each batch of images is weakened, rendered and written
-    before the next, so beyond ``ann`` the writer holds one batch. Returns
-    the number of files written and the records left without a weak label."""
+    format with headers, or with ``kind`` its weak labels, without headers:
+    "x y category" lines for points, "xmin ymin xmax ymax category" for
+    horizontal boxes, the corner format for recovered oriented boxes. A
+    record without a valid label (see weaken_corners) is left out of the
+    text. Each batch of images is weakened, rendered and written before the
+    next, so beyond ``ann`` the writer holds one batch. Returns the number
+    of files written and the records left out, without headers."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     dropped = []
@@ -423,52 +371,9 @@ def weaken_corners(corners, target: WeakKind) -> np.ndarray:
     return labels
 
 
-def weaken(record: AnnotationRecord, target: WeakKind):
-    """Derive a weaker label from a corner-annotated record: weaken_corners
-    on its one quad."""
-    target = WeakKind(target)
-    row = weaken_corners(np.array([record.corners]), target)[0].tolist()
-    if target is WeakKind.POINT:
-        return PointAnnotation(*row, record.category)
-    return HorizontalBox(*row) if target is WeakKind.HBOX else OrientedBox(*row)
-
-
-def record_from_box(box: OrientedBox, image_id: str, category: str, difficulty: int = 0) -> AnnotationRecord:
-    """Corner-format record for an oriented box (inverse of weaken-to-rbox)."""
-    corners = tuple((float(x), float(y)) for x, y in box_corners(box))
-    return AnnotationRecord(image_id, corners, category, difficulty)
-
-
-def serialize_weak(ann: AnnotationSet, kind: WeakKind) -> tuple[dict[str, str], AnnotationSet]:
-    """Weak-label text per image: "x y category" lines for points,
-    "xmin ymin xmax ymax category" for horizontal boxes, corner format
-    for recovered oriented boxes. A record without a valid label (see
-    weaken_corners) is left out of the text; the second value holds the
-    records left out, without headers."""
-    dropped = []
-    texts = dict(_texts(ann, WeakKind(kind), dropped))
-    return texts, ann._select(np.array(dropped, np.intp), headers={})
-
-
 def round_half_up(x: float) -> int:
     """Shared rounding rule for sample counts."""
     return int(math.floor(x + 0.5))
-
-
-@dataclass(frozen=True)
-class SparsifyConfig:
-    method: str = "single"  # "single" | "overall"
-    partial_ratio: float = 1.0
-    sparse_ratio: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.method not in ("single", "overall"):
-            raise InvalidInputError(f"unknown sparsify method {self.method!r}")
-        for name in ("partial_ratio", "sparse_ratio"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise InvalidInputError(f"{name} must be in (0, 1], got {v}")
 
 
 def select_partial(ann: AnnotationSet, partial_ratio: float, seed: int):
@@ -478,7 +383,7 @@ def select_partial(ann: AnnotationSet, partial_ratio: float, seed: int):
         raise InvalidInputError("empty annotation set")
     if not 0.0 < partial_ratio <= 1.0:
         raise InvalidInputError(f"partial_ratio must be in (0, 1], got {partial_ratio}")
-    ids = ann.image_ids()
+    ids = ann.ids
     k = round_half_up(partial_ratio * len(ids))
     rng = np.random.default_rng(seed)
     chosen = rng.permutation(len(ids))[:k]
@@ -525,12 +430,6 @@ def sparsify_overall(ann: AnnotationSet, sparse_ratio: float, seed: int) -> Anno
     return ann._select(_sample_groups(ann.codes, lambda n: round_half_up(sparse_ratio * n), seed))
 
 
-def sparsify(ann: AnnotationSet, config: SparsifyConfig) -> AnnotationSet:
-    if config.method == "single":
-        return sparsify_single(ann, config.sparse_ratio, config.seed)
-    return sparsify_overall(ann, config.sparse_ratio, config.seed)
-
-
 @dataclass(frozen=True)
 class CategoryRow:
     category: str
@@ -542,9 +441,6 @@ class CategoryRow:
 @dataclass(frozen=True)
 class CategoryStats:
     rows: tuple[CategoryRow, ...]
-
-    def by_category(self) -> dict[str, CategoryRow]:
-        return {r.category: r for r in self.rows}
 
     def to_csv(self) -> str:
         lines = ["category,count_single,count_overall,relative_difference_percent"]
@@ -567,20 +463,9 @@ def relative_difference_percent(count_single: int, count_overall: int) -> float 
 
 def compare_counts(single_counts: dict[str, int], overall_counts: dict[str, int]) -> CategoryStats:
     """Category statistics from raw per-category counts."""
-    categories = sorted(
-        set(single_counts) | set(overall_counts), key=category_sort_key
-    )
     rows = []
-    for cat in categories:
-        cs = int(single_counts.get(cat, 0))
-        co = int(overall_counts.get(cat, 0))
-        rows.append(
-            CategoryRow(cat, cs, co, relative_difference_percent(cs, co))
-        )
+    for cat in sorted(set(single_counts) | set(overall_counts), key=category_sort_key):
+        cs, co = int(single_counts.get(cat, 0)), int(overall_counts.get(cat, 0))
+        rows.append(CategoryRow(cat, cs, co, relative_difference_percent(cs, co)))
     return CategoryStats(tuple(rows))
 
-
-def compare_stats(single: AnnotationSet, overall: AnnotationSet) -> CategoryStats:
-    """Per-category counts of two sparsified sets and the relative
-    difference of the single method against the overall method."""
-    return compare_counts(single.category_counts(), overall.category_counts())

@@ -177,8 +177,3 @@ def corners_of_boxes(boxes) -> np.ndarray:
     half = np.stack([-hw, -hh, hw, -hh, hw, hh, -hw, hh], axis=1).reshape(-1, 4, 2)
     return half @ rot.transpose(0, 2, 1) + boxes[:, None, :2]
 
-
-def box_corners(box: OrientedBox) -> np.ndarray:
-    """Corner coordinates, shape (4, 2), counterclockwise from the corner
-    at (-w/2, -h/2) in the box frame."""
-    return corners_of_boxes([box.cx, box.cy, box.w, box.h, box.theta])[0]

@@ -272,12 +272,12 @@ def paired_comparison(
 
 _LEVEL_FIELDS = {"n_pos", "n_neg", "mu_p", "mu_n", "sigma", "drift"}
 _REQUIRED_LEVEL_FIELDS = {"n_pos", "n_neg", "mu_p", "mu_n", "sigma"}
-_INT_FIELDS = {"n_pos", "n_neg"}
+_INT_FIELDS = {"n_pos", "n_neg", "rounds", "seed"}
 
 
 def parse_scenario(text: str) -> SimScenario:
     """Parse the flat key = value scenario format."""
-    top: dict[str, float] = {}
+    top: dict[str, int] = {}
     levels: dict[str, dict[str, float]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -293,22 +293,25 @@ def parse_scenario(text: str) -> SimScenario:
                 f"scenario line {line_no}: bad number {value!r}"
             ) from exc
         if "." in key:
-            level_name, _, field_name = key.partition(".")
+            level_name, _, name = key.partition(".")
             try:
                 PyramidLevel(level_name)
             except ValueError as exc:
                 raise InvalidInputError(
                     f"scenario line {line_no}: unknown level {level_name!r}"
                 ) from exc
-            if field_name not in _LEVEL_FIELDS:
+            if name not in _LEVEL_FIELDS:
                 raise InvalidInputError(
-                    f"scenario line {line_no}: unknown field {field_name!r}"
+                    f"scenario line {line_no}: unknown field {name!r}"
                 )
-            levels.setdefault(level_name, {})[field_name] = num
+            fields = levels.setdefault(level_name, {})
         elif key in ("rounds", "seed"):
-            top[key] = num
+            name, fields = key, top
         else:
             raise InvalidInputError(f"scenario line {line_no}: unknown key {key!r}")
+        if name in _INT_FIELDS and not num.is_integer():
+            raise InvalidInputError(f"scenario line {line_no}: {key} must be an integer, got {value!r}")
+        fields[name] = int(num) if name in _INT_FIELDS else num
     if "rounds" not in top:
         raise InvalidInputError("scenario is missing 'rounds'")
     plans = []
@@ -321,14 +324,11 @@ def parse_scenario(text: str) -> SimScenario:
             raise InvalidInputError(
                 f"level {name} is missing {sorted(missing)}"
             )
-        kwargs = {
-            k: int(v) if k in _INT_FIELDS else float(v) for k, v in fields.items()
-        }
-        plans.append(LevelPlan(level=PyramidLevel(name), **kwargs))
+        plans.append(LevelPlan(level=PyramidLevel(name), **fields))
     if not plans:
         raise DegenerateInputError("scenario defines no levels")
     return SimScenario(
-        levels=tuple(plans), rounds=int(top["rounds"]), seed=int(top.get("seed", 0))
+        levels=tuple(plans), rounds=top["rounds"], seed=top.get("seed", 0)
     )
 
 

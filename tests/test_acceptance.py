@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from spwood.dataset import (
-    AnnotationRecord,
     AnnotationSet,
     compare_counts,
     round_half_up,
@@ -65,7 +64,7 @@ def test_criterion_1_category_stats_arithmetic():
     printed_single = {"BD": 37, "GTF": 79, "SBF": 48, "RA": 46, "PL": 383}
     printed_overall = {"BD": 14, "GTF": 13, "SBF": 12, "RA": 11, "PL": 369}
     expected = {"BD": 164.3, "GTF": 507.7, "SBF": 300.0, "RA": 318.2, "PL": 3.8}
-    rows = compare_counts(printed_single, printed_overall).by_category()
+    rows = {r.category: r for r in compare_counts(printed_single, printed_overall).rows}
     for cat, want in expected.items():
         assert rows[cat].relative_difference_percent == pytest.approx(want, abs=0.1)
     report(1, "category stats arithmetic", t0, limit=1.0)
@@ -323,34 +322,25 @@ def test_criterion_8_sparsifier_invariants():
     t0 = time.perf_counter()
     rng = np.random.default_rng(8)
     categories = [f"C{k:02d}" for k in range(15)]
-    records, image_ids = [], []
-    total = 0
-    i = 0
-    while total < 10000:
-        image_id = f"img{i:05d}"
-        image_ids.append(image_id)
-        for cat in categories:
+    rectangle = np.array([(0, 0), (9, 0), (9, 4), (0, 4)], dtype=float)
+    corners, codes, offsets = [], [], [0]
+    while len(codes) < 10000:
+        for code, cat in enumerate(categories):
             # skewed counts: rare categories mostly absent or singleton
             n = int(rng.integers(0, 2)) if cat < "C05" else int(rng.integers(0, 12))
-            for _ in range(n):
-                x, y = rng.uniform(0, 999, 2)
-                records.append(
-                    AnnotationRecord(
-                        image_id,
-                        ((x, y), (x + 9, y), (x + 9, y + 4), (x, y + 4)),
-                        cat,
-                    )
-                )
-                total += 1
-        i += 1
-    ann = AnnotationSet.from_records(records, image_ids=image_ids)
+            corners += [xy + rectangle for xy in rng.uniform(0, 999, (n, 1, 2))]
+            codes += [code] * n
+        offsets.append(len(codes))
+    image_ids = [f"img{i:05d}" for i in range(len(offsets) - 1)]
+    ann = AnnotationSet(image_ids, offsets, corners, codes, categories, np.zeros(len(codes), int))
     assert len(ann) >= 10000
 
+    def categories_by_image(s):
+        return [set(s.codes[lo:hi].tolist()) for lo, hi in zip(s.offsets, s.offsets[1:])]
+
     single = sparsify_single(ann, 0.1, seed=5)
-    for image_id in ann.image_ids():
-        assert {r.category for r in ann.records(image_id)} == {
-            r.category for r in single.records(image_id)
-        }
+    assert single.ids == ann.ids and single.names == ann.names
+    assert categories_by_image(single) == categories_by_image(ann)
 
     overall = sparsify_overall(ann, 0.1, seed=5)
     counts = ann.category_counts()

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from spwood import cli, filtering, gradcheck
-from spwood.dataset import WeakKind, load_dota_dir, round_half_up, weaken
-from spwood.geometry import OrientedBox, box_corners
+from spwood.dataset import WeakKind, load_dota_dir, round_half_up, weaken_corners
+from spwood.geometry import corners_of_boxes
 from spwood.layout import write_pgm
 
 DATA = Path(__file__).parent / "data"
@@ -34,6 +34,12 @@ def corpus_dir(tmp_path):
                 )
         (src / f"img{i:03d}.txt").write_text("\n".join(lines) + "\n")
     return src
+
+
+def categories_by_image(ann):
+    """Image id -> the set of categories of its records."""
+    codes = np.split(ann.codes, ann.offsets[1:-1])
+    return {image_id: {ann.names[c] for c in image_codes} for image_id, image_codes in zip(ann.ids, codes)}
 
 
 def read_tree(root):
@@ -92,12 +98,7 @@ def test_sparsify_single_keeps_singleton_categories(tmp_path, corpus_dir):
         "sparsify", "--input", str(corpus_dir), "--out", str(out),
         "--method", "single", "--sparse", "0.1", "--seed", "1",
     ]) == 0
-    before = load_dota_dir(corpus_dir)
-    after = load_dota_dir(out / "annotations")
-    for image_id in before.image_ids():
-        assert {r.category for r in before.records(image_id)} == {
-            r.category for r in after.records(image_id)
-        }
+    assert categories_by_image(load_dota_dir(corpus_dir)) == categories_by_image(load_dota_dir(out / "annotations"))
 
 
 def test_sparsify_weaken_point_output(tmp_path, corpus_dir):
@@ -121,13 +122,10 @@ def test_sparsify_weaken_hbox_output(tmp_path, corpus_dir):
         "--method", "overall", "--sparse", "1.0", "--weaken", "hbox",
     ]) == 0
     before = load_dota_dir(corpus_dir)
-    for image_id in before.image_ids():
+    boxes = weaken_corners(before.corners, WeakKind.HBOX).tolist()
+    for image_id, lo, hi in zip(before.ids, before.offsets, before.offsets[1:]):
         lines = (out / "annotations" / f"{image_id}.txt").read_text().splitlines()
-        want = [
-            ([box.xmin, box.ymin, box.xmax, box.ymax], rec.category)
-            for rec in before.records(image_id)
-            for box in [weaken(rec, WeakKind.HBOX)]
-        ]
+        want = [(boxes[r], before.names[before.codes[r]]) for r in range(lo, hi)]
         got = [([float(t) for t in line.split()[:4]], line.split()[4]) for line in lines]
         assert got == want
 
@@ -140,15 +138,12 @@ def test_sparsify_weaken_rbox_output(tmp_path, corpus_dir):
     ]) == 0
     before = load_dota_dir(corpus_dir)
     after = load_dota_dir(out / "annotations")
-    assert after.image_ids() == before.image_ids()
-    for image_id in before.image_ids():
-        recs = list(after.records(image_id))
-        want = list(before.records(image_id))
-        assert [(r.category, r.difficulty) for r in recs] == [(r.category, r.difficulty) for r in want]
-        for got, rec in zip(recs, want):
-            assert np.array(got.corners).tolist() == box_corners(weaken(rec, WeakKind.RBOX)).tolist()
-            # the recovered box has the input rectangle's corners, up to rounding
-            assert np.allclose(np.sort(np.array(got.corners), axis=0), np.sort(np.array(rec.corners), axis=0), atol=1e-9)
+    assert after.ids == before.ids and after.offsets.tolist() == before.offsets.tolist()
+    assert [after.names[c] for c in after.codes] == [before.names[c] for c in before.codes]
+    assert after.difficulty.tolist() == before.difficulty.tolist()
+    assert after.corners.tolist() == corners_of_boxes(weaken_corners(before.corners, WeakKind.RBOX)).tolist()
+    # the recovered box has the input rectangle's corners, up to rounding
+    assert np.allclose(np.sort(after.corners, axis=1), np.sort(before.corners, axis=1), atol=1e-9)
 
 
 DEGENERATE = {"img000": "10 10 20 20 30 30 40 40 SH 0", "img001": "7 0 7 5 7 9 7 3 BR 0"}
@@ -202,6 +197,38 @@ def test_seed_env_var_and_flag_precedence(tmp_path, corpus_dir, monkeypatch):
     monkeypatch.setenv("SPWOOD_SEED", "99")
     flag_wins = tree(run("both", ["--seed", "21"]))
     assert flag_wins == flag_only
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "3.0"])
+def test_seed_env_var_must_be_an_integer(tmp_path, corpus_dir, monkeypatch, capsys, value):
+    monkeypatch.setenv("SPWOOD_SEED", value)
+    out = tmp_path / "out"
+    code = cli.main(["sparsify", "--input", str(corpus_dir), "--out", str(out), "--method", "single", "--sparse", "0.3"])
+    assert code == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: SPWOOD_SEED must be an integer, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("partial, sparse", [
+    (partial, sparse) for partial in (None, "0.5", "1.5", "0", "nan") for sparse in ("0.3", "0", "1.5")
+    if partial not in (None, "0.5") or sparse != "0.3"
+])
+def test_sparsify_out_of_range_ratio_errors(tmp_path, corpus_dir, capsys, partial, sparse):
+    """A ratio outside (0, 1] is an input error; a bad --partial is named
+    first, and a bad --sparse once the labeled ids are written."""
+    out = tmp_path / "out"
+    code = cli.main([
+        "sparsify", "--input", str(corpus_dir), "--out", str(out), "--method", "single",
+        "--sparse", sparse, *(["--partial", partial] if partial else []),
+    ])
+    if partial in (None, "0.5"):
+        want = f"sparse_ratio must be in (0, 1], got {float(sparse)}"
+        files = ["labeled_ids.txt", "unlabeled_ids.txt"] if partial else []
+    else:
+        want, files = f"partial_ratio must be in (0, 1], got {float(partial)}", []
+    assert code == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {want}\n")
+    assert sorted(p.name for p in out.iterdir()) == files
 
 
 # --- fit-gmm --------------------------------------------------------------------
@@ -480,6 +507,18 @@ def test_simulate_zero_rounds_rejected(tmp_path, capsys):
     ]) == cli.EXIT_ERROR
 
 
+@pytest.mark.parametrize("line, value", [("seed = nan", "'nan'"), ("seed = 1.5", "'1.5'"), ("rounds = 2.7", "'2.7'"),
+                                         ("P3.n_pos = 5.9", "'5.9'")])
+def test_simulate_rejects_non_integer_scenario_counts(tmp_path, capsys, line, value):
+    key = line.split(" =")[0]
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO + line + "\n")
+    out = tmp_path / "report.csv"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: scenario line 13: {key} must be an integer, got {value}\n"
+    assert not out.exists()
+
+
 def test_simulate_paired_footer(tmp_path, capsys):
     scen = tmp_path / "scen.txt"
     scen.write_text(SCENARIO)
@@ -687,6 +726,31 @@ def test_watershed_negative_scientific_theta_as_separate_token(tmp_path):
             l for l in (out / "targets.csv").read_text().splitlines() if not l.startswith("#")
         ]
     assert rows["split"] == rows["joined"]
+
+
+def watershed_inputs(tmp_path, points):
+    img = np.zeros((16, 16))
+    img[4:12, 2:14] = 1.0
+    write_pgm(tmp_path / "scene.pgm", img)
+    (tmp_path / "pts.txt").write_text(points)
+    return ["watershed", "--image", str(tmp_path / "scene.pgm"), "--points", str(tmp_path / "pts.txt"),
+            "--out-dir", str(tmp_path / "masks")]
+
+
+@pytest.mark.parametrize("line", ["a b", "8 y ship", "1,5 3"])
+def test_watershed_bad_point_coordinate_names_the_line(tmp_path, capsys, line):
+    argv = watershed_inputs(tmp_path, f"# x y\n8 8 ship\n{line}\n")
+    assert cli.main(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {tmp_path / 'pts.txt'}: line 3: bad coordinate in {line!r}\n"
+    assert not (tmp_path / "masks").exists()
+
+
+@pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])
+def test_watershed_rejects_non_finite_theta(tmp_path, capsys, theta):
+    argv = watershed_inputs(tmp_path, "8 8 ship\n")
+    assert cli.main([*argv, f"--theta={theta}"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: theta must be finite, got {float(theta)}\n"
+    assert not (tmp_path / "masks").exists()
 
 
 # --- help surfaces ----------------------------------------------------------------

@@ -1,9 +1,10 @@
+import bisect
 import gc
 import math
 import sys
 import tempfile
 import tracemalloc
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 from unittest import mock
 
@@ -15,26 +16,19 @@ from hypothesis import strategies as st
 from spwood import cli, dataset
 from spwood.dataset import (
     DOTA_CATEGORY_ORDER,
-    AnnotationRecord,
     AnnotationSet,
-    SparsifyConfig,
     WeakKind,
     category_sort_key,
     compare_counts,
-    compare_stats,
     load_dota_dir,
     merge_sets,
     parse_dota,
-    record_from_box,
     round_half_up,
     select_partial,
     serialize_dota,
-    serialize_weak,
-    sparsify,
     sparsify_overall,
     sparsify_single,
     subset_images,
-    weaken,
     weaken_corners,
     write_dota_dir,
 )
@@ -43,19 +37,50 @@ from spwood.geometry import (
     HorizontalBox,
     OrientedBox,
     PointAnnotation,
-    box_corners,
     corners_of_boxes,
     normalize_angle,
 )
 
+# One annotated object, as the record-based reference below handles it.
+Record = namedtuple("Record", "image_id corners category difficulty")
+
 
 def record(image_id, corners, category="plane", difficulty=0):
-    return AnnotationRecord(image_id, tuple(corners), category, difficulty)
+    return Record(image_id, tuple((float(x), float(y)) for x, y in corners), category, difficulty)
 
 
-def rect_record(image_id, cx, cy, w, h, theta, category="plane"):
-    box = OrientedBox(cx, cy, w, h, theta)
-    return record(image_id, [tuple(p) for p in box_corners(box)], category)
+def set_of(records, headers=None, image_ids=()):
+    """The columns of Record rows; each image keeps its records in the
+    given order, and ``image_ids`` adds images without records."""
+    records = sorted(records, key=lambda r: r.image_id)
+    keys = [r.image_id for r in records]
+    ids = sorted(set(image_ids) | set(keys))
+    names = sorted({r.category for r in records})
+    return AnnotationSet(
+        ids, [bisect.bisect_left(keys, i) for i in ids] + [len(keys)], [r.corners for r in records],
+        [names.index(r.category) for r in records], names, [r.difficulty for r in records], headers,
+    )
+
+
+def records_of(ann, image_id=None):
+    """Record rows of every image in id order, or of one image."""
+    images = range(len(ann.ids)) if image_id is None else [ann.ids.index(image_id)]
+    return [
+        Record(ann.ids[i], tuple(map(tuple, ann.corners[r].tolist())), ann.names[ann.codes[r]], int(ann.difficulty[r]))
+        for i in images for r in range(ann.offsets[i], ann.offsets[i + 1])
+    ]
+
+
+def write_weak(ann, kind, path):
+    """(text by image id, records left out) of write_dota_dir's ``kind``
+    labels, written to the new directory ``path``."""
+    written, dropped = write_dota_dir(ann, path, kind)
+    assert written == len(ann.ids) == len(list(Path(path).iterdir()))
+    return {i: (Path(path) / f"{i}.txt").read_bytes().decode("utf-8") for i in ann.ids}, dropped
+
+
+def rect_corners(cx, cy, w, h, theta):
+    return corners_of_boxes([(cx, cy, w, h, theta)])
 
 
 def synthetic_corpus(seed=0, n_images=200, categories=("PL", "BD", "SV", "SH", "HC")):
@@ -78,11 +103,11 @@ def synthetic_corpus(seed=0, n_images=200, categories=("PL", "BD", "SV", "SH", "
                         cat,
                     )
                 )
-    return AnnotationSet.from_records(records, image_ids=image_ids)
+    return set_of(records, image_ids=image_ids)
 
 
 def by_image(ann):
-    return {i: tuple(ann.records(i)) for i in ann.image_ids()}
+    return {i: tuple(records_of(ann, i)) for i in ann.ids}
 
 
 # --- parsing --------------------------------------------------------------------
@@ -90,7 +115,7 @@ def by_image(ann):
 
 def test_parse_minimal_line():
     ann = parse_dota("0 0 2 0 2 1 0 1 plane 0\n", image_id="P0001")
-    recs = list(ann.records())
+    recs = records_of(ann)
     assert len(recs) == 1
     assert recs[0].category == "plane"
     assert recs[0].corners == ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0))
@@ -128,7 +153,7 @@ def test_parse_serialize_parse_identity():
     )
     once = parse_dota(text, image_id="A")
     again = parse_dota(serialize_dota(once)["A"], image_id="A")
-    assert list(once.records()) == list(again.records())
+    assert records_of(once) == records_of(again)
     assert once.headers == again.headers
 
 
@@ -136,28 +161,24 @@ def test_parse_serialize_parse_identity():
 
 
 def test_weaken_hbox_of_axis_aligned():
-    rec = record("x", [(3, 4), (7, 4), (7, 6), (3, 6)])
-    assert weaken(rec, WeakKind.HBOX) == HorizontalBox(3, 4, 7, 6)
+    assert weaken_corners([[(3, 4), (7, 4), (7, 6), (3, 6)]], WeakKind.HBOX).tolist() == [[3, 4, 7, 6]]
 
 
 def test_weaken_point_is_centroid():
-    rec = record("x", [(0, 0), (2, 0), (2, 2), (0, 2)])
-    assert weaken(rec, WeakKind.POINT) == PointAnnotation(1.0, 1.0, "plane")
+    assert weaken_corners([[(0, 0), (2, 0), (2, 2), (0, 2)]], WeakKind.POINT).tolist() == [[1.0, 1.0]]
 
 
 def test_weaken_rbox_recovers_rotation():
     theta = math.radians(30.0)
-    rec = rect_record("x", 50, 40, 20, 10, theta)
-    box = weaken(rec, WeakKind.RBOX)
-    assert box.theta == pytest.approx(theta, abs=1e-6)
-    assert box.w == pytest.approx(20.0, abs=1e-9)
-    assert box.h == pytest.approx(10.0, abs=1e-9)
+    _, _, w, h, got = weaken_corners(rect_corners(50, 40, 20, 10, theta), WeakKind.RBOX)[0]
+    assert got == pytest.approx(theta, abs=1e-6)
+    assert w == pytest.approx(20.0, abs=1e-9)
+    assert h == pytest.approx(10.0, abs=1e-9)
 
 
 def test_weaken_degenerate_rejected():
-    rec = record("x", [(0, 0), (1, 1), (2, 2), (3, 3)])
     with pytest.raises(DegenerateInputError):
-        weaken(rec, WeakKind.RBOX)
+        weaken_corners([[(0, 0), (1, 1), (2, 2), (3, 3)]], WeakKind.RBOX)
 
 
 @given(
@@ -171,12 +192,12 @@ def test_weaken_degenerate_rejected():
 def test_rbox_round_trip_within_tolerance(cx, cy, w, h, theta):
     if abs(w - h) < 0.05:
         return  # squares leave the edge direction ambiguous
-    rec = rect_record("x", cx, cy, w, h, theta)
-    box = weaken(rec, WeakKind.RBOX)
+    corners = rect_corners(cx, cy, w, h, theta)
+    box = weaken_corners(corners, WeakKind.RBOX)
     # the long-edge convention may relabel the sides, cycling the corner
     # order; compare the corner sets geometrically
-    got = np.asarray(box_corners(box))
-    for corner in rec.corners:
+    got = corners_of_boxes(box)[0]
+    for corner in corners[0]:
         assert np.min(np.linalg.norm(got - corner, axis=1)) <= 1e-6
 
 
@@ -184,9 +205,7 @@ def test_rbox_round_trip_within_tolerance(cx, cy, w, h, theta):
 
 
 def small_set(n):
-    return AnnotationSet.from_records(
-        record(f"i{k}", [(0, 0), (1, 0), (1, 1), (0, 1)]) for k in range(n)
-    )
+    return set_of(record(f"i{k}", [(0, 0), (1, 0), (1, 1), (0, 1)]) for k in range(n))
 
 
 def test_partial_ratio_one_keeps_all():
@@ -215,7 +234,7 @@ def test_round_half_up():
 
 
 def test_single_keeps_singletons():
-    ann = AnnotationSet.from_records([record("a", [(0, 0), (1, 0), (1, 1), (0, 1)], "BD")])
+    ann = set_of([record("a", [(0, 0), (1, 0), (1, 1), (0, 1)], "BD")])
     out = sparsify_single(ann, 0.1, seed=0)
     assert len(out) == 1
 
@@ -224,8 +243,8 @@ def test_single_exact_fraction():
     recs = [
         record("a", [(i, 0), (i + 1, 0), (i + 1, 1), (i, 1)], "SV") for i in range(10)
     ]
-    out = sparsify_single(AnnotationSet.from_records(recs), 0.1, seed=0)
-    assert len(list(out.records("a"))) == 1
+    out = sparsify_single(set_of(recs), 0.1, seed=0)
+    assert len(records_of(out, "a")) == 1
 
 
 def test_single_inflates_rare_categories():
@@ -242,9 +261,9 @@ def test_single_inflates_rare_categories():
 def test_single_preserves_image_category_pairs():
     ann = synthetic_corpus(seed=2)
     out = sparsify_single(ann, 0.1, seed=3)
-    for image_id in ann.image_ids():
-        in_cats = {r.category for r in ann.records(image_id)}
-        out_cats = {r.category for r in out.records(image_id)}
+    for image_id in ann.ids:
+        in_cats = {r.category for r in records_of(ann, image_id)}
+        out_cats = {r.category for r in records_of(out, image_id)}
         assert in_cats == out_cats
 
 
@@ -267,8 +286,8 @@ def test_overall_identity_at_full_ratio():
 @settings(max_examples=15, deadline=None)
 def test_sparsified_output_is_subset(seed, ratio):
     ann = synthetic_corpus(seed=5, n_images=40)
-    for method in ("single", "overall"):
-        out = sparsify(ann, SparsifyConfig(method=method, sparse_ratio=ratio, seed=seed))
+    for sample in (sparsify_single, sparsify_overall):
+        out = sample(ann, ratio, seed)
         source = by_image(ann)
         for image_id, records in by_image(out).items():
             assert all(r in source[image_id] for r in records)
@@ -291,7 +310,7 @@ def test_sparsify_byte_identical_per_seed():
 
 def test_relative_difference_examples():
     stats = compare_counts({"BD": 37, "PL": 383}, {"BD": 14, "PL": 369})
-    rows = stats.by_category()
+    rows = {r.category: r for r in stats.rows}
     assert rows["BD"].relative_difference_percent == pytest.approx(164.3, abs=0.05)
     assert rows["PL"].relative_difference_percent == pytest.approx(3.8, abs=0.05)
 
@@ -311,7 +330,7 @@ def test_compare_stats_on_sets_and_ordering():
     ann = synthetic_corpus(seed=7, n_images=50)
     single = sparsify_single(ann, 0.1, seed=1)
     overall = sparsify_overall(ann, 0.1, seed=1)
-    stats = compare_stats(single, overall)
+    stats = compare_counts(single.category_counts(), overall.category_counts())
     names = [r.category for r in stats.rows]
     assert names == sorted(
         names, key=lambda c: (("PL", "BD", "BR", "GTF", "SV", "LV", "SH", "TC",
@@ -324,28 +343,27 @@ def test_compare_stats_on_sets_and_ordering():
 # --- weak-label serialization -------------------------------------------------------
 
 
-def test_serialize_weak_formats():
-    ann = AnnotationSet.from_records([record("a", [(0, 0), (4, 0), (4, 2), (0, 2)], "ship")])
-    assert serialize_weak(ann, WeakKind.POINT)[0]["a"] == "2 1 ship\n"
-    assert serialize_weak(ann, WeakKind.HBOX)[0]["a"] == "0 0 4 2 ship\n"
-    rbox_text, dropped = serialize_weak(ann, WeakKind.RBOX)
+def test_serialize_weak_formats(tmp_path):
+    ann = set_of([record("a", [(0, 0), (4, 0), (4, 2), (0, 2)], "ship")], {"a": ("hdr",)})
+    assert write_weak(ann, WeakKind.POINT, tmp_path / "point")[0]["a"] == "2 1 ship\n"
+    assert write_weak(ann, WeakKind.HBOX, tmp_path / "hbox")[0]["a"] == "0 0 4 2 ship\n"
+    rbox_text, dropped = write_weak(ann, WeakKind.RBOX, tmp_path / "rbox")
     rbox_text = rbox_text["a"]
     assert len(dropped) == 0
     reparsed = parse_dota(rbox_text, image_id="a")
-    assert list(reparsed.records())[0].category == "ship"
+    assert records_of(reparsed)[0].category == "ship"
 
 
-def test_serialize_weak_rbox_non_integer_corners_parse_as_floats():
-    box = OrientedBox(10.5, 20, 4, 2, 0)
-    ann = AnnotationSet.from_records([record_from_box(box, "a", "ship")])
-    tokens = serialize_weak(ann, WeakKind.RBOX)[0]["a"].split()
+def test_serialize_weak_rbox_non_integer_corners_parse_as_floats(tmp_path):
+    corners = rect_corners(10.5, 20, 4, 2, 0)
+    ann = AnnotationSet(["a"], [0, 1], corners, [0], ["ship"], [0])
+    tokens = write_weak(ann, WeakKind.RBOX, tmp_path)[0]["a"].split()
     assert len(tokens) == 10
-    corners = [float(t) for t in tokens[:8]]
-    assert np.allclose(np.reshape(corners, (4, 2)), box_corners(box))
+    assert np.allclose(np.reshape([float(t) for t in tokens[:8]], (4, 2)), corners[0])
 
 
 # --- reference: the record-based implementation the columnar set replaced --------
-# One frozen AnnotationRecord per line, weakened one record at a time. The
+# One Record per line, weakened one record at a time. The
 # columnar code must give the same bytes and raise the same errors.
 
 
@@ -377,7 +395,7 @@ def ref_parse(text, image_id):
         if not all(math.isfinite(v) for v in coords):
             raise DotaParseError("non-finite corner coordinate", line_no)
         corners = tuple((coords[2 * i], coords[2 * i + 1]) for i in range(4))
-        records.append(AnnotationRecord(image_id, corners, tokens[8], difficulty))
+        records.append(Record(image_id, corners, tokens[8], difficulty))
     return records, tuple(headers)
 
 
@@ -697,18 +715,26 @@ def test_report_cli_bytes_match_record_reference(tmp_path, oracle_corpus):
 def test_parse_serialize_and_weaken_match_record_reference(oracle_corpus):
     images, headers = ref_load(oracle_corpus)
     ann = load_dota_dir(oracle_corpus)
-    assert list(ann.records()) == [r for i in sorted(images) for r in images[i]]
+    assert records_of(ann) == [r for i in sorted(images) for r in images[i]]
     assert ann.headers == headers
     assert serialize_dota(ann) == ref_serialize(images, headers)
     rows = {kind: weaken_corners(ann.corners, kind) for kind in WeakKind}
-    for k, rec in enumerate(ann.records()):
+    for k, rec in enumerate(records_of(ann)):
         for kind in WeakKind:
             old = ref_weaken(rec, kind)
-            assert weaken(rec, kind) == old
+            assert rows[kind][k].tolist() == label_row(old)
+            assert weaken_corners([rec.corners], kind).tolist() == [label_row(old)]  # a batch of one
             if kind is WeakKind.RBOX:
-                assert rows[kind][k].tolist() == [old.cx, old.cy, old.w, old.h, old.theta]
                 assert corners_of_boxes(rows[kind][k]).tolist() == [ref_box_corners(old).tolist()]
-                assert box_corners(old).tolist() == ref_box_corners(old).tolist()
+
+
+def label_row(label):
+    """The weak label row of a reference label."""
+    if isinstance(label, PointAnnotation):
+        return [label.x, label.y]
+    if isinstance(label, HorizontalBox):
+        return [label.xmin, label.ymin, label.xmax, label.ymax]
+    return [label.cx, label.cy, label.w, label.h, label.theta]
 
 
 def test_thin_boxes_weaken_bit_for_bit():
@@ -723,14 +749,14 @@ def test_thin_boxes_weaken_bit_for_bit():
     rows = weaken_corners(quads, WeakKind.RBOX)
     got = corners_of_boxes(rows)
     for k in range(len(boxes)):
-        rec = AnnotationRecord("x", tuple(map(tuple, quads[k].tolist())), "BR")
+        rec = record("x", quads[k].tolist(), "BR")
         old = ref_weaken(rec, WeakKind.RBOX)
         assert rows[k].tolist() == [old.cx, old.cy, old.w, old.h, old.theta]
         assert got[k].tolist() == ref_box_corners(old).tolist()
         assert quads[k].tolist() == ref_box_corners(OrientedBox(*boxes[k])).tolist()
 
 
-def test_rbox_angle_rounded_up_to_half_pi_wraps_like_the_record_code():
+def test_rbox_angle_rounded_up_to_half_pi_wraps_like_the_record_code(tmp_path):
     # atan2 gives -pi/2 - 1e-16 here, whose remainder modulo the period
     # rounds up to the period itself; normalize_angle counts it as 0 and
     # wraps it to -pi/2
@@ -740,13 +766,12 @@ def test_rbox_angle_rounded_up_to_half_pi_wraps_like_the_record_code():
     assert weaken_corners(np.array([rec.corners]), WeakKind.RBOX)[0].tolist() == [
         old.cx, old.cy, old.w, old.h, old.theta,
     ]
-    ann = AnnotationSet.from_records([rec])
-    assert serialize_weak(ann, WeakKind.RBOX)[0] == ref_serialize_weak({"a": [rec]}, WeakKind.RBOX)
+    assert write_weak(set_of([rec]), WeakKind.RBOX, tmp_path)[0] == ref_serialize_weak({"a": [rec]}, WeakKind.RBOX)
 
 
 def test_sparsifiers_match_record_reference_on_memory_sets():
     ann = synthetic_corpus(seed=8, n_images=80)
-    images = {i: list(ann.records(i)) for i in ann.image_ids()}
+    images = {i: records_of(ann, i) for i in ann.ids}
     for seed in (0, 1, 2):
         for ratio in (0.05, 0.3, 1.0):
             assert by_image(sparsify_single(ann, ratio, seed)) == {
@@ -827,39 +852,38 @@ def test_load_errors_name_the_file(tmp_path):
 def test_zero_area_quad_in_batch_raises_under_rbox():
     good = record("a", [(0, 0), (4, 0), (4, 2), (0, 2)])
     flat = record("a", [(0, 0), (1, 1), (2, 2), (3, 3)])
-    ann = AnnotationSet.from_records([good] * 500 + [flat] + [good] * 10)
     with pytest.raises(DegenerateInputError) as exc:
-        weaken_corners(ann.corners, WeakKind.RBOX)
+        weaken_corners([r.corners for r in [good] * 500 + [flat] + [good] * 10], WeakKind.RBOX)
     with pytest.raises(DegenerateInputError) as ref:
         ref_weaken(flat, WeakKind.RBOX)
     assert str(exc.value) == str(ref.value)
     # corners that overflow when differenced give a non-finite box
     huge = record("a", [(-1e308, 0), (1e308, 0), (1e308, 1), (-1e308, 1)])
     with pytest.raises(InvalidInputError, match="non-finite box field 'w'"):
-        weaken_corners(AnnotationSet.from_records([good, huge]).corners, WeakKind.RBOX)
+        weaken_corners([good.corners, huge.corners], WeakKind.RBOX)
     with pytest.raises(InvalidInputError, match="non-finite box field 'w'"), np.errstate(over="ignore"):
         ref_weaken(huge, WeakKind.RBOX)
     # a vertical segment has no horizontal box
     thin = record("a", [(1, 0), (1, 1), (1, 2), (1, 1)])
     with pytest.raises(InvalidInputError, match="empty horizontal box"):
-        weaken_corners(AnnotationSet.from_records([good, thin]).corners, WeakKind.HBOX)
+        weaken_corners([good.corners, thin.corners], WeakKind.HBOX)
     with pytest.raises(InvalidInputError, match="empty horizontal box"):
         ref_weaken(thin, WeakKind.HBOX)
 
 
-def test_serialize_weak_leaves_out_records_without_a_label():
+def test_serialize_weak_leaves_out_records_without_a_label(tmp_path):
     good = record("a", [(0, 0), (4, 0), (4, 2), (0, 2)], "ship")
     flat = record("a", [(0, 0), (1, 1), (2, 2), (3, 3)], "bridge")  # zero area, a valid hbox
     thin = record("b", [(1, 0), (1, 1), (1, 2), (1, 1)], "harbor")  # zero width
     other = record("b", [(5, 5), (9, 5), (9, 6), (5, 6)], "ship")
-    ann = AnnotationSet.from_records([good, flat, thin, other], {"a": ("hdr",)}, image_ids=["c"])
+    ann = set_of([good, flat, thin, other], {"a": ("hdr",)}, image_ids=["c"])
     for kind, bad in ((WeakKind.RBOX, [flat, thin]), (WeakKind.HBOX, [thin]), (WeakKind.POINT, [])):
         kept = [r for r in (good, flat, thin, other) if r not in bad]
-        text, dropped = serialize_weak(ann, kind)
-        want = serialize_weak(AnnotationSet.from_records(kept, image_ids=["a", "b", "c"]), kind)
+        text, dropped = write_weak(ann, kind, tmp_path / kind.value)
+        want = write_weak(set_of(kept, image_ids=["a", "b", "c"]), kind, tmp_path / f"{kind.value}_kept")
         assert text == want[0] and len(want[1]) == 0
-        assert list(dropped.records()) == bad and dropped.headers == {}
-        assert dropped.image_ids() == ["a", "b", "c"]
+        assert records_of(dropped) == bad and dropped.headers == {}
+        assert dropped.ids == ("a", "b", "c")
 
 
 # --- columns ------------------------------------------------------------------------
@@ -870,9 +894,9 @@ def test_merge_sorts_images_and_remaps_categories():
     b = parse_dota("0 0 3 0 3 3 0 3 zebra 0\n", image_id="a.x")
     c = parse_dota("hdr:c\n", image_id="a")
     merged = merge_sets([a, b, c])
-    assert merged.image_ids() == ["a", "a.x", "b"]
+    assert merged.ids == ("a", "a.x", "b")
     assert merged.names == ("plane", "ship", "zebra")
-    assert [(r.image_id, r.category) for r in merged.records()] == [
+    assert [(r.image_id, r.category) for r in records_of(merged)] == [
         ("a.x", "zebra"), ("b", "ship"), ("b", "plane"),
     ]
     assert merged.headers == {"b": ("hdr:b",), "a": ("hdr:c",)}
@@ -881,13 +905,13 @@ def test_merge_sorts_images_and_remaps_categories():
         merge_sets([a, b, a])
 
 
-def test_sets_without_records_sample_and_render():
+def test_sets_without_records_sample_and_render(tmp_path):
     empty = parse_dota("imagesource:x\n\n", image_id="e")
     assert len(empty) == 0 and empty.category_counts() == {}
     for out in (sparsify_single(empty, 0.5, 0), sparsify_overall(empty, 0.5, 0)):
-        assert out.image_ids() == ["e"] and len(out) == 0
+        assert out.ids == ("e",) and len(out) == 0
         assert serialize_dota(out) == {"e": "imagesource:x\n"}
-    text, dropped = serialize_weak(empty, WeakKind.RBOX)
+    text, dropped = write_weak(empty, WeakKind.RBOX, tmp_path)
     assert text == {"e": ""} and len(dropped) == 0
     assert len(merge_sets([])) == 0
 
@@ -1031,7 +1055,8 @@ def test_render_in_batches_matches_whole_set_render(ann, batch):
         for values in (ann.corners[:, :, 0], ann.corners[:, 0]):  # 4 and 2 values a record
             assert dataset._render(ann, values, False, {}) == whole_set_render(ann, values, False, {})
         points = weaken_corners(ann.corners, WeakKind.POINT)
-        assert serialize_weak(ann, WeakKind.POINT)[0] == whole_set_render(ann, points, False, {})
+        with tempfile.TemporaryDirectory() as tmp:
+            assert write_weak(ann, WeakKind.POINT, Path(tmp) / "out")[0] == whole_set_render(ann, points, False, {})
 
 
 @st.composite
@@ -1042,10 +1067,16 @@ def interleaved_sets(draw):
     k = draw(st.integers(1, 4))
     owner = [draw(st.integers(0, k - 1)) for _ in whole.ids]
     pieces = [subset_images(whole, [i for i, o in zip(whole.ids, owner) if o == j]) for j in range(k)]
-    return [
-        AnnotationSet.from_records(list(p.records()), p.headers, p.ids) if draw(st.booleans()) else p
-        for p in pieces
-    ]
+    return [own_names(p) if draw(st.booleans()) else p for p in pieces]
+
+
+def own_names(ann):
+    """``ann`` with a category table of only the categories it uses."""
+    used = np.unique(ann.codes)
+    return AnnotationSet(
+        ann.ids, ann.offsets, ann.corners, np.searchsorted(used, ann.codes), [ann.names[c] for c in used],
+        ann.difficulty, ann.headers,
+    )
 
 
 @given(interleaved_sets())

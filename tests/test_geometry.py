@@ -10,7 +10,6 @@ from spwood.errors import InvalidInputError
 from spwood.geometry import (
     OrientedBox,
     bhattacharyya_boxes,
-    box_corners,
     box_rows,
     corners_of_boxes,
     gwd_squared,
@@ -281,8 +280,9 @@ def test_hbox_examples():
 
 @given(boxes)
 def test_corners_enclosed_by_hbox(box):
-    xmin, ymin, xmax, ymax = weaken_corners(box_corners(box)[None], WeakKind.HBOX)[0]
-    for x, y in box_corners(box):
+    corners = corners_of_boxes([box.cx, box.cy, box.w, box.h, box.theta])
+    xmin, ymin, xmax, ymax = weaken_corners(corners, WeakKind.HBOX)[0]
+    for x, y in corners[0]:
         assert xmin - 1e-9 <= x <= xmax + 1e-9
         assert ymin - 1e-9 <= y <= ymax + 1e-9
 

@@ -142,6 +142,23 @@ def test_parse_scenario_bad_lines(broken):
         parse_scenario(broken)
 
 
+@pytest.mark.parametrize("key", ["seed", "rounds", "P3.n_pos", "P4.n_neg"])
+@pytest.mark.parametrize("value", ["1.5", "2.7", "5.9", "nan", "inf", "-inf", "1e400"])
+def test_parse_scenario_rejects_non_integer_counts(key, value):
+    text = f"{SCENARIO_TEXT}{key} = {value}\n"
+    line_no = text.count("\n")
+    with pytest.raises(InvalidInputError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == f"scenario line {line_no}: {key} must be an integer, got {value!r}"
+
+
+def test_parse_scenario_integral_floats_are_integers():
+    text = SCENARIO_TEXT.replace("rounds = 3", "rounds = 3.0").replace("seed = 12", "seed = 1.2e1")
+    scen = parse_scenario(text.replace("P3.n_neg = 160", "P3.n_neg = 160.0"))
+    assert scen == parse_scenario(SCENARIO_TEXT)
+    assert (type(scen.rounds), type(scen.seed), type(scen.levels[0].n_neg)) == (int, int, int)
+
+
 def test_parse_scenario_requires_rounds_and_levels():
     with pytest.raises(InvalidInputError):
         parse_scenario("seed = 1\nP3.n_pos = 1\n")
