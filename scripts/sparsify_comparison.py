@@ -45,6 +45,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="optional stats CSV path")
     args = parser.parse_args()
+    if args.images < 1:
+        parser.error(f"--images must be at least 1, got {args.images}")
 
     corpus = build_corpus(args.images, args.seed)
     single = sparsify_single(corpus, args.sparse, seed=args.seed)

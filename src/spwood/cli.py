@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 input or runtime error, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -38,14 +39,19 @@ EXIT_DEGENERATE = 3
 
 def _resolve_seed(explicit, default: int) -> int:
     if explicit is not None:
+        if explicit < 0:
+            raise InvalidInputError(f"--seed must be nonnegative, got {explicit}")
         return explicit
     env = os.environ.get("SPWOOD_SEED")
     if env is None:
         return default
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise InvalidInputError(f"SPWOOD_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise InvalidInputError(f"SPWOOD_SEED must be nonnegative, got {env!r}")
+    return seed
 
 
 def _comment_header(args, seed) -> str:
@@ -441,10 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: each one built is a reference cycle that
+    only a full garbage collection frees."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args._argv = argv
     try:
         return args.func(args)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -405,10 +406,20 @@ def _sample_groups(key: np.ndarray, count, seed: int) -> np.ndarray:
     ``permutation(n)`` over its rows in row order."""
     rng = np.random.default_rng(seed)
     order = np.argsort(key, kind="stable")
-    cuts = np.flatnonzero(np.diff(key[order])) + 1
-    groups = np.split(order, cuts) if len(order) else []
-    kept = [g[rng.permutation(len(g))[: count(len(g))]] for g in groups]
-    return np.sort(np.concatenate(kept)) if kept else order
+    # Each temporary is freed before the next is made, and no per-group array
+    # outlives its draw, so the peak does not grow with the number of groups.
+    sorted_key = key[order]
+    starts_group = sorted_key[1:] != sorted_key[:-1]
+    del sorted_key
+    stops = np.flatnonzero(starts_group)
+    del starts_group
+    stops += 1
+    keep = np.zeros(len(order), dtype=bool)
+    start = 0
+    for stop in map(int, itertools.chain(stops, [len(order)])):
+        keep[order[start + rng.permutation(stop - start)[: count(stop - start)]]] = True
+        start = stop
+    return np.flatnonzero(keep)
 
 
 def sparsify_single(ann: AnnotationSet, sparse_ratio: float, seed: int) -> AnnotationSet:

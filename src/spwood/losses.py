@@ -71,7 +71,7 @@ class SupervisedWeights:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LossValueGrad:
     """A loss value plus its gradient w.r.t. the prediction inputs, per row if batched."""
 
@@ -278,10 +278,15 @@ def total_supervised_loss(parts, weights: SupervisedWeights = SupervisedWeights(
     )
 
 
-def _bce(target: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bce(target: np.ndarray, pred: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Mean binary cross-entropy over the last axis; writes its gradient
+    w.r.t. pred into ``grad``."""
     value = np.mean(-target * np.log(pred) - (1.0 - target) * np.log1p(-pred), axis=-1)
-    grad = (-target / pred + (1.0 - target) / (1.0 - pred)) / pred.shape[-1]
-    return value, grad
+    np.divide(-target, pred, out=grad)
+    rest = np.subtract(1.0, pred)
+    grad += np.divide(1.0 - target, rest, out=rest)
+    grad /= pred.shape[-1]
+    return value
 
 
 def unsupervised_loss(
@@ -305,15 +310,24 @@ def unsupervised_loss(
         raise InvalidInputError("no matched locations")
     if not 0.0 < beta < math.inf:
         raise InvalidInputError(f"beta must be finite and positive, got {beta}")
-    conf_v, conf_g = _bce(teacher.conf, student.conf)
-    cen_v, cen_g = _bce(teacher.centerness, student.centerness)
-    residual = (student.box_margins - teacher.box_margins).reshape(*student.conf.shape[:-1], 4 * n)
-    magnitude = np.abs(residual)
-    inside = magnitude < beta
-    box = np.where(inside, 0.5 * residual * residual / beta, magnitude - 0.5 * beta)
-    box_g = np.where(inside, residual / beta, np.copysign(1.0, residual)) / n
-    value = conf_v + cen_v + box.sum(axis=-1) / n
-    grad = np.concatenate([conf_g, cen_g, box_g], axis=-1)
+    grad = np.empty((*student.conf.shape[:-1], 6 * n))
+    # The margin slice of grad holds the residual r until it becomes r's gradient.
+    r = grad[..., 2 * n :]
+    np.subtract(student.box_margins, teacher.box_margins, out=r.reshape(*r.shape[:-1], n, 4))
+    box = np.abs(r)  # smooth-L1: ((0.5 * r) * r) / beta inside, |r| - 0.5 * beta outside
+    inside = box < beta
+    outside = ~inside
+    np.multiply(0.5, r, out=box, where=inside)
+    np.multiply(box, r, out=box, where=inside)
+    np.divide(box, beta, out=box, where=inside)
+    np.subtract(box, 0.5 * beta, out=box, where=outside)
+    box_value = box.sum(axis=-1) / n
+    del box
+    np.divide(r, beta, out=r, where=inside)
+    np.copysign(1.0, r, out=r, where=outside)
+    r /= n
+    conf_value = _bce(teacher.conf, student.conf, grad[..., :n])
+    value = conf_value + _bce(teacher.centerness, student.centerness, grad[..., n : 2 * n]) + box_value
     return LossValueGrad(value if np.ndim(value) else float(value), grad)
 
 

@@ -20,6 +20,7 @@ from .filtering import FilterMode, GmmConfig, LevelScores, PyramidLevel, level_d
 
 DEFAULT_EMA_MOMENTUM = 0.999
 DEFAULT_BURN_IN_ITERS = 12800
+_EMA_BLOCK = 2**12  # student elements weighted per step of ema_update
 
 _SCORE_EPS = 1e-6  # draws are clipped into (eps, 1 - eps)
 
@@ -31,7 +32,9 @@ class Stage(enum.Enum):
 
 def ema_update(teacher, student, momentum: float = DEFAULT_EMA_MOMENTUM) -> np.ndarray:
     """Exponential moving average of parameters:
-    out = momentum * teacher + (1 - momentum) * student."""
+    out = momentum * teacher + (1 - momentum) * student.
+
+    Allocates the output plus one block of the weighted student at a time."""
     t = np.asarray(teacher, dtype=float)
     s = np.asarray(student, dtype=float)
     if t.shape != s.shape:
@@ -40,7 +43,11 @@ def ema_update(teacher, student, momentum: float = DEFAULT_EMA_MOMENTUM) -> np.n
         )
     if not 0.0 <= momentum <= 1.0:
         raise InvalidInputError(f"momentum must be in [0, 1], got {momentum}")
-    return momentum * t + (1.0 - momentum) * s
+    out = np.multiply(momentum, t, out=np.empty(t.shape))
+    flat, s = out.reshape(-1), s.reshape(-1)  # out is C-contiguous, so flat is a view
+    for i in range(0, flat.size, _EMA_BLOCK):
+        flat[i : i + _EMA_BLOCK] += (1.0 - momentum) * s[i : i + _EMA_BLOCK]
+    return out if out.ndim else out[()]
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,8 @@ class SimScenario:
             raise InvalidInputError("scenario needs at least one level")
         if self.rounds < 1:
             raise InvalidInputError("scenario needs at least one round")
+        if self.seed < 0:
+            raise InvalidInputError(f"scenario seed must be nonnegative, got {self.seed}")
         if sum(p.n_pos for p in self.levels) < 1:
             raise InvalidInputError("scenario plants no positives")
         names = [p.level for p in self.levels]

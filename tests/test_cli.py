@@ -1,5 +1,8 @@
+import gc
 import math
+import runpy
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +209,30 @@ def test_seed_env_var_must_be_an_integer(tmp_path, corpus_dir, monkeypatch, caps
     code = cli.main(["sparsify", "--input", str(corpus_dir), "--out", str(out), "--method", "single", "--sparse", "0.3"])
     assert code == cli.EXIT_ERROR
     assert capsys.readouterr().err == f"error: SPWOOD_SEED must be an integer, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sparsify", "eval-loss", "simulate"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_seed_is_an_input_error(tmp_path, corpus_dir, monkeypatch, capsys, command, source):
+    """numpy's generator takes no negative seed: the command names the value on
+    one error line, before it writes anything."""
+    out = tmp_path / "out"
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO)
+    argv = {
+        "sparsify": ["sparsify", "--input", str(corpus_dir), "--out", str(out), "--method", "single",
+                     "--sparse", "0.3"],
+        "eval-loss": ["eval-loss", "--check-grad", "--random", "2"],
+        "simulate": ["simulate", "--scenario", str(scenario), "--out", str(out)],
+    }[command]
+    if source == "flag":
+        argv, want = argv + ["--seed", "-1"], "--seed must be nonnegative, got -1"
+    else:
+        monkeypatch.setenv("SPWOOD_SEED", "-1")
+        want = "SPWOOD_SEED must be nonnegative, got '-1'"
+    assert cli.main(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {want}\n")
     assert not out.exists()
 
 
@@ -519,6 +546,15 @@ def test_simulate_rejects_non_integer_scenario_counts(tmp_path, capsys, line, va
     assert not out.exists()
 
 
+def test_simulate_negative_scenario_seed_is_an_input_error(tmp_path, capsys):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO.replace("seed = 5", "seed = -4"))
+    out = tmp_path / "report.csv"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: scenario seed must be nonnegative, got -4\n")
+    assert not out.exists()
+
+
 def test_simulate_paired_footer(tmp_path, capsys):
     scen = tmp_path / "scen.txt"
     scen.write_text(SCENARIO)
@@ -774,3 +810,32 @@ def test_help_lists_flags(command, flags, capsys):
     text = capsys.readouterr().out
     for flag in flags:
         assert flag in text
+
+
+def test_main_leaves_no_reference_cycles(capsys):
+    """main parses with one parser per process: a parser is a reference cycle
+    that only a full collection frees. build_parser still builds a new one."""
+    argv = ["eval-loss", "--check-grad", "--random", "2"]
+    assert cli.main(argv) == 0  # builds the parser, if no earlier test did
+    assert cli.build_parser() is not cli.build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0 and cli.main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# --- scripts --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("images", ["0", "-3"])
+def test_sparsify_comparison_script_needs_an_image(monkeypatch, capsys, images):
+    script = Path(__file__).parents[1] / "scripts" / "sparsify_comparison.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--images", images])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: --images must be at least 1, got {images}\n")

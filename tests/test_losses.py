@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from spwood.geometry import OrientedBox, bhattacharyya_boxes, gwd_squared
 from spwood.losses import (
     Flip,
     FocalParams,
+    LossValueGrad,
     PredictionTriple,
     Rotate,
     SampleKind,
@@ -459,6 +464,48 @@ def test_unsupervised_batch_rows_match_one_row_calls(n):
     flat = unsupervised_loss(teacher, triple(conf, cen, margins), beta=0.7)
     assert same_bits(nested.value, flat.value.reshape(5, 6))
     assert same_bits(nested.grad, flat.grad.reshape(5, 6, 6 * n))
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("beta", [1.0, 0.3, 2.5])
+def test_unsupervised_rows_equal_the_reference(batch, n, beta):
+    rng = np.random.default_rng(len(batch) * 100 + n)
+    teacher = triple(rng.uniform(0.02, 0.98, n), rng.uniform(0.02, 0.98, n), rng.uniform(0, 40, (n, 4)))
+    margins = teacher.box_margins + rng.normal(0.0, 2.0, (*batch, n, 4))  # both sides of beta
+    student = triple(rng.uniform(0.02, 0.98, (*batch, n)), rng.uniform(0.02, 0.98, (*batch, n)), margins)
+    res = unsupervised_loss(teacher, student, beta)
+    assert type(res.value) is (float if batch == () else np.ndarray)
+    assert np.shape(res.value) == batch and res.grad.shape == (*batch, 6 * n)
+    for row in np.ndindex(batch):
+        value, grad = ref_unsupervised_one_row(
+            teacher, student.conf[row], student.centerness[row], student.box_margins[row], beta)
+        assert same_bits(np.asarray(res.value)[row], value) and same_bits(res.grad[row], grad)
+
+
+@pytest.mark.parametrize("batch, n", [((), 20_000), ((3,), 5_000)])
+def test_unsupervised_memory_is_bounded_by_its_grad(batch, n):
+    rng = np.random.default_rng(n)
+    teacher = triple(rng.uniform(0.02, 0.98, n), rng.uniform(0.02, 0.98, n), rng.uniform(0, 40, (n, 4)))
+    student = triple(rng.uniform(0.02, 0.98, (*batch, n)), rng.uniform(0.02, 0.98, (*batch, n)),
+                     teacher.box_margins + rng.normal(0.0, 2.0, (*batch, n, 4)))
+    tracemalloc.start()
+    try:
+        res = unsupervised_loss(teacher, student)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * res.grad.nbytes  # the whole-array form took 4.4 times
+
+
+def test_loss_value_grad_is_slotted_and_copies():
+    res = unsupervised_loss(triple([0.3], [0.6], [[1.0, 2.0, 3.0, 4.0]]), triple([0.4], [0.5], [[1.5, 2.0, 2.0, 4.0]]))
+    assert not hasattr(res, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.value = 0.0
+    for twin in (copy.copy(res), copy.deepcopy(res), pickle.loads(pickle.dumps(res))):
+        assert isinstance(twin, LossValueGrad) and twin.value == res.value
+        assert same_bits(twin.grad, res.grad)
 
 
 def test_unsupervised_batch_rejects_a_bad_row_as_one_row_call_does():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,32 @@ def test_ema_is_convex_combination(values, momentum, offset):
     out = ema_update(t, s, momentum)
     lo, hi = np.minimum(t, s), np.maximum(t, s)
     assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 4), (3, 5000), (2**12 + 1,)])
+@pytest.mark.parametrize("momentum", [0.0, 1.0, 0.999, 0.37, 0, 1, np.float32(0.9)])
+def test_ema_equals_the_plain_formula(shape, momentum):
+    """Bit for bit, in shape and in type: a 0-d pair still gives a numpy scalar."""
+    rng = np.random.default_rng(len(shape))
+    t, s = rng.normal(size=shape), rng.normal(size=shape)
+    want = momentum * t + (1.0 - momentum) * s
+    for got in (ema_update(t, s, momentum), ema_update(t.tolist(), s.tolist(), momentum)):
+        assert type(got) is type(want) and np.shape(got) == shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    t = rng.normal(size=(7, 6)).T  # Fortran-ordered input
+    assert np.array_equal(ema_update(t, t[::-1], momentum), momentum * t + (1.0 - momentum) * t[::-1])
+
+
+def test_ema_memory_is_its_output_plus_a_block():
+    rng = np.random.default_rng(0)
+    t, s = rng.normal(size=200_000), rng.normal(size=200_000)
+    tracemalloc.start()
+    try:
+        out = ema_update(t, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 64 * 2**10  # the whole-array form took two more arrays
 
 
 def test_ema_geometric_decay():
@@ -150,6 +177,13 @@ def test_parse_scenario_rejects_non_integer_counts(key, value):
     with pytest.raises(InvalidInputError) as exc:
         parse_scenario(text)
     assert str(exc.value) == f"scenario line {line_no}: {key} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("seed", ["-1", "-4"])
+def test_parse_scenario_rejects_a_negative_seed(seed):
+    with pytest.raises(InvalidInputError) as exc:
+        parse_scenario(SCENARIO_TEXT.replace("seed = 12", f"seed = {seed}"))
+    assert str(exc.value) == f"scenario seed must be nonnegative, got {seed}"
 
 
 def test_parse_scenario_integral_floats_are_integers():
