@@ -12,10 +12,12 @@ Usage:
 """
 
 import argparse
+import sys
 
 import numpy as np
 
 from spwood.dataset import AnnotationSet, compare_counts, sparsify_overall, sparsify_single
+from spwood.errors import InvalidInputError, check_seed
 
 RARE = ("BD", "GTF", "SBF", "RA", "HC")
 BULK = ("PL", "SV", "LV", "SH", "ST", "HA", "SP")
@@ -48,10 +50,14 @@ def main() -> int:
     if args.images < 1:
         parser.error(f"--images must be at least 1, got {args.images}")
 
-    corpus = build_corpus(args.images, args.seed)
-    single = sparsify_single(corpus, args.sparse, seed=args.seed)
-    overall = sparsify_overall(corpus, args.sparse, seed=args.seed)
-    stats = compare_counts(single.category_counts(), overall.category_counts())
+    try:
+        corpus = build_corpus(args.images, check_seed(args.seed, "--seed"))
+        single = sparsify_single(corpus, args.sparse, seed=args.seed)
+        overall = sparsify_overall(corpus, args.sparse, seed=args.seed)
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    stats = compare_counts(corpus.category_counts(single), corpus.category_counts(overall))
 
     totals = corpus.category_counts()
     print(f"corpus: {len(corpus)} records, {args.images} images, ratio {args.sparse}")

@@ -28,6 +28,7 @@ from .errors import (
     DotaParseError,
     InvalidInputError,
     NumericalDegeneracyError,
+    check_seed,
 )
 from .filtering import LevelScores, PyramidLevel
 from .geometry import PointAnnotation
@@ -39,9 +40,7 @@ EXIT_DEGENERATE = 3
 
 def _resolve_seed(explicit, default: int) -> int:
     if explicit is not None:
-        if explicit < 0:
-            raise InvalidInputError(f"--seed must be nonnegative, got {explicit}")
-        return explicit
+        return check_seed(explicit, "--seed")
     env = os.environ.get("SPWOOD_SEED")
     if env is None:
         return default
@@ -67,33 +66,36 @@ def _fmt(v: float) -> str:
 
 
 def cmd_sparsify(args) -> int:
-    ann = dataset.load_dota_dir(args.input)
+    keep = None  # every image, unless --partial labels some
+    if args.partial != 1.0:
+        ids = dataset.dota_dir_ids(args.input)
+        try:
+            split = dataset.select_partial(ids, args.partial, _resolve_seed(args.seed, 0))
+        except InvalidInputError:
+            split = None  # raised again below, after the error of any bad file
+        keep = split[0] if split else ()
+    ann = dataset.load_dota_dir(args.input, keep=keep)
     seed = _resolve_seed(args.seed, 0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.partial != 1.0:  # select_partial rejects a ratio outside (0, 1]
-        labeled_ids, unlabeled_ids = dataset.select_partial(ann, args.partial, seed)
+    if keep is not None:
+        labeled_ids, unlabeled_ids = split or dataset.select_partial(ids, args.partial, seed)
         (out_dir / "labeled_ids.txt").write_text(
             "".join(f"{i}\n" for i in labeled_ids), encoding="utf-8"
         )
         (out_dir / "unlabeled_ids.txt").write_text(
             "".join(f"{i}\n" for i in unlabeled_ids), encoding="utf-8"
         )
-        labeled = dataset.subset_images(ann, labeled_ids)
-    else:
-        labeled = ann
-    del ann  # only the labeled images are sparsified
 
     sample = dataset.sparsify_single if args.method == "single" else dataset.sparsify_overall
-    sparse = sample(labeled, args.sparse, seed)
-    before, after = labeled.category_counts(), sparse.category_counts()
+    rows = sample(ann, args.sparse, seed)
+    before, after = ann.category_counts(), ann.category_counts(rows)
     categories = sorted(before, key=dataset.category_sort_key)
-    del labeled  # the writer needs only the sparse set beside one batch
 
     ann_dir = out_dir / "annotations"
     kind = None if args.weaken == "none" else dataset.WeakKind(args.weaken)
-    written, dropped = dataset.write_dota_dir(sparse, ann_dir, kind)
+    written, dropped = dataset.write_dota_dir(ann, ann_dir, kind, rows=rows)
 
     stats_path = Path(args.stats) if args.stats else out_dir / "stats.csv"
     with open(stats_path, "w", encoding="utf-8") as fh:

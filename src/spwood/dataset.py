@@ -10,7 +10,9 @@ Two sparsification schemes are provided. The single method subsamples
 per image and per category, always keeping at least one instance of any
 category present in an image, which inflates rare categories. The
 overall method subsamples each category across the whole labeled set at
-the exact ratio, preserving the original category distribution.
+the exact ratio, preserving the original category distribution. Both
+return the ascending rows they keep, which the writer and the category
+counts take in place of a copy of the set.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, DotaParseError, InvalidInputError
+from .errors import DegenerateInputError, DotaParseError, InvalidInputError, check_seed
 from .geometry import HorizontalBox, OrientedBox, corners_of_boxes, normalize_angle
 
 # report ordering used for category tables; unknown categories follow,
@@ -81,8 +83,10 @@ class AnnotationSet:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def category_counts(self) -> dict[str, int]:
-        counts = np.bincount(self.codes, minlength=len(self.names)).tolist()
+    def category_counts(self, rows=None) -> dict[str, int]:
+        """Records per category, of the set or of its ``rows``."""
+        codes = self.codes if rows is None else self.codes[rows]
+        counts = np.bincount(codes, minlength=len(self.names)).tolist()
         return {name: n for name, n in zip(self.names, counts) if n}
 
     def _image_of_rows(self) -> np.ndarray:
@@ -127,24 +131,6 @@ def _check_row(tokens, raw: str, line_no: int) -> None:
         raise DotaParseError("non-finite corner coordinate", line_no)
 
 
-def _columns(rows, first):
-    """(corners, names, codes, difficulty) of the token rows of annotation
-    lines, whose first coordinates are converted already (``first``);
-    ValueError or OverflowError when a row is malformed."""
-    n = len(rows)
-    if any(len(tokens) != 10 for tokens in rows):
-        raise ValueError("wrong field count")
-    columns = list(zip(*rows)) or [()] * 10
-    corners = np.array([first] + [np.fromiter(map(float, c), np.float64, n) for c in columns[1:8]]).T
-    names = sorted(set(columns[8]))
-    if any(map(_is_number, names)) or not np.isfinite(corners).all():
-        raise ValueError("numeric category or non-finite corner")
-    code = {name: i for i, name in enumerate(names)}
-    level = {token: int(token) for token in set(columns[9])}
-    difficulty = np.fromiter(map(level.__getitem__, columns[9]), np.int64, n)
-    return corners, names, [code[c] for c in columns[8]], difficulty
-
-
 def parse_dota(text: str, image_id: str = "") -> AnnotationSet:
     """Parse one image's annotation text.
 
@@ -152,31 +138,56 @@ def parse_dota(text: str, image_id: str = "") -> AnnotationSet:
     it stands in the file; headers are kept verbatim and written before
     the records on output. Every other non-blank line must carry exactly
     eight coordinates, a category, and an integer difficulty; the first
-    malformed line raises. The text is tokenized once and its coordinates
-    converted in one batch.
+    malformed line raises. Each record's fields are converted into the
+    columns as its line is read, so beyond the lines and the columns (and
+    their buffers' slack) the parse holds one line's tokens.
     """
     lines = text.splitlines()
-    headers, rows, first = [], [], []
-    for raw in lines:
-        tokens = raw.split()
-        if not tokens:
-            continue
-        try:
-            first.append(float(tokens[0]))
-        except ValueError:
-            headers.append(raw)
-        else:
-            rows.append(tokens)
+    headers, codes, difficulty = [], array("q"), array("q")
+    names: dict[str, int] = {}  # category -> code, in order of arrival
+    levels: dict[str, int] = {}  # difficulty token -> its value
+
+    def coordinates():
+        """Each record line's eight coordinate tokens, the first converted
+        already; its category and difficulty go into their columns."""
+        for raw in lines:
+            tokens = raw.split()
+            if not tokens:
+                continue
+            try:
+                tokens[0] = float(tokens[0])
+            except ValueError:
+                headers.append(raw)
+                continue
+            if len(tokens) != 10:
+                raise ValueError("wrong field count")
+            code = names.get(tokens[8])
+            if code is None:
+                if _is_number(tokens[8]):
+                    raise ValueError("numeric category")
+                code = names[tokens[8]] = len(names)
+            codes.append(code)
+            level = levels.get(tokens[9])
+            if level is None:
+                level = levels[tokens[9]] = int(tokens[9])
+            difficulty.append(level)
+            del tokens[8:]
+            yield tokens
+
     try:
-        corners, names, codes, difficulty = _columns(rows, first)
+        corners = np.fromiter(map(float, itertools.chain.from_iterable(coordinates())), np.float64)
+        if not np.isfinite(corners).all():
+            raise ValueError("non-finite corner")
     except (ValueError, OverflowError):
         for line_no, raw in enumerate(lines, start=1):
             tokens = raw.split()
             if tokens and _is_number(tokens[0]):
                 _check_row(tokens, raw, line_no)
         raise
+    rank = {name: i for i, name in enumerate(sorted(names))}
+    codes = np.array([rank[name] for name in names], np.intp)[np.frombuffer(codes, np.int64)]
     return AnnotationSet(
-        (image_id,), (0, len(rows)), corners, codes, names, difficulty,
+        (image_id,), (0, len(codes)), corners, codes, sorted(names), np.frombuffer(difficulty, np.int64),
         {image_id: tuple(headers)} if headers else {},
     )
 
@@ -216,24 +227,26 @@ def merge_sets(sets) -> AnnotationSet:
     return AnnotationSet([ids[i] for i in order], offsets, corners, codes, sorted(names), difficulty, headers)
 
 
-# Records weakened and formatted at once; it bounds the label, token and
-# line lists and the texts a writer holds.
-_BATCH_RECORDS = 512
+# Records gathered, weakened and formatted at once; it bounds the rows,
+# labels, token and line lists and the texts a writer holds.
+_BATCH_RECORDS = 128
 
 
-def _batches(ann: AnnotationSet):
-    """(first row, view) of ``ann`` over runs of whole images of at most
-    _BATCH_RECORDS records in all, in id order; a larger image is a batch
-    of its own."""
-    bounds = ann.offsets.tolist()
+def _batches(ann: AnnotationSet, rows=None):
+    """(first position in ``rows``, set) over runs of whole images whose
+    kept rows number at most _BATCH_RECORDS in all, in id order; a larger
+    image is a batch of its own. ``rows`` are ascending rows of ``ann``
+    (every row by default); each set holds its images' kept rows."""
+    bounds = (ann.offsets if rows is None else np.searchsorted(rows, ann.offsets)).tolist()
     first = 0
     while first < len(ann.ids):
         last = max(first + 1, bisect.bisect_right(bounds, bounds[first] + _BATCH_RECORDS) - 1)
         lo, hi = bounds[first], bounds[last]
+        take = slice(lo, hi) if rows is None else rows[lo:hi]
         ids = ann.ids[first:last]
         yield lo, AnnotationSet(
-            ids, ann.offsets[first : last + 1] - lo, ann.corners[lo:hi], ann.codes[lo:hi], ann.names,
-            ann.difficulty[lo:hi], {i: ann.headers[i] for i in ids if i in ann.headers},
+            ids, np.subtract(bounds[first : last + 1], lo), ann.corners[take], ann.codes[take], ann.names,
+            ann.difficulty[take], {i: ann.headers[i] for i in ids if i in ann.headers},
         )
         first = last
 
@@ -256,19 +269,20 @@ def _render(ann: AnnotationSet, values, with_difficulty: bool, headers) -> dict[
     return out
 
 
-def _texts(ann: AnnotationSet, kind: WeakKind | None, dropped: list):
-    """(image id, text) of every image in id order, weakened and rendered
-    one batch at a time: the corner format with headers when ``kind`` is
-    None, else ``kind`` labels (see write_dota_dir). Under a weak kind the
-    records without a valid label are left out of the text and their rows
-    appended to ``dropped``."""
-    for lo, part in _batches(ann):
+def _texts(ann: AnnotationSet, kind: WeakKind | None, dropped: list, rows=None):
+    """(image id, text) of every image in id order, from its records among
+    the ascending ``rows`` (all by default), gathered, weakened and
+    rendered one batch at a time: the corner format with headers when
+    ``kind`` is None, else ``kind`` labels (see write_dota_dir). Under a
+    weak kind the records without a valid label are left out of the text
+    and their rows appended to ``dropped``."""
+    for lo, part in _batches(ann, rows):
         if kind is None:
             yield from _render(part, part.corners, True, part.headers).items()
             continue
         labels, bad = _weak_labels(part.corners, kind)[:2]
         if len(bad):
-            dropped.extend((lo + bad).tolist())
+            dropped.extend((lo + bad if rows is None else rows[lo + bad]).tolist())
             keep = np.delete(np.arange(len(part)), bad)
             part, labels = part._select(keep), labels[keep]
         if kind is WeakKind.RBOX:
@@ -281,13 +295,28 @@ def serialize_dota(ann: AnnotationSet) -> dict[str, str]:
     return dict(_texts(ann, None, []))
 
 
-def load_dota_dir(path) -> AnnotationSet:
-    """Load every .txt file in a directory; image ids are file stems. An
-    error in a file (see parse_dota, or text that is not UTF-8) names it."""
+def _dota_files(path) -> list[Path]:
     files = sorted(Path(path).glob("*.txt"))
     if not files:
         raise InvalidInputError(f"no .txt annotation files in {path}")
-    return merge_sets(map(_load_file, files))
+    return files
+
+
+def dota_dir_ids(path) -> list[str]:
+    """The sorted image ids (file stems) that load_dota_dir gives ``path``."""
+    return sorted(f.stem for f in _dota_files(path))
+
+
+def load_dota_dir(path, keep=None) -> AnnotationSet:
+    """Load every .txt file in a directory; image ids are file stems. An
+    error in a file (see parse_dota, or text that is not UTF-8) names it.
+    Given the image ids ``keep``, every file is still parsed and checked,
+    but only the images in ``keep`` are held and returned."""
+    sets = map(_load_file, _dota_files(path))
+    if keep is not None:
+        keep = set(keep)
+        sets = (s for s in sets if s.ids[0] in keep)
+    return merge_sets(sets)
 
 
 def _load_file(path: Path) -> AnnotationSet:
@@ -304,19 +333,21 @@ def _load_file(path: Path) -> AnnotationSet:
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
-def write_dota_dir(ann: AnnotationSet, path, kind: WeakKind | None = None) -> tuple[int, AnnotationSet]:
-    """Write each image's text to ``path``/<image id>.txt: the corner
-    format with headers, or with ``kind`` its weak labels, without headers:
-    "x y category" lines for points, "xmin ymin xmax ymax category" for
+def write_dota_dir(ann: AnnotationSet, path, kind: WeakKind | None = None, rows=None) -> tuple[int, AnnotationSet]:
+    """Write each image's text to ``path``/<image id>.txt, from its records
+    among the ascending ``rows`` (all by default): the corner format with
+    headers, or with ``kind`` its weak labels, without headers: "x y
+    category" lines for points, "xmin ymin xmax ymax category" for
     horizontal boxes, the corner format for recovered oriented boxes. A
     record without a valid label (see weaken_corners) is left out of the
-    text. Each batch of images is weakened, rendered and written before the
-    next, so beyond ``ann`` the writer holds one batch. Returns the number
-    of files written and the records left out, without headers."""
+    text. Each batch of images is gathered, weakened, rendered and written
+    before the next, so beyond ``ann`` and ``rows`` the writer holds one
+    batch. Returns the number of files written and the records left out,
+    without headers."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     dropped = []
-    for image_id, text in _texts(ann, None if kind is None else WeakKind(kind), dropped):
+    for image_id, text in _texts(ann, None if kind is None else WeakKind(kind), dropped, rows):
         (out / f"{image_id}.txt").write_text(text, encoding="utf-8")
     return len(ann.ids), ann._select(np.array(dropped, np.intp), headers={})
 
@@ -377,17 +408,16 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def select_partial(ann: AnnotationSet, partial_ratio: float, seed: int):
-    """Split image ids into (labeled, unlabeled) by uniform sampling of
-    round_half_up(ratio * n_images) images without replacement."""
-    if not ann.ids:
+def select_partial(ids, partial_ratio: float, seed: int):
+    """Split the sorted image ids ``ids`` (an annotation set's ``ids``, or
+    dota_dir_ids of a directory) into (labeled, unlabeled) by uniform
+    sampling of round_half_up(ratio * n_images) images without replacement."""
+    if not ids:
         raise InvalidInputError("empty annotation set")
     if not 0.0 < partial_ratio <= 1.0:
         raise InvalidInputError(f"partial_ratio must be in (0, 1], got {partial_ratio}")
-    ids = ann.ids
     k = round_half_up(partial_ratio * len(ids))
-    rng = np.random.default_rng(seed)
-    chosen = rng.permutation(len(ids))[:k]
+    chosen = np.random.default_rng(check_seed(seed)).permutation(len(ids))[:k]
     labeled = sorted(ids[i] for i in chosen)
     unlabeled = sorted(set(ids) - set(labeled))
     return labeled, unlabeled
@@ -400,45 +430,66 @@ def subset_images(ann: AnnotationSet, image_ids) -> AnnotationSet:
     return ann._select(rows, images, {i: h for i, h in ann.headers.items() if i in keep})
 
 
+# Sorted keys compared at once when _sample_groups finds its groups.
+_GROUP_SCAN = 1 << 12
+
+
+def _group_ends(key: np.ndarray, order: np.ndarray):
+    """The end, as a position in ``order``, of each run of equal keys when
+    ``order`` sorts the rows by ``key``; the keys are compared _GROUP_SCAN
+    rows at a time, so the scan holds no row-sized array."""
+    for lo in range(0, len(order) - 1, _GROUP_SCAN):
+        sorted_key = key[order[lo : lo + _GROUP_SCAN + 1]]
+        ends = sorted_key[1:] != sorted_key[:-1]
+        del sorted_key  # so the ends, one per group, take no more than the keys did
+        ends = np.flatnonzero(ends)
+        ends += lo + 1
+        yield from map(int, ends)
+        del ends
+    if len(order):
+        yield len(order)
+
+
 def _sample_groups(key: np.ndarray, count, seed: int) -> np.ndarray:
     """Ascending rows kept when each group of rows with equal ``key`` keeps
     ``count(n)`` of its n rows: groups in key order, each drawing one
-    ``permutation(n)`` over its rows in row order."""
-    rng = np.random.default_rng(seed)
+    ``permutation(n)`` over its rows in row order. Beyond ``key`` it holds
+    the sorting order and a keep mask."""
+    rng = np.random.default_rng(check_seed(seed))
     order = np.argsort(key, kind="stable")
-    # Each temporary is freed before the next is made, and no per-group array
-    # outlives its draw, so the peak does not grow with the number of groups.
-    sorted_key = key[order]
-    starts_group = sorted_key[1:] != sorted_key[:-1]
-    del sorted_key
-    stops = np.flatnonzero(starts_group)
-    del starts_group
-    stops += 1
     keep = np.zeros(len(order), dtype=bool)
     start = 0
-    for stop in map(int, itertools.chain(stops, [len(order)])):
-        keep[order[start + rng.permutation(stop - start)[: count(stop - start)]]] = True
+    # Shuffling a group's rows in place makes the draws of permutation(n)
+    # and moves each row where that permutation moves its index; it leaves
+    # the keys in sorted order for the groups _group_ends has yet to find.
+    for stop in _group_ends(key, order):
+        rng.shuffle(order[start:stop])
+        keep[order[start : start + count(stop - start)]] = True
         start = stop
+    del order
     return np.flatnonzero(keep)
 
 
-def sparsify_single(ann: AnnotationSet, sparse_ratio: float, seed: int) -> AnnotationSet:
+def sparsify_single(ann: AnnotationSet, sparse_ratio: float, seed: int) -> np.ndarray:
     """Per image and per category keep max(1, round_half_up(ratio * n))
-    records, sampled without replacement. Every (image, category) pair in
-    the input survives."""
+    records, sampled without replacement; returns the ascending kept rows.
+    Every (image, category) pair in the input survives."""
     if not 0.0 < sparse_ratio <= 1.0:
         raise InvalidInputError(f"sparse_ratio must be in (0, 1], got {sparse_ratio}")
-    key = ann._image_of_rows() * len(ann.names) + ann.codes
-    return ann._select(_sample_groups(key, lambda n: max(1, round_half_up(sparse_ratio * n)), seed))
+    key = ann._image_of_rows()
+    key *= len(ann.names)
+    key += ann.codes
+    return _sample_groups(key, lambda n: max(1, round_half_up(sparse_ratio * n)), seed)
 
 
-def sparsify_overall(ann: AnnotationSet, sparse_ratio: float, seed: int) -> AnnotationSet:
+def sparsify_overall(ann: AnnotationSet, sparse_ratio: float, seed: int) -> np.ndarray:
     """Per category across the whole set keep exactly
-    round_half_up(ratio * n) records, sampled without replacement; an
-    image may lose every instance of a category."""
+    round_half_up(ratio * n) records, sampled without replacement; returns
+    the ascending kept rows. An image may lose every instance of a
+    category."""
     if not 0.0 < sparse_ratio <= 1.0:
         raise InvalidInputError(f"sparse_ratio must be in (0, 1], got {sparse_ratio}")
-    return ann._select(_sample_groups(ann.codes, lambda n: round_half_up(sparse_ratio * n), seed))
+    return _sample_groups(ann.codes, lambda n: round_half_up(sparse_ratio * n), seed)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the seed check."""
 
 
 class InvalidInputError(ValueError):
@@ -23,3 +23,11 @@ class DotaParseError(ValueError):
         where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
         super().__init__(f"{where}: {message}")
         self.message, self.line_no, self.path = message, line_no, path
+
+
+def check_seed(seed: int, name: str = "seed") -> int:
+    """``seed``, once it is known to be nonnegative: numpy's generators take
+    no negative seed, and the error names the value."""
+    if seed < 0:
+        raise InvalidInputError(f"{name} must be nonnegative, got {seed}")
+    return seed

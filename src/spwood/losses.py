@@ -313,7 +313,12 @@ def unsupervised_loss(
     grad = np.empty((*student.conf.shape[:-1], 6 * n))
     # The margin slice of grad holds the residual r until it becomes r's gradient.
     r = grad[..., 2 * n :]
-    np.subtract(student.box_margins, teacher.box_margins, out=r.reshape(*r.shape[:-1], n, 4))
+    try:
+        np.subtract(student.box_margins, teacher.box_margins, out=r.reshape(*r.shape[:-1], n, 4))
+    except ValueError:  # the first operation on both: a teacher with dimensions the student lacks
+        raise InvalidInputError(
+            f"teacher shape {teacher.conf.shape} does not broadcast to student shape {student.conf.shape}"
+        ) from None
     box = np.abs(r)  # smooth-L1: ((0.5 * r) * r) / beta inside, |r| - 0.5 * beta outside
     inside = box < beta
     outside = ~inside

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, check_seed
 from .filtering import FilterMode, GmmConfig, LevelScores, PyramidLevel, level_decisions
 
 DEFAULT_EMA_MOMENTUM = 0.999
@@ -113,8 +113,7 @@ class SimScenario:
             raise InvalidInputError("scenario needs at least one level")
         if self.rounds < 1:
             raise InvalidInputError("scenario needs at least one round")
-        if self.seed < 0:
-            raise InvalidInputError(f"scenario seed must be nonnegative, got {self.seed}")
+        check_seed(self.seed, "scenario seed")
         if sum(p.n_pos for p in self.levels) < 1:
             raise InvalidInputError("scenario plants no positives")
         names = [p.level for p in self.levels]
@@ -168,7 +167,7 @@ def run_simulation(
     same report. ``seed`` overrides the scenario's own seed.
     """
     filter_mode = FilterMode(filter_mode)
-    used_seed = scenario.seed if seed is None else seed
+    used_seed = scenario.seed if seed is None else check_seed(seed)
     rng = np.random.default_rng(used_seed)
     rows: list[RoundLevelResult] = []
     for rnd in range(scenario.rounds):
@@ -249,7 +248,7 @@ def paired_comparison(
     """
     if repeats < 1:
         raise InvalidInputError("need at least one repeat")
-    start = scenario.seed if base_seed is None else base_seed
+    start = scenario.seed if base_seed is None else check_seed(base_seed, "base_seed")
     modes = (FilterMode.MPF, FilterMode.CPF)
     reports = tuple(
         tuple(run_simulation(scenario, mode, config, seed=start + i) for mode in modes)

@@ -258,6 +258,57 @@ def test_sparsify_out_of_range_ratio_errors(tmp_path, corpus_dir, capsys, partia
     assert sorted(p.name for p in out.iterdir()) == files
 
 
+def bad_file_corpus(corpus_dir, tmp_path, capsys):
+    """corpus_dir with a bad difficulty on line 2 of a file that --partial
+    0.5 leaves unlabeled under seed 0; returns the error line."""
+    good = tmp_path / "good"
+    assert cli.main(["sparsify", "--input", str(corpus_dir), "--out", str(good), "--method", "single",
+                     "--sparse", "0.3", "--partial", "0.5"]) == 0
+    assert "img010" in (good / "unlabeled_ids.txt").read_text().split()
+    capsys.readouterr()
+    bad = corpus_dir / "img010.txt"
+    bad.write_text(bad.read_text().splitlines()[0] + "\n0 0 2 0 2 1 0 1 PL 1.5\n")
+    return f"error: {bad}: line 2: bad difficulty '1.5'\n"
+
+
+@pytest.mark.parametrize("partial, seed, env", [
+    ("0", None, None), ("nan", None, None), ("1.5", None, None), (None, "-1", None), (None, None, "x"),
+    ("0.5", None, None), ("0.5", "-1", None), ("0", "-1", None), ("1.5", None, "x"),
+])
+def test_a_bad_file_is_named_before_a_bad_seed_or_ratio(tmp_path, corpus_dir, monkeypatch, capsys, partial, seed, env):
+    """Every file is parsed and checked, also under --partial, before the
+    seed and the ratio; nothing is written."""
+    want = bad_file_corpus(corpus_dir, tmp_path, capsys)
+    if env is not None:
+        monkeypatch.setenv("SPWOOD_SEED", env)
+    out = tmp_path / "out"
+    code = cli.main([
+        "sparsify", "--input", str(corpus_dir), "--out", str(out), "--method", "single", "--sparse", "0.3",
+        *(["--partial", partial] if partial else []), *(["--seed", seed] if seed else []),
+    ])
+    assert code == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", want)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("partial", ["0", "nan", "1.5", "0.5"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_a_bad_seed_is_named_before_a_bad_ratio(tmp_path, corpus_dir, monkeypatch, capsys, partial, source):
+    """The seed is checked before the output directory is made, and so
+    before --partial."""
+    out = tmp_path / "out"
+    argv = ["sparsify", "--input", str(corpus_dir), "--out", str(out), "--method", "single", "--sparse", "0",
+            "--partial", partial]
+    if source == "flag":
+        argv, want = argv + ["--seed", "-1"], "--seed must be nonnegative, got -1"
+    else:
+        monkeypatch.setenv("SPWOOD_SEED", "x")
+        want = "SPWOOD_SEED must be an integer, got 'x'"
+    assert cli.main(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {want}\n")
+    assert not out.exists()
+
+
 # --- fit-gmm --------------------------------------------------------------------
 
 
@@ -839,3 +890,17 @@ def test_sparsify_comparison_script_needs_an_image(monkeypatch, capsys, images):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.endswith(f"error: --images must be at least 1, got {images}\n")
+
+
+@pytest.mark.parametrize("args, want", [
+    (["--seed", "-1"], "--seed must be nonnegative, got -1"),
+    (["--sparse", "0"], "sparse_ratio must be in (0, 1], got 0.0"),
+])
+def test_sparsify_comparison_script_input_errors(monkeypatch, capsys, args, want):
+    """An error line and exit code 1, as the command line gives, not a traceback."""
+    script = Path(__file__).parents[1] / "scripts" / "sparsify_comparison.py"
+    monkeypatch.setattr(sys, "argv", [str(script), *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", f"error: {want}\n")

@@ -106,6 +106,11 @@ def synthetic_corpus(seed=0, n_images=200, categories=("PL", "BD", "SV", "SH", "
     return set_of(records, image_ids=image_ids)
 
 
+def sparse_set(sample, ann, ratio, seed):
+    """The records of ``ann`` among the rows that ``sample`` keeps."""
+    return ann._select(sample(ann, ratio, seed))
+
+
 def by_image(ann):
     return {i: tuple(records_of(ann, i)) for i in ann.ids}
 
@@ -209,19 +214,28 @@ def small_set(n):
 
 
 def test_partial_ratio_one_keeps_all():
-    labeled, unlabeled = select_partial(small_set(10), 1.0, seed=0)
+    labeled, unlabeled = select_partial(small_set(10).ids, 1.0, seed=0)
     assert len(labeled) == 10 and unlabeled == []
 
 
 def test_partial_rounding():
-    labeled, unlabeled = select_partial(small_set(10), 0.3, seed=0)
+    labeled, unlabeled = select_partial(small_set(10).ids, 0.3, seed=0)
     assert len(labeled) == 3 and len(unlabeled) == 7
 
 
 def test_partial_deterministic():
-    assert select_partial(small_set(50), 0.2, seed=9) == select_partial(
-        small_set(50), 0.2, seed=9
+    assert select_partial(small_set(50).ids, 0.2, seed=9) == select_partial(
+        small_set(50).ids, 0.2, seed=9
     )
+
+
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_negative_seed_is_an_input_error(seed):
+    """numpy's generator takes no negative seed: each sampler names the value."""
+    ann = synthetic_corpus(seed=1, n_images=5)
+    for call in (select_partial, sparsify_single, sparsify_overall):
+        with pytest.raises(InvalidInputError, match=rf"^seed must be nonnegative, got {seed}$"):
+            call(ann.ids if call is select_partial else ann, 0.5, seed)
 
 
 def test_round_half_up():
@@ -244,14 +258,14 @@ def test_single_exact_fraction():
         record("a", [(i, 0), (i + 1, 0), (i + 1, 1), (i, 1)], "SV") for i in range(10)
     ]
     out = sparsify_single(set_of(recs), 0.1, seed=0)
-    assert len(records_of(out, "a")) == 1
+    assert len(out) == 1
 
 
 def test_single_inflates_rare_categories():
     ann = synthetic_corpus(seed=1)
     out = sparsify_single(ann, 0.1, seed=0)
     before = ann.category_counts()
-    after = out.category_counts()
+    after = ann.category_counts(out)
     # singleton-heavy categories retain far more than the nominal 10%
     assert after["BD"] / before["BD"] > 0.5
     # bulk categories sit near the nominal ratio
@@ -260,7 +274,7 @@ def test_single_inflates_rare_categories():
 
 def test_single_preserves_image_category_pairs():
     ann = synthetic_corpus(seed=2)
-    out = sparsify_single(ann, 0.1, seed=3)
+    out = sparse_set(sparsify_single, ann, 0.1, 3)
     for image_id in ann.ids:
         in_cats = {r.category for r in records_of(ann, image_id)}
         out_cats = {r.category for r in records_of(out, image_id)}
@@ -271,15 +285,14 @@ def test_overall_exact_counts():
     ann = synthetic_corpus(seed=3)
     out = sparsify_overall(ann, 0.1, seed=4)
     before = ann.category_counts()
-    after = out.category_counts()
+    after = ann.category_counts(out)
     for cat, n in before.items():
         assert after.get(cat, 0) == round_half_up(0.1 * n)
 
 
 def test_overall_identity_at_full_ratio():
     ann = synthetic_corpus(seed=4, n_images=30)
-    out = sparsify_overall(ann, 1.0, seed=0)
-    assert by_image(out) == by_image(ann)
+    assert sparsify_overall(ann, 1.0, seed=0).tolist() == list(range(len(ann)))
 
 
 @given(st.integers(0, 1000), st.sampled_from([0.1, 0.3, 0.5, 0.9]))
@@ -287,7 +300,7 @@ def test_overall_identity_at_full_ratio():
 def test_sparsified_output_is_subset(seed, ratio):
     ann = synthetic_corpus(seed=5, n_images=40)
     for sample in (sparsify_single, sparsify_overall):
-        out = sample(ann, ratio, seed)
+        out = sparse_set(sample, ann, ratio, seed)
         source = by_image(ann)
         for image_id, records in by_image(out).items():
             assert all(r in source[image_id] for r in records)
@@ -297,11 +310,11 @@ def test_sparsified_output_is_subset(seed, ratio):
 
 def test_sparsify_byte_identical_per_seed():
     ann = synthetic_corpus(seed=6, n_images=60)
-    a = serialize_dota(sparsify_single(ann, 0.2, seed=11))
-    b = serialize_dota(sparsify_single(ann, 0.2, seed=11))
+    a = serialize_dota(sparse_set(sparsify_single, ann, 0.2, 11))
+    b = serialize_dota(sparse_set(sparsify_single, ann, 0.2, 11))
     assert a == b
-    c = serialize_dota(sparsify_overall(ann, 0.2, seed=11))
-    d = serialize_dota(sparsify_overall(ann, 0.2, seed=11))
+    c = serialize_dota(sparse_set(sparsify_overall, ann, 0.2, 11))
+    d = serialize_dota(sparse_set(sparsify_overall, ann, 0.2, 11))
     assert c == d
 
 
@@ -330,14 +343,22 @@ def test_compare_stats_on_sets_and_ordering():
     ann = synthetic_corpus(seed=7, n_images=50)
     single = sparsify_single(ann, 0.1, seed=1)
     overall = sparsify_overall(ann, 0.1, seed=1)
-    stats = compare_counts(single.category_counts(), overall.category_counts())
+    stats = compare_counts(ann.category_counts(single), ann.category_counts(overall))
     names = [r.category for r in stats.rows]
     assert names == sorted(
         names, key=lambda c: (("PL", "BD", "BR", "GTF", "SV", "LV", "SH", "TC",
                                "BC", "ST", "SBF", "RA", "HA", "SP", "HC").index(c))
     )
     for row in stats.rows:
-        assert row.count_single == single.category_counts().get(row.category, 0)
+        assert row.count_single == ann.category_counts(single).get(row.category, 0)
+
+
+def test_category_counts_of_rows():
+    ann = synthetic_corpus(seed=7, n_images=20)
+    rows = sparsify_single(ann, 0.3, 2)
+    assert ann.category_counts(rows) == ann._select(rows).category_counts() != ann.category_counts()
+    assert ann.category_counts(np.arange(len(ann))) == ann.category_counts()
+    assert ann.category_counts(np.array([], np.intp)) == {}
 
 
 # --- weak-label serialization -------------------------------------------------------
@@ -774,10 +795,10 @@ def test_sparsifiers_match_record_reference_on_memory_sets():
     images = {i: records_of(ann, i) for i in ann.ids}
     for seed in (0, 1, 2):
         for ratio in (0.05, 0.3, 1.0):
-            assert by_image(sparsify_single(ann, ratio, seed)) == {
+            assert by_image(sparse_set(sparsify_single, ann, ratio, seed)) == {
                 i: tuple(r) for i, r in ref_sparsify_single(images, ratio, seed).items()
             }
-            assert by_image(sparsify_overall(ann, ratio, seed)) == {
+            assert by_image(sparse_set(sparsify_overall, ann, ratio, seed)) == {
                 i: tuple(r) for i, r in ref_sparsify_overall(images, ratio, seed).items()
             }
     assert ann.category_counts() == ref_counts(images)
@@ -908,7 +929,7 @@ def test_merge_sorts_images_and_remaps_categories():
 def test_sets_without_records_sample_and_render(tmp_path):
     empty = parse_dota("imagesource:x\n\n", image_id="e")
     assert len(empty) == 0 and empty.category_counts() == {}
-    for out in (sparsify_single(empty, 0.5, 0), sparsify_overall(empty, 0.5, 0)):
+    for out in (sparse_set(sparsify_single, empty, 0.5, 0), sparse_set(sparsify_overall, empty, 0.5, 0)):
         assert out.ids == ("e",) and len(out) == 0
         assert serialize_dota(out) == {"e": "imagesource:x\n"}
     text, dropped = write_weak(empty, WeakKind.RBOX, tmp_path)
@@ -1059,6 +1080,20 @@ def test_render_in_batches_matches_whole_set_render(ann, batch):
             assert write_weak(ann, WeakKind.POINT, Path(tmp) / "out")[0] == whole_set_render(ann, points, False, {})
 
 
+@given(annotation_sets(), st.data(), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_writing_rows_matches_writing_their_selection(ann, data, batch):
+    """Each batch gathers the kept rows of its images; records that lose
+    their label are named by their rows in ``ann``."""
+    rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(ann), max_size=len(ann))))
+    with mock.patch.object(dataset, "_BATCH_RECORDS", batch), tempfile.TemporaryDirectory() as tmp:
+        for kind in (None, *WeakKind):
+            got = write_dota_dir(ann, Path(tmp) / f"rows-{kind}", kind, rows=rows)
+            want = write_dota_dir(ann._select(rows), Path(tmp) / f"set-{kind}", kind)
+            assert got[0] == want[0] and read_texts(Path(tmp) / f"rows-{kind}") == read_texts(Path(tmp) / f"set-{kind}")
+            assert got[1].ids == want[1].ids and records_of(got[1]) == records_of(want[1])
+
+
 @st.composite
 def interleaved_sets(draw):
     """Pieces of one set whose image ids interleave, some with a category
@@ -1123,6 +1158,23 @@ def test_load_names_the_first_bad_file_in_path_order(tmp_path):
     assert (exc.value.path, exc.value.line_no) == (tmp_path / "a.txt", 2)
 
 
+def test_load_keeps_only_the_given_images_but_checks_every_file(tmp_path):
+    path = Path(__file__).parent / "data" / "dota_14"
+    whole = load_dota_dir(path)
+    assert dataset.dota_dir_ids(path) == list(whole.ids)
+    keep = whole.ids[::3]
+    kept, want = load_dota_dir(path, keep=keep), subset_images(whole, keep)
+    assert kept.ids == want.ids == keep and kept.headers == want.headers
+    assert records_of(kept) == records_of(want)
+    nothing = load_dota_dir(path, keep=())
+    assert nothing.ids == () and len(nothing) == 0
+    (tmp_path / "a.txt").write_text(f"{GOOD}\n")
+    (tmp_path / "b.txt").write_text(f"{GOOD}\n{BAD_LINES[5]}\n")
+    with pytest.raises(DotaParseError) as exc:
+        load_dota_dir(tmp_path, keep=["a"])
+    assert (exc.value.path, exc.value.line_no) == (tmp_path / "b.txt", 2)
+
+
 # Records per image of the benchmark's corpus: 10 to 250, mostly small,
 # 8,798 over 150 images.
 LARGE_COUNTS = np.rint(10 * 25 ** ((np.arange(150) / 149) ** 1.5)).astype(int)
@@ -1145,7 +1197,11 @@ def large_set():
 
 
 def traced_peak(fn, *args):
-    """(fn(*args), the tracemalloc peak of the call in bytes)."""
+    """(fn(*args), the tracemalloc peak of the call in bytes). pathlib
+    interns the names of the paths it makes, so the file names a traced
+    call makes paths of are kept referenced before it runs: interning one
+    anew can grow the interpreter's table of interned strings, which takes
+    megabytes at once."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -1180,11 +1236,14 @@ def test_merge_memory_beyond_its_columns(large_set):
 
 @pytest.fixture(scope="module")
 def large_dir(large_set, tmp_path_factory):
-    """large_set written out, one file per image."""
+    """large_set written out, one file per image. Its file names stay
+    referenced while the module runs (see traced_peak)."""
     path = tmp_path_factory.mktemp("large") / "anns"
     count, dropped = write_dota_dir(large_set, path)
     assert count == 150 and len(dropped) == 0
-    return path
+    names = [path / f"{i}.txt" for i in large_set.ids]
+    yield path
+    del names
 
 
 def column_bytes(ann):
@@ -1199,7 +1258,9 @@ def test_large_dir_loads_like_concat_merge(large_set, large_dir):
 
 def test_load_memory_beyond_its_columns(large_dir):
     loaded, peak = traced_peak(load_dota_dir, large_dir)
-    assert peak - column_bytes(loaded) < 0.6 * 2**20  # 0.41 MB; parsing every file before the merge took 1.18 MB
+    # 0.21 MB; converting each file's coordinates from a list of every line's
+    # tokens took 0.41 MB, and parsing every file before the merge 1.18 MB
+    assert peak - column_bytes(loaded) < 0.3 * 2**20
 
 
 def test_sparsify_memory_beyond_the_loaded_columns(large_dir, tmp_path, capsys):
@@ -1207,19 +1268,73 @@ def test_sparsify_memory_beyond_the_loaded_columns(large_dir, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(tmp_path / "warm")]) == 0  # lazy imports happen before the trace
     code, peak = traced_peak(cli.main, [*argv, "--out", str(tmp_path / "out")])
     assert code == 0
-    # 0.82 MB; parsing every file before the merge, weakening the whole
-    # sparse set and rendering every text before writing took 1.61 MB
-    assert peak - column_bytes(load_dota_dir(large_dir)) < 1.1 * 2**20
+    # 0.28 MB; a sparse copy of the set, 512-record batches and every
+    # line's tokens held while parsing its file took 0.50 MB, and parsing
+    # every file before the merge, weakening the whole sparse set and
+    # rendering every text before writing 1.61 MB
+    assert peak - column_bytes(load_dota_dir(large_dir)) < 0.45 * 2**20
 
 
 def test_sampling_memory_does_not_grow_with_the_group_count():
     """20,000 rows keeping 4,000, drawn from 4 groups or from 4,000: the peak
-    is the same. Holding every group's view and kept rows at once made the
-    second cost 1.25 MB against 0.46 MB."""
+    is the same, and beyond the key it is at most the sorting order, the
+    kept rows and the keep mask. Holding every group's view and kept rows
+    at once made the second cost 1.25 MB against 0.46 MB; finding the
+    groups from a sorted copy of the key took a third row array."""
     def peak(groups):
         key = np.random.default_rng(0).permutation(np.arange(20_000) % groups)
         kept, peak = traced_peak(dataset._sample_groups, key, lambda n: n // 5, 1)
         assert len(kept) == 4_000
+        assert peak <= 2 * key.nbytes + len(key)
         return peak
 
     assert peak(4_000) <= peak(4) + 2**10
+
+
+def test_parse_memory_beyond_its_lines_and_columns(large_set):
+    """2,000 records: beyond the text's lines and the columns it returns the
+    parse holds one line's tokens and the column buffers' slack."""
+    text = "".join(serialize_dota(large_set._select(np.arange(2_000))).values())
+    lines = text.splitlines()
+    lines_bytes = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+    del lines
+    parsed, peak = traced_peak(parse_dota, text, "x")
+    assert len(parsed) == 2_000
+    # 28 KB; keeping every line's tokens for one conversion per column took 1.75 MB
+    assert peak - lines_bytes - column_bytes(parsed) < 48 * 2**10
+
+
+def test_writer_memory_does_not_grow_with_the_kept_rows(tmp_path):
+    """1,000 and 8,000 kept rows of 9,600, in images smaller than a batch:
+    beyond its inputs the writer holds one batch, so both peaks agree."""
+    rng = np.random.default_rng(5)
+    n = 160 * 60
+    boxes = np.column_stack([
+        rng.uniform(0, 4000, (n, 2)), rng.uniform(6, 150, n), rng.uniform(2, 40, n), rng.uniform(-1.5, 1.5, n),
+    ])
+    ids = [f"P{i:04d}" for i in range(160)]
+    names = sorted(DOTA_CATEGORY_ORDER)
+    ann = AnnotationSet(
+        ids, np.arange(0, n + 1, 60), corners_of_boxes(boxes), rng.integers(0, len(names), n), names,
+        (rng.random(n) < 0.1).astype(int), {i: ("imagesource:GoogleEarth", "gsd:0.146") for i in ids},
+    )
+    names = [tmp_path / f"{i}.txt" for i in ids]  # see traced_peak
+    for kind in (None, WeakKind.RBOX):
+        peaks = []
+        for k in (1_000, 8_000):
+            rows = np.sort(rng.choice(n, k, replace=False))
+            (written, dropped), peak = traced_peak(write_dota_dir, ann, tmp_path / f"{kind}-{k}", kind, rows)
+            assert written == 160 and len(dropped) == 0
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+
+def test_partial_sparsify_memory_below_the_whole_corpus_columns(large_dir, tmp_path, capsys):
+    """Only the labeled images are loaded: the command peaks below the
+    columns of the whole corpus."""
+    argv = ["sparsify", "--input", str(large_dir), "--method", "single", "--sparse", "0.3", "--partial", "0.5"]
+    assert cli.main([*argv, "--out", str(tmp_path / "warm")]) == 0  # lazy imports happen before the trace
+    code, peak = traced_peak(cli.main, [*argv, "--out", str(tmp_path / "out")])
+    assert code == 0
+    # 0.48 MB against 0.67 MB; loading every image and then copying the labeled ones took 1.12 MB
+    assert peak < column_bytes(load_dota_dir(large_dir))

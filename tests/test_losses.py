@@ -508,6 +508,20 @@ def test_loss_value_grad_is_slotted_and_copies():
         assert same_bits(twin.grad, res.grad)
 
 
+@pytest.mark.parametrize("teacher_shape, student_shape", [((2, 3), (3,)), ((1, 3), (3,)), ((2, 3), (4, 3))])
+def test_unsupervised_teacher_must_broadcast_to_the_student(teacher_shape, student_shape):
+    """Leading teacher dimensions that the student lacks are named, not left
+    to a numpy broadcasting error."""
+    def flat(shape):
+        return triple(np.full(shape, 0.5), np.full(shape, 0.5), np.zeros((*shape, 4)))
+
+    with pytest.raises(InvalidInputError) as exc:
+        unsupervised_loss(flat(teacher_shape), flat(student_shape))
+    assert str(exc.value) == f"teacher shape {teacher_shape} does not broadcast to student shape {student_shape}"
+    batched = unsupervised_loss(flat((3,)), flat((2, 3)))  # a batched student of a one-row teacher
+    assert batched.grad.shape == (2, 18)
+
+
 def test_unsupervised_batch_rejects_a_bad_row_as_one_row_call_does():
     teacher = triple([0.5, 0.5], [0.5, 0.5], np.zeros((2, 4)))
     conf = np.full((3, 2), 0.5)

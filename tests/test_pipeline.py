@@ -243,6 +243,15 @@ def test_identical_seeds_identical_reports():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [-1, -7])
+def test_negative_seed_arguments_are_input_errors(seed):
+    """numpy's generator takes no negative seed: the error names the value."""
+    with pytest.raises(InvalidInputError, match=rf"^seed must be nonnegative, got {seed}$"):
+        run_simulation(shifted_scenario(), FilterMode.MPF, seed=seed)
+    with pytest.raises(InvalidInputError, match=rf"^base_seed must be nonnegative, got {seed}$"):
+        paired_comparison(shifted_scenario(), repeats=2, base_seed=seed)
+
+
 def test_mpf_beats_cpf_on_shifted_levels():
     summary = paired_comparison(shifted_scenario(), repeats=10, base_seed=0)
     assert summary.mpf_mean_f1 > summary.cpf_mean_f1
