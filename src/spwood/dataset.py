@@ -17,7 +17,6 @@ counts take in place of a copy of the set.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import itertools
 import math
@@ -59,35 +58,56 @@ class AnnotationSet:
     ``offsets[i]:offsets[i + 1]``, in file order. Row r has corners
     ``corners[r]`` ((N, 4, 2) float64), category ``names[codes[r]]``
     (``names`` is sorted, so code order is name order) and difficulty
-    ``difficulty[r]`` (int64). ``headers`` maps image ids to header lines.
+    ``difficulty[r]``. ``headers`` maps image ids to header lines.
+
+    Codes and difficulties are checked as given, then held in the narrowest
+    type that holds them: ``codes`` as ``np.min_scalar_type(len(names) - 1)``
+    (uint8 up to 256 categories), ``difficulty`` as the narrowest of int8,
+    int16, int32 and int64 that holds its values (int8 for 0/1).
     """
 
     def __init__(self, ids, offsets, corners, codes, names, difficulty, headers=None):
         self.ids, self.names = tuple(ids), tuple(names)
         self.offsets = np.asarray(offsets, dtype=np.intp)
         self.corners = np.ascontiguousarray(corners, dtype=np.float64).reshape(-1, 4, 2)
-        self.codes = np.asarray(codes, dtype=np.intp)
-        self.difficulty = np.asarray(difficulty, dtype=np.int64)
-        self.headers: dict[str, tuple[str, ...]] = dict(headers or {})
+        codes = codes if _is_array_of(codes, "iu") else np.asarray(codes, dtype=np.intp)
+        difficulty = difficulty if _is_array_of(difficulty, "i") else np.asarray(difficulty, dtype=np.int64)
+        # copied entry by entry: a whole-dict copy takes a fresh key table,
+        # which the interpreter keeps in a free list once the set is freed
+        self.headers: dict[str, tuple[str, ...]] = {i: h for i, h in (headers or {}).items()}
         n, bounds = len(self.corners), self.offsets.tolist()
         if not (
-            list(self.ids) == sorted(set(self.ids)) and list(self.names) == sorted(set(self.names))
+            self.ids == tuple(sorted(set(self.ids))) and self.names == tuple(sorted(set(self.names)))
             and len(bounds) == len(self.ids) + 1 and bounds[0] == 0 and bounds[-1] == n
-            and bounds == sorted(bounds) and self.codes.shape == self.difficulty.shape == (n,)
-            and np.all((self.codes >= 0) & (self.codes < len(self.names)))
+            and bounds == sorted(bounds) and codes.shape == difficulty.shape == (n,)
+            and (n == 0 or (
+                (codes.dtype.kind == "u" or np.minimum.reduce(codes) >= 0)
+                and np.maximum.reduce(codes) < len(self.names)
+            ))
         ):
             raise InvalidInputError("inconsistent annotation columns")
-        if not np.isfinite(self.corners).all():
+        # the least and greatest coordinates are finite only if every one is
+        least, most = (np.minimum.reduce(self.corners, None), np.maximum.reduce(self.corners, None)) if n else (0, 0)
+        if not (math.isfinite(least) and math.isfinite(most)):
             raise InvalidInputError("non-finite corner coordinate")
+        self.codes = codes.astype(_code_type(len(self.names)), copy=False)
+        if difficulty.itemsize > 1:  # int8 is as narrow as a difficulty gets
+            levels = (int(np.minimum.reduce(difficulty)), int(np.maximum.reduce(difficulty))) if n else (0, 0)
+            difficulty = difficulty.astype(_level_type(*levels), copy=False)
+        self.difficulty = difficulty
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def category_counts(self, rows=None) -> dict[str, int]:
-        """Records per category, of the set or of its ``rows``."""
-        codes = self.codes if rows is None else self.codes[rows]
-        counts = np.bincount(codes, minlength=len(self.names)).tolist()
-        return {name: n for name, n in zip(self.names, counts) if n}
+        """Records per category, of the set or of its ``rows``, counted
+        _BLOCK_ROWS codes at a time: np.bincount makes an intp copy of what
+        it counts."""
+        counts = np.zeros(len(self.names), dtype=np.intp)
+        for lo in range(0, len(self) if rows is None else len(rows), _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            counts += np.bincount(self.codes[block if rows is None else rows[block]], minlength=len(self.names))
+        return {name: n for name, n in zip(self.names, counts.tolist()) if n}
 
     def _image_of_rows(self) -> np.ndarray:
         """(N,) index into ``ids`` of each row's image."""
@@ -102,6 +122,41 @@ class AnnotationSet:
             [self.ids[i] for i in images], offsets, self.corners[rows], self.codes[rows],
             self.names, self.difficulty[rows], self.headers if headers is None else headers,
         )
+
+
+def _is_array_of(values, kinds: str) -> bool:
+    return isinstance(values, np.ndarray) and values.dtype.kind in kinds
+
+
+def _code_type(n_names: int) -> np.dtype:
+    """The type of the codes into a table of ``n_names`` categories."""
+    return np.min_scalar_type(max(n_names - 1, 0))
+
+
+# Signed types a difficulty column may take, narrowest first, with their bounds.
+_LEVEL_TYPES = tuple(
+    (t, np.iinfo(t).min, np.iinfo(t).max) for t in map(np.dtype, (np.int8, np.int16, np.int32, np.int64))
+)
+
+
+def _level_type(low: int, high: int) -> np.dtype:
+    """The narrowest of _LEVEL_TYPES that holds ``low`` to ``high``."""
+    for level_type, least, most in _LEVEL_TYPES:
+        if least <= low and high <= most:
+            return level_type
+    raise OverflowError("difficulty beyond 64 bits")
+
+
+def _widen(buffer: array, dtype: np.dtype) -> array:
+    """``buffer``, or a copy of it as ``dtype`` if its items are narrower."""
+    return buffer if dtype.itemsize <= buffer.itemsize else array(dtype.char, buffer)
+
+
+# Rows a sampler or a count takes at once: sparsify_single samples runs of
+# whole images of about this many rows, and category_counts counts this many
+# codes at a time, so neither holds an array the size of the set beside its
+# keep mask or its rows.
+_BLOCK_ROWS = 1 << 10
 
 
 def _is_number(token: str) -> bool:
@@ -140,16 +195,19 @@ def parse_dota(text: str, image_id: str = "") -> AnnotationSet:
     eight coordinates, a category, and an integer difficulty; the first
     malformed line raises. Each record's fields are converted into the
     columns as its line is read, so beyond the lines and the columns (and
-    their buffers' slack) the parse holds one line's tokens.
+    their buffers' slack) the parse holds one line's tokens. The code and
+    difficulty buffers start one byte wide and widen only when a category
+    or a difficulty does not fit.
     """
     lines = text.splitlines()
-    headers, codes, difficulty = [], array("q"), array("q")
+    headers, codes, difficulty = [], array("B"), array("b")
     names: dict[str, int] = {}  # category -> code, in order of arrival
     levels: dict[str, int] = {}  # difficulty token -> its value
 
     def coordinates():
         """Each record line's eight coordinate tokens, the first converted
         already; its category and difficulty go into their columns."""
+        nonlocal codes, difficulty
         for raw in lines:
             tokens = raw.split()
             if not tokens:
@@ -166,30 +224,43 @@ def parse_dota(text: str, image_id: str = "") -> AnnotationSet:
                 if _is_number(tokens[8]):
                     raise ValueError("numeric category")
                 code = names[tokens[8]] = len(names)
+                if code >> 8 * codes.itemsize:  # the first code its items cannot hold
+                    codes = _widen(codes, _code_type(len(names)))
             codes.append(code)
             level = levels.get(tokens[9])
             if level is None:
                 level = levels[tokens[9]] = int(tokens[9])
+                difficulty = _widen(difficulty, _level_type(level, level))
             difficulty.append(level)
             del tokens[8:]
             yield tokens
 
     try:
         corners = np.fromiter(map(float, itertools.chain.from_iterable(coordinates())), np.float64)
-        if not np.isfinite(corners).all():
-            raise ValueError("non-finite corner")
+        # a non-finite corner fails the set's own check, an InvalidInputError
+        return AnnotationSet(
+            (image_id,), (0, len(codes)), corners, _sorted_codes(codes, names), sorted(names),
+            np.frombuffer(difficulty, difficulty.typecode), {image_id: tuple(headers)} if headers else {},
+        )
     except (ValueError, OverflowError):
         for line_no, raw in enumerate(lines, start=1):
             tokens = raw.split()
             if tokens and _is_number(tokens[0]):
                 _check_row(tokens, raw, line_no)
         raise
+
+
+def _sorted_codes(codes: array, names: dict[str, int]) -> np.ndarray:
+    """The ``codes`` into ``names`` (a dict of category to code, in order of
+    arrival) as codes into the sorted names, remapped in place _BLOCK_ROWS
+    at a time: indexing by a narrow array makes an intp copy of up to 8,192
+    of its entries."""
     rank = {name: i for i, name in enumerate(sorted(names))}
-    codes = np.array([rank[name] for name in names], np.intp)[np.frombuffer(codes, np.int64)]
-    return AnnotationSet(
-        (image_id,), (0, len(codes)), corners, codes, sorted(names), np.frombuffer(difficulty, np.int64),
-        {image_id: tuple(headers)} if headers else {},
-    )
+    table = np.array([rank[name] for name in names], codes.typecode)
+    codes = np.frombuffer(codes, codes.typecode)
+    for lo in range(0, len(codes), _BLOCK_ROWS):
+        codes[lo : lo + _BLOCK_ROWS] = table[codes[lo : lo + _BLOCK_ROWS]]
+    return codes
 
 
 def merge_sets(sets) -> AnnotationSet:
@@ -197,9 +268,10 @@ def merge_sets(sets) -> AnnotationSet:
 
     ``sets`` is consumed one set at a time: each set's columns are appended
     to growing buffers before the next set is taken, so the merge holds one
-    copy of the columns plus one set. Rows are gathered into id order once,
+    copy of the columns plus one set. The code and difficulty buffers are as
+    wide as the widest set's columns. Rows are gathered into id order once,
     and only when the images did not arrive in id order."""
-    corners, codes, difficulty = array("d"), array("q"), array("q")
+    corners, codes, difficulty = array("d"), array("B"), array("b")
     names: dict[str, int] = {}  # category -> code, in order of arrival
     ids, seen, starts, sizes, headers = [], set(), [], [], {}
     for s in sets:
@@ -210,14 +282,16 @@ def merge_sets(sets) -> AnnotationSet:
         ids += s.ids
         starts += (s.offsets[:-1] + len(codes)).tolist()
         sizes += np.diff(s.offsets).tolist()
-        recode = np.array([names.setdefault(name, len(names)) for name in s.names], np.int64)
+        recode = [names.setdefault(name, len(names)) for name in s.names]
+        codes = _widen(codes, _code_type(len(names)))
+        difficulty = _widen(difficulty, s.difficulty.dtype)
         corners.frombytes(s.corners.tobytes())
-        codes.frombytes(recode[s.codes].tobytes())
-        difficulty.frombytes(s.difficulty.tobytes())
+        codes.frombytes(np.array(recode, codes.typecode)[s.codes].tobytes())
+        difficulty.frombytes(s.difficulty.astype(difficulty.typecode, copy=False).tobytes())
         headers.update(s.headers)
-    rank = {name: i for i, name in enumerate(sorted(names))}
-    codes = np.array([rank[name] for name in names], np.intp)[np.frombuffer(codes, np.int64)]
-    corners, difficulty = np.frombuffer(corners, np.float64).reshape(-1, 4, 2), np.frombuffer(difficulty, np.int64)
+    codes = _sorted_codes(codes, names)
+    corners = np.frombuffer(corners, np.float64).reshape(-1, 4, 2)
+    difficulty = np.frombuffer(difficulty, difficulty.typecode)
     order = sorted(range(len(ids)), key=ids.__getitem__)
     sizes, starts = np.array(sizes, np.intp)[order], np.array(starts, np.intp)[order]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -232,40 +306,63 @@ def merge_sets(sets) -> AnnotationSet:
 _BATCH_RECORDS = 128
 
 
+def _runs(bounds: np.ndarray, size: int):
+    """(first, last, lo, hi) of each run of whole images, in order, whose
+    rows ``lo:hi`` (``bounds[first]:bounds[last]``) number at most ``size``
+    in all; a larger image is a run of its own. ``bounds`` are the images'
+    ascending row bounds."""
+    first = 0
+    while first < len(bounds) - 1:
+        lo = int(bounds[first])
+        last = max(first + 1, int(bounds.searchsorted(lo + size, "right")) - 1)
+        yield first, last, lo, int(bounds[last])
+        first = last
+
+
 def _batches(ann: AnnotationSet, rows=None):
     """(first position in ``rows``, set) over runs of whole images whose
     kept rows number at most _BATCH_RECORDS in all, in id order; a larger
     image is a batch of its own. ``rows`` are ascending rows of ``ann``
     (every row by default); each set holds its images' kept rows."""
-    bounds = (ann.offsets if rows is None else np.searchsorted(rows, ann.offsets)).tolist()
-    first = 0
-    while first < len(ann.ids):
-        last = max(first + 1, bisect.bisect_right(bounds, bounds[first] + _BATCH_RECORDS) - 1)
-        lo, hi = bounds[first], bounds[last]
+    bounds = ann.offsets if rows is None else np.searchsorted(rows, ann.offsets)
+    for first, last, lo, hi in _runs(bounds, _BATCH_RECORDS):
         take = slice(lo, hi) if rows is None else rows[lo:hi]
         ids = ann.ids[first:last]
         yield lo, AnnotationSet(
-            ids, np.subtract(bounds[first : last + 1], lo), ann.corners[take], ann.codes[take], ann.names,
+            ids, bounds[first : last + 1] - lo, ann.corners[take], ann.codes[take], ann.names,
             ann.difficulty[take], {i: ann.headers[i] for i in ids if i in ann.headers},
         )
-        first = last
+
+
+# Records whose tokens _render formats at once.
+_RENDER_ROWS = 16
 
 
 def _render(ann: AnnotationSet, values, with_difficulty: bool, headers) -> dict[str, str]:
     """Text per image: its header lines, then one line per record with the
     record's row of ``values`` (full precision, integers without a
-    fraction), its category and, if asked, its difficulty."""
+    fraction), its category and, if asked, its difficulty. Tokens are made
+    _RENDER_ROWS rows at a time and lines one image at a time, so beyond
+    the texts the render holds one image's lines and the tokens of that
+    many rows."""
     width = values.size // max(len(values), 1)
-    tails = [ann.names[c] for c in ann.codes.tolist()]
-    if with_difficulty:
-        tails = [f"{c} {d}" for c, d in zip(tails, ann.difficulty.tolist())]
-    tokens = iter([str(int(v)) if v.is_integer() else repr(v) for v in np.ravel(values).tolist()])
-    lines = [f"{' '.join(v)} {t}" for v, t in zip(zip(*[tokens] * width), tails)]
+    flat = values.reshape(-1)
+    names, codes = ann.names, ann.codes.tolist()
+    levels = ann.difficulty.tolist() if with_difficulty else None
     bounds = ann.offsets.tolist()
     out = {}
     for image_id, start, stop in zip(ann.ids, bounds, bounds[1:]):
-        body = [*headers.get(image_id, ()), *lines[start:stop]]
-        out[image_id] = "\n".join(body) + "\n" if body else ""
+        lines = [*headers.get(image_id, ())]
+        for lo in range(start, stop, _RENDER_ROWS):
+            hi = min(lo + _RENDER_ROWS, stop)
+            tokens = iter([str(int(v)) if v.is_integer() else repr(v) for v in flat[lo * width : hi * width].tolist()])
+            rows = zip(*[tokens] * width)
+            if levels is None:
+                lines += [f"{' '.join(v)} {names[c]}" for v, c in zip(rows, codes[lo:hi])]
+            else:
+                lines += [f"{' '.join(v)} {names[c]} {d}" for v, c, d in zip(rows, codes[lo:hi], levels[lo:hi])]
+        lines.append("")  # each line ends in a newline; an image without lines is empty
+        out[image_id] = "\n".join(lines)
     return out
 
 
@@ -295,24 +392,27 @@ def serialize_dota(ann: AnnotationSet) -> dict[str, str]:
     return dict(_texts(ann, None, []))
 
 
-def _dota_files(path) -> list[Path]:
-    files = sorted(Path(path).glob("*.txt"))
-    if not files:
+def _dota_files(path) -> list[str]:
+    """The sorted names of the .txt files in ``path``."""
+    names = sorted(f.name for f in Path(path).glob("*.txt"))
+    if not names:
         raise InvalidInputError(f"no .txt annotation files in {path}")
-    return files
+    return names
 
 
 def dota_dir_ids(path) -> list[str]:
     """The sorted image ids (file stems) that load_dota_dir gives ``path``."""
-    return sorted(f.stem for f in _dota_files(path))
+    return sorted(Path(name).stem for name in _dota_files(path))
 
 
 def load_dota_dir(path, keep=None) -> AnnotationSet:
     """Load every .txt file in a directory; image ids are file stems. An
     error in a file (see parse_dota, or text that is not UTF-8) names it.
     Given the image ids ``keep``, every file is still parsed and checked,
-    but only the images in ``keep`` are held and returned."""
-    sets = map(_load_file, _dota_files(path))
+    but only the images in ``keep`` are held and returned. Files are read
+    in name order, each path made as its file is opened."""
+    folder = Path(path)
+    sets = (_load_file(folder / name) for name in _dota_files(path))
     if keep is not None:
         keep = set(keep)
         sets = (s for s in sets if s.ids[0] in keep)
@@ -352,6 +452,10 @@ def write_dota_dir(ann: AnnotationSet, path, kind: WeakKind | None = None, rows=
     return len(ann.ids), ann._select(np.array(dropped, np.intp), headers={})
 
 
+# Each corner's successor around its quad.
+_NEXT_CORNER = np.array([1, 2, 3, 0])
+
+
 def _weak_labels(corners: np.ndarray, target: WeakKind):
     """(labels, bad, area): the weak label row of each quad of (N, 4, 2)
     corners, the ascending rows of the quads without a valid label, and
@@ -364,23 +468,31 @@ def _weak_labels(corners: np.ndarray, target: WeakKind):
     # Products go through matmul, which makes the dot calls np.dot and
     # np.linalg.norm make on one quad, and angles through math.atan2, not
     # np.arctan2's SIMD loop, so each row is bit-identical to one quad's.
+    # Each quad's corners in successor order are one gather, as contiguous
+    # as np.roll made them, and the box is written into one array, so a
+    # call makes a few dozen numpy calls whatever its size.
     x, y = corners[..., 0], corners[..., 1]
+    boxes = np.empty((len(corners), 5))
     with np.errstate(over="ignore", invalid="ignore"):
-        cross = x[:, None] @ np.roll(y, -1, axis=1)[..., None] - np.roll(x, -1, axis=1)[:, None] @ y[..., None]
+        cross = x[:, None] @ y[:, _NEXT_CORNER][..., None] - x[:, _NEXT_CORNER][:, None] @ y[..., None]
         area = 0.5 * np.abs(cross[:, 0, 0])
-        edges = np.roll(corners, -1, axis=1) - corners
+        edges = corners[:, _NEXT_CORNER] - corners
         lengths = np.sqrt(edges[..., None, :] @ edges[..., None])[..., 0, 0]
-        len_a, len_b = 0.5 * (lengths[:, 0] + lengths[:, 2]), 0.5 * (lengths[:, 1] + lengths[:, 3])
-        along_a = len_a >= len_b
-        direction = np.where(along_a[:, None], edges[:, 0] - edges[:, 2], edges[:, 1] - edges[:, 3]) * 0.5
-        theta = np.array([math.atan2(dy, dx) for dx, dy in direction.tolist()], dtype=np.float64)
+        extents = 0.5 * (lengths[:, :2] + lengths[:, 2:])  # mean lengths of edges 0 and 2, 1 and 3
+        along_a = extents[:, 0] >= extents[:, 1]
+        sides = edges[:, :2] - edges[:, 2:]
+        del edges, lengths  # each temporary goes as soon as it is used, so a batch holds few at once
+        direction = np.where(along_a[:, None], sides[:, 0], sides[:, 1]) * 0.5
+        del sides
+        theta = np.fromiter(
+            map(math.atan2, direction[:, 1].tolist(), direction[:, 0].tolist()), np.float64, len(corners)
+        )
         # the second pass is OrientedBox's, which normalizes the angle it is given
-        theta = normalize_angle(normalize_angle(theta))
-        boxes = np.column_stack([
-            corners.mean(axis=1), np.where(along_a, len_a, len_b), np.where(along_a, len_b, len_a), theta,
-        ])
-    bad = (area < 1e-9) | ~(np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0))
-    return boxes, np.flatnonzero(bad), area
+        boxes[:, 4] = normalize_angle(normalize_angle(theta))
+        boxes[:, :2] = np.add.reduce(corners, axis=1) / 4  # corners.mean(axis=1)
+        boxes[:, 2:4] = np.where(along_a[:, None], extents, extents[:, ::-1])
+    ok = np.logical_and.reduce(np.isfinite(boxes), axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0)
+    return boxes, np.flatnonzero((area < 1e-9) | ~ok), area
 
 
 def weaken_corners(corners, target: WeakKind) -> np.ndarray:
@@ -430,66 +542,72 @@ def subset_images(ann: AnnotationSet, image_ids) -> AnnotationSet:
     return ann._select(rows, images, {i: h for i, h in ann.headers.items() if i in keep})
 
 
-# Sorted keys compared at once when _sample_groups finds its groups.
-_GROUP_SCAN = 1 << 12
-
-
-def _group_ends(key: np.ndarray, order: np.ndarray):
-    """The end, as a position in ``order``, of each run of equal keys when
-    ``order`` sorts the rows by ``key``; the keys are compared _GROUP_SCAN
-    rows at a time, so the scan holds no row-sized array."""
-    for lo in range(0, len(order) - 1, _GROUP_SCAN):
-        sorted_key = key[order[lo : lo + _GROUP_SCAN + 1]]
-        ends = sorted_key[1:] != sorted_key[:-1]
-        del sorted_key  # so the ends, one per group, take no more than the keys did
-        ends = np.flatnonzero(ends)
-        ends += lo + 1
-        yield from map(int, ends)
-        del ends
-    if len(order):
-        yield len(order)
-
-
-def _sample_groups(key: np.ndarray, count, seed: int) -> np.ndarray:
-    """Ascending rows kept when each group of rows with equal ``key`` keeps
-    ``count(n)`` of its n rows: groups in key order, each drawing one
-    ``permutation(n)`` over its rows in row order. Beyond ``key`` it holds
-    the sorting order and a keep mask."""
-    rng = np.random.default_rng(check_seed(seed))
-    order = np.argsort(key, kind="stable")
-    keep = np.zeros(len(order), dtype=bool)
-    start = 0
-    # Shuffling a group's rows in place makes the draws of permutation(n)
-    # and moves each row where that permutation moves its index; it leaves
-    # the keys in sorted order for the groups _group_ends has yet to find.
-    for stop in _group_ends(key, order):
-        rng.shuffle(order[start:stop])
-        keep[order[start : start + count(stop - start)]] = True
-        start = stop
-    del order
-    return np.flatnonzero(keep)
-
-
 def sparsify_single(ann: AnnotationSet, sparse_ratio: float, seed: int) -> np.ndarray:
     """Per image and per category keep max(1, round_half_up(ratio * n))
     records, sampled without replacement; returns the ascending kept rows.
-    Every (image, category) pair in the input survives."""
+    Every (image, category) pair in the input survives.
+
+    The (image, category) groups are taken in image order, then category
+    order, each drawing one ``permutation(n)`` over its rows in row order.
+    They are found in runs of whole images of about _BLOCK_ROWS rows, each
+    sorted by an (image, code) key of the narrowest type that holds it, so
+    beyond the keep mask and the kept rows the sampler holds one run's key
+    and order."""
     if not 0.0 < sparse_ratio <= 1.0:
         raise InvalidInputError(f"sparse_ratio must be in (0, 1], got {sparse_ratio}")
-    key = ann._image_of_rows()
-    key *= len(ann.names)
-    key += ann.codes
-    return _sample_groups(key, lambda n: max(1, round_half_up(sparse_ratio * n)), seed)
+    keep = np.zeros(len(ann), dtype=bool)
+    # marked in a call of its own, whose last run's arrays are freed before the kept rows are gathered
+    _mark_single(ann, sparse_ratio, np.random.default_rng(check_seed(seed)), keep)
+    return np.flatnonzero(keep)
+
+
+def _mark_single(ann: AnnotationSet, sparse_ratio: float, rng, keep: np.ndarray) -> None:
+    """Mark in ``keep`` the rows sparsify_single keeps."""
+    n_names = len(ann.names)
+    for first, last, lo, hi in _runs(ann.offsets, _BLOCK_ROWS):
+        if lo == hi:
+            continue
+        key_type = np.min_scalar_type((last - first) * n_names)
+        key = (np.arange(last - first, dtype=key_type) * n_names).repeat(np.diff(ann.offsets[first : last + 1]))
+        key += ann.codes[lo:hi]
+        order = key.argsort(kind="stable")
+        key = key[order]
+        ends = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
+        del key
+        kept = keep[lo:hi]
+        # Shuffling a group's rows in place makes the draws of permutation(n)
+        # and moves each row where that permutation moves its index; a group
+        # of one row keeps it and draws nothing.
+        for start, stop in zip([0, *ends], [*ends, hi - lo]):
+            if stop - start == 1:
+                kept[order[start]] = True
+                continue
+            rng.shuffle(order[start:stop])
+            kept[order[start : start + max(1, round_half_up(sparse_ratio * (stop - start)))]] = True
 
 
 def sparsify_overall(ann: AnnotationSet, sparse_ratio: float, seed: int) -> np.ndarray:
     """Per category across the whole set keep exactly
     round_half_up(ratio * n) records, sampled without replacement; returns
     the ascending kept rows. An image may lose every instance of a
-    category."""
+    category. The categories are taken in code order, each drawing one
+    ``permutation(n)`` over its rows in row order, so beyond the keep mask
+    and the kept rows the sampler holds one category's rows and row mask."""
     if not 0.0 < sparse_ratio <= 1.0:
         raise InvalidInputError(f"sparse_ratio must be in (0, 1], got {sparse_ratio}")
-    return _sample_groups(ann.codes, lambda n: round_half_up(sparse_ratio * n), seed)
+    keep = np.zeros(len(ann), dtype=bool)
+    # marked in a call of its own, whose last category's rows are freed before the kept rows are gathered
+    _mark_overall(ann, sparse_ratio, np.random.default_rng(check_seed(seed)), keep)
+    return np.flatnonzero(keep)
+
+
+def _mark_overall(ann: AnnotationSet, sparse_ratio: float, rng, keep: np.ndarray) -> None:
+    """Mark in ``keep`` the rows sparsify_overall keeps."""
+    for code in range(len(ann.names)):
+        rows = np.flatnonzero(ann.codes == code)  # none for a category without rows, which draws nothing
+        rng.shuffle(rows)
+        keep[rows[: round_half_up(sparse_ratio * len(rows))]] = True
+        del rows  # before the next category's mask and rows are made
 
 
 @dataclass(frozen=True)

@@ -163,17 +163,27 @@ def gwd_squared(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (dx * dx + dy * dy) + np.maximum(scale, 0.0)
 
 
+# Signs of the corners' (x, y) half-extents, counterclockwise from (-w/2, -h/2).
+_CORNER_SIGNS = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+
+
 def corners_of_boxes(boxes) -> np.ndarray:
     """Corner coordinates of (N, 5) box rows (cx, cy, w, h, theta), shape
     (N, 4, 2), each counterclockwise from the corner at (-w/2, -h/2) in
     its box's frame."""
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 5)
     # math.cos/sin and one (4, 2) @ (2, 2) matmul per box, so a row's
-    # corners do not depend on the batch it is in
-    cos = np.array([math.cos(t) for t in boxes[:, 4].tolist()], dtype=float)
-    sin = np.array([math.sin(t) for t in boxes[:, 4].tolist()], dtype=float)
-    rot = np.stack([cos, -sin, sin, cos], axis=1).reshape(-1, 2, 2)
-    hw, hh = boxes[:, 2] / 2.0, boxes[:, 3] / 2.0
-    half = np.stack([-hw, -hh, hw, -hh, hw, hh, -hw, hh], axis=1).reshape(-1, 4, 2)
-    return half @ rot.transpose(0, 2, 1) + boxes[:, None, :2]
-
+    # corners do not depend on the batch it is in; the rotations and
+    # half-extents are written into arrays of the layout np.stack made
+    theta = boxes[:, 4].tolist()
+    cos = np.fromiter(map(math.cos, theta), float, len(boxes))
+    sin = np.fromiter(map(math.sin, theta), float, len(boxes))
+    del theta  # the angles' float list, before the rotation and corner arrays are made
+    rot = np.empty((len(boxes), 2, 2))
+    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = cos, -sin, sin, cos
+    half = np.empty((len(boxes), 4, 2))
+    half[..., 0] = (boxes[:, 2] / 2.0)[:, None] * _CORNER_SIGNS[0]
+    half[..., 1] = (boxes[:, 3] / 2.0)[:, None] * _CORNER_SIGNS[1]
+    corners = half @ rot.transpose(0, 2, 1)
+    corners += boxes[:, None, :2]
+    return corners

@@ -729,6 +729,41 @@ def test_dota_readme_examples_match_golden_outputs(tmp_path, monkeypatch, capsys
     assert read_tree(tmp_path) == read_tree(DATA / "dota_14_golden")
 
 
+README_GMM_SIMULATE = {
+    "fit_mpf": ["fit-gmm", "--input", "scores.csv", "--out", "fits.csv", "--mode", "mpf"],
+    "fit_cpf": ["fit-gmm", "--input", "scores.csv", "--out", "fits.csv", "--mode", "cpf"],
+    "simulate": ["simulate", "--scenario", "scen.txt", "--out", "report.csv", "--mode", "paired", "--repeats", "50"],
+}
+
+
+def test_fit_gmm_and_simulate_readme_examples_match_golden_outputs(tmp_path, monkeypatch, capsys):
+    """The README's fit-gmm example, under --mode mpf and cpf, and its
+    simulate example on the committed planted scores and scenario, run in
+    their own directory as CI runs them through the console script. Each
+    fit is renamed fits_<mode>.csv before the next command writes fits.csv.
+    Each command's stdout, stderr and exit code, and every file it writes,
+    must equal the committed golden bytes, which pin the EM's output. P7
+    has five scores, too few for a fit of its own, so under mpf it inherits
+    the pooled fit."""
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().replace("\\\n", " ").split())
+    for name in ("fit_mpf", "simulate"):
+        assert " ".join(["spwood", *README_GMM_SIMULATE[name]]) in readme
+    for name in ("scores.csv", "scen.txt"):
+        shutil.copy(DATA / name, tmp_path / name)
+    (tmp_path / "log").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for name, argv in README_GMM_SIMULATE.items():
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        for suffix, text in (("stdout", out), ("stderr", err), ("exit", f"{code}\n")):
+            (tmp_path / "log" / f"{name}.{suffix}").write_text(text)
+        if name.startswith("fit_"):
+            (tmp_path / "fits.csv").rename(tmp_path / f"fits_{argv[-1]}.csv")
+    for name in ("scores.csv", "scen.txt"):
+        (tmp_path / name).unlink()
+    assert read_tree(tmp_path) == read_tree(DATA / "gmm_simulate_golden")
+
+
 # --- watershed ------------------------------------------------------------------
 
 

@@ -615,16 +615,12 @@ def read_texts(path):
     return {f.stem: f.read_text(encoding="utf-8") for f in sorted(Path(path).glob("*.txt"))}
 
 
-@pytest.mark.parametrize("weak", ["none", "hbox", "point", "rbox"])
-@pytest.mark.parametrize("partial", [1.0, 0.5])
-@pytest.mark.parametrize("method", ["single", "overall"])
-def test_sparsify_cli_bytes_match_record_reference(tmp_path, oracle_corpus, method, partial, weak):
-    out = tmp_path / "out"
+def check_sparsify_against_record_reference(corpus, out, method, partial, weak):
     assert cli.main([
-        "sparsify", "--input", str(oracle_corpus), "--out", str(out), "--method", method,
+        "sparsify", "--input", str(corpus), "--out", str(out), "--method", method,
         "--sparse", "0.3", "--partial", str(partial), "--seed", "13", "--weaken", weak,
     ]) == 0
-    images, headers = ref_load(oracle_corpus)
+    images, headers = ref_load(corpus)
     if partial < 1.0:
         labeled, unlabeled = ref_select_partial(images, partial, 13)
         assert (out / "labeled_ids.txt").read_text() == "".join(f"{i}\n" for i in labeled)
@@ -645,6 +641,13 @@ def test_sparsify_cli_bytes_match_record_reference(tmp_path, oracle_corpus, meth
     ]
     stats = (out / "stats.csv").read_text().splitlines()
     assert stats[1:] == ["category,kept,total,retention_percent"] + rows
+
+
+@pytest.mark.parametrize("weak", ["none", "hbox", "point", "rbox"])
+@pytest.mark.parametrize("partial", [1.0, 0.5])
+@pytest.mark.parametrize("method", ["single", "overall"])
+def test_sparsify_cli_bytes_match_record_reference(tmp_path, oracle_corpus, method, partial, weak):
+    check_sparsify_against_record_reference(oracle_corpus, tmp_path / "out", method, partial, weak)
 
 
 # Records that lose their weak label, appended to files of later batches;
@@ -715,8 +718,8 @@ def test_streamed_weak_sparsify_matches_record_reference(tmp_path, degenerate_co
     assert capsys.readouterr() == ("\n".join(stdout) + "\n", "\n".join(err) + "\n")
 
 
-def test_report_cli_bytes_match_record_reference(tmp_path, oracle_corpus):
-    images, headers = ref_load(oracle_corpus)
+def check_report_against_record_reference(corpus, tmp_path):
+    images, headers = ref_load(corpus)
     dirs = {}
     for name, sample in (("single", ref_sparsify_single), ("overall", ref_sparsify_overall)):
         dirs[name] = tmp_path / name
@@ -731,6 +734,10 @@ def test_report_cli_bytes_match_record_reference(tmp_path, oracle_corpus):
     overall, _ = ref_load(dirs["overall"])
     want = compare_counts(ref_counts(single), ref_counts(overall)).to_csv()
     assert out.read_text().split("\n", 1)[1] == want
+
+
+def test_report_cli_bytes_match_record_reference(tmp_path, oracle_corpus):
+    check_report_against_record_reference(oracle_corpus, tmp_path)
 
 
 def test_parse_serialize_and_weaken_match_record_reference(oracle_corpus):
@@ -944,6 +951,114 @@ def test_columns_reject_inconsistent_input():
         AnnotationSet(("a",), (0, 1), np.zeros((1, 4, 2)), [1], ["ship"], [0])
     with pytest.raises(InvalidInputError, match="non-finite"):
         AnnotationSet(("a",), (0, 1), np.full((1, 4, 2), np.inf), [0], ["ship"], [0])
+
+
+# --- narrow code and difficulty columns ------------------------------------------
+
+
+def names_of(n):
+    return [f"c{i:03d}" for i in range(n)]
+
+
+@pytest.mark.parametrize("n_names, code_type", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_code_column_is_as_narrow_as_the_category_table(n_names, code_type):
+    ann = AnnotationSet(("a",), (0, 2), np.zeros((2, 4, 2)), [0, n_names - 1], names_of(n_names), [0, 0])
+    assert ann.codes.dtype == code_type and ann.codes.tolist() == [0, n_names - 1]
+    parsed = parse_dota("".join(f"0 0 1 0 1 1 0 1 {name} 0\n" for name in names_of(n_names)[::-1]))
+    assert parsed.codes.dtype == code_type and parsed.names == tuple(names_of(n_names))
+    assert parsed.codes.tolist() == list(range(n_names))[::-1]
+
+
+@pytest.mark.parametrize("levels, level_type", [
+    ((0, 1), np.int8), ((-128, 127), np.int8), ((0, 128), np.int16), ((-129, 1), np.int16),
+    ((0, 70_000), np.int32), ((0, 2**31), np.int64), ((-(2**63) + 1, 2**63 - 1), np.int64),
+    ((-(2**63), 0), np.int64),
+])
+def test_difficulty_column_is_as_narrow_as_its_values(levels, level_type):
+    for given in (list(levels), np.array(levels, np.int64)):
+        ann = AnnotationSet(("a",), (0, 2), np.zeros((2, 4, 2)), [0, 0], ["ship"], given)
+        assert ann.difficulty.dtype == level_type and ann.difficulty.tolist() == list(levels)
+    # the buffer widens at the first line whose value needs it
+    parsed = parse_dota("".join(f"0 0 1 0 1 1 0 1 ship {d}\n" for d in levels))
+    assert parsed.difficulty.dtype == level_type and parsed.difficulty.tolist() == list(levels)
+
+
+@pytest.mark.parametrize("code", [256, 300, -1])
+def test_codes_out_of_range_are_rejected_before_they_are_narrowed(code):
+    """With 256 categories a uint8 cast would wrap each of these codes onto a
+    valid one (256 to 0, 300 to 44, -1 to 255)."""
+    for codes in ([code], np.array([code]), np.array([code], np.int16)):
+        with pytest.raises(InvalidInputError, match="inconsistent annotation columns"):
+            AnnotationSet(("a",), (0, 1), np.zeros((1, 4, 2)), codes, names_of(256), [0])
+
+
+@pytest.mark.parametrize("level", [2**63, -(2**63) - 1])
+def test_difficulty_beyond_int64_raises_as_before(level):
+    with pytest.raises(OverflowError, match="Python int too large to convert to C long"):
+        AnnotationSet(("a",), (0, 1), np.zeros((1, 4, 2)), [0], ["ship"], [level])
+    with pytest.raises(DotaParseError, match="bad difficulty") as exc:
+        parse_dota(f"0 0 1 0 1 1 0 1 ship 300\n0 0 1 0 1 1 0 1 ship {level}\n")
+    assert exc.value.line_no == 2
+
+
+def test_merge_takes_the_wider_columns():
+    wide = AnnotationSet(("a",), (0, 2), np.zeros((2, 4, 2)), [0, 299], names_of(300), [-(2**63), 2**63 - 1])
+    narrow = AnnotationSet(("b", "c"), (0, 1, 2), np.ones((2, 4, 2)), [0, 0], ["ship"], [1, 0])
+    middle = AnnotationSet(("d",), (0, 1), np.ones((1, 4, 2)), [0], ["c001"], [300])
+    assert (wide.codes.dtype, wide.difficulty.dtype) == (np.uint16, np.int64)
+    assert (narrow.codes.dtype, narrow.difficulty.dtype) == (np.uint8, np.int8)
+    for sets in ([wide, narrow], [narrow, wide], [narrow, middle], [middle, narrow, wide]):
+        merged = merge_sets(sets)
+        assert merged.codes.dtype == (np.uint16 if wide in sets else np.uint8)
+        assert merged.difficulty.dtype == (np.int64 if wide in sets else np.int16)
+        assert records_of(merged) == sorted(sum(map(records_of, sets), []), key=lambda r: r.image_id)
+
+
+def write_wide_corpus(path, n_images=6, seed=4):
+    """DOTA-style files over 300 categories, all of them in the first file
+    and the rest spread over the others, with difficulties at int64's
+    extremes and past one byte."""
+    rng = np.random.default_rng(seed)
+    levels = (0, 1, 300, -129, -(2**63), 2**63 - 1)
+    path.mkdir()
+    for i in range(n_images):
+        n = 300 if i == 0 else int(rng.integers(20, 60))
+        lines = []
+        for k in range(n):
+            box = OrientedBox(rng.uniform(0, 4000), rng.uniform(0, 4000), rng.uniform(10, 100), rng.uniform(3, 10),
+                              rng.uniform(-math.pi / 2, math.pi / 2))
+            corners = ref_box_corners(box).ravel()
+            if k % 3 == 0:
+                corners = np.round(corners)
+            category = f"c{(k * 7 + i) % 300:03d}"
+            lines.append(" ".join(map(fmt_value, corners)) + f" {category} {levels[int(rng.integers(len(levels)))]}")
+        (path / f"W{i:03d}.txt").write_text("\n".join(["imagesource:GoogleEarth", *lines]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def wide_corpus(tmp_path_factory):
+    return write_wide_corpus(tmp_path_factory.mktemp("wide") / "anns")
+
+
+def test_wide_corpus_parses_and_writes_byte_identical(wide_corpus, tmp_path):
+    first = parse_dota((wide_corpus / "W000.txt").read_text(encoding="utf-8"), "W000")
+    assert len(first.names) == 300 and first.codes.dtype == np.uint16 and first.difficulty.dtype == np.int64
+    ann = load_dota_dir(wide_corpus)
+    images, headers = ref_load(wide_corpus)
+    assert records_of(ann) == [r for i in sorted(images) for r in images[i]]
+    assert write_dota_dir(ann, tmp_path / "out")[0] == len(images)
+    assert read_texts(tmp_path / "out") == read_texts(wide_corpus) == ref_serialize(images, headers)
+
+
+@pytest.mark.parametrize("weak", ["none", "rbox"])
+@pytest.mark.parametrize("method", ["single", "overall"])
+def test_wide_corpus_sparsify_matches_record_reference(tmp_path, wide_corpus, method, weak):
+    check_sparsify_against_record_reference(wide_corpus, tmp_path / "out", method, 1.0, weak)
+
+
+def test_wide_corpus_report_matches_record_reference(tmp_path, wide_corpus):
+    check_report_against_record_reference(wide_corpus, tmp_path)
 
 
 # --- batched rendering and one-copy merging ------------------------------------------
@@ -1275,20 +1390,53 @@ def test_sparsify_memory_beyond_the_loaded_columns(large_dir, tmp_path, capsys):
     assert peak - column_bytes(load_dota_dir(large_dir)) < 0.45 * 2**20
 
 
+def grouped_set(n_images, rows_per_image, codes_per_image, n_names, seed=0):
+    """``n_images`` images of ``rows_per_image`` rows each, every image's
+    rows shuffled over the codes 0 to ``codes_per_image - 1`` of ``n_names``
+    categories, with zero corners."""
+    rng = np.random.default_rng(seed)
+    codes = np.concatenate([rng.permutation(np.arange(rows_per_image) % codes_per_image) for _ in range(n_images)])
+    return AnnotationSet(
+        [f"P{i:04d}" for i in range(n_images)], np.arange(0, len(codes) + 1, rows_per_image),
+        np.zeros((len(codes), 4, 2)), codes, [f"c{i:04d}" for i in range(n_names)], np.zeros(len(codes), np.int8),
+    )
+
+
 def test_sampling_memory_does_not_grow_with_the_group_count():
-    """20,000 rows keeping 4,000, drawn from 4 groups or from 4,000: the peak
-    is the same, and beyond the key it is at most the sorting order, the
-    kept rows and the keep mask. Holding every group's view and kept rows
-    at once made the second cost 1.25 MB against 0.46 MB; finding the
-    groups from a sorted copy of the key took a third row array."""
-    def peak(groups):
-        key = np.random.default_rng(0).permutation(np.arange(20_000) % groups)
-        kept, peak = traced_peak(dataset._sample_groups, key, lambda n: n // 5, 1)
+    """20,000 rows keeping 4,000: the single sampler draws them from 20
+    (image, category) groups or from 4,000, in images of 1,000 rows; the
+    overall sampler from 4 categories or from 4,000. More groups cost no
+    more, and beyond the columns each peak is at most the keep mask, what
+    the sampler holds for one block (a run's key and order, or a category's
+    row mask and rows) and the kept rows. Holding every group's view and
+    kept rows at once made 4,000 groups cost 1.25 MB against 0.46 MB, and
+    the (image, category) key and its order over the whole set took 16
+    bytes a row."""
+    def peak(sample, ann, block):
+        kept, peak = traced_peak(sample, ann, 0.2, 1)
         assert len(kept) == 4_000
-        assert peak <= 2 * key.nbytes + len(key)
+        assert peak <= len(ann) + block + kept.nbytes
         return peak
 
-    assert peak(4_000) <= peak(4) + 2**10
+    run = dataset._BLOCK_ROWS * (np.min_scalar_type(200).itemsize + np.dtype(np.intp).itemsize)
+    few, many = grouped_set(20, 1_000, 1, 200), grouped_set(20, 1_000, 200, 200)
+    assert peak(sparsify_single, many, run) <= peak(sparsify_single, few, run) + 2**10
+    category = 20_000 + 5_000 * np.dtype(np.intp).itemsize  # the row mask and rows of one of 4 categories
+    few, many = grouped_set(1, 20_000, 4, 4), grouped_set(1, 20_000, 4_000, 4_000)
+    assert peak(sparsify_overall, many, category) <= peak(sparsify_overall, few, category) + 2**10
+
+
+def test_single_sampling_memory_does_not_grow_with_the_rows():
+    """20,000 and 80,000 rows in images of 100 over 5 categories: beyond the
+    keep mask and the kept rows, the single sampler holds the same. A key
+    and its order over the whole set took 16 bytes a row, and a list of
+    the image bounds 36 bytes an image."""
+    def beyond(n_images):
+        ann = grouped_set(n_images, 100, 5, 5)
+        kept, peak = traced_peak(sparsify_single, ann, 0.3, 1)
+        return peak - len(ann) - kept.nbytes
+
+    assert beyond(800) <= beyond(200) + 2**10
 
 
 def test_parse_memory_beyond_its_lines_and_columns(large_set):
