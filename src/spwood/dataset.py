@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,9 +87,7 @@ class AnnotationSet:
             ))
         ):
             raise InvalidInputError("inconsistent annotation columns")
-        # the least and greatest coordinates are finite only if every one is
-        least, most = (np.minimum.reduce(self.corners, None), np.maximum.reduce(self.corners, None)) if n else (0, 0)
-        if not (math.isfinite(least) and math.isfinite(most)):
+        if not _finite(self.corners):
             raise InvalidInputError("non-finite corner coordinate")
         self.codes = codes.astype(_code_type(len(self.names)), copy=False)
         if difficulty.itemsize > 1:  # int8 is as narrow as a difficulty gets
@@ -126,6 +125,11 @@ class AnnotationSet:
 
 def _is_array_of(values, kinds: str) -> bool:
     return isinstance(values, np.ndarray) and values.dtype.kind in kinds
+
+
+def _finite(values: np.ndarray) -> bool:
+    """Whether every one of ``values`` is finite, as its least and greatest are."""
+    return not values.size or all(math.isfinite(f.reduce(values, None)) for f in (np.minimum, np.maximum))
 
 
 def _code_type(n_names: int) -> np.dtype:
@@ -186,28 +190,42 @@ def _check_row(tokens, raw: str, line_no: int) -> None:
         raise DotaParseError("non-finite corner coordinate", line_no)
 
 
-def parse_dota(text: str, image_id: str = "") -> AnnotationSet:
-    """Parse one image's annotation text.
+class _Columns:
+    """The growing columns of a load, which takes one image's text at a time.
+    The code and difficulty buffers start one byte wide and widen only when
+    a category or a difficulty does not fit."""
 
-    A line whose first token is non-numeric is a metadata header, wherever
-    it stands in the file; headers are kept verbatim and written before
-    the records on output. Every other non-blank line must carry exactly
-    eight coordinates, a category, and an integer difficulty; the first
-    malformed line raises. Each record's fields are converted into the
-    columns as its line is read, so beyond the lines and the columns (and
-    their buffers' slack) the parse holds one line's tokens. The code and
-    difficulty buffers start one byte wide and widen only when a category
-    or a difficulty does not fit.
-    """
-    lines = text.splitlines()
-    headers, codes, difficulty = [], array("B"), array("b")
-    names: dict[str, int] = {}  # category -> code, in order of arrival
-    levels: dict[str, int] = {}  # difficulty token -> its value
+    def __init__(self):
+        self.corners, self.codes, self.difficulty = array("d"), array("B"), array("b")
+        self.names: dict[str, int] = {}  # category -> code, in order of arrival
+        self.levels: dict[str, int] = {}  # difficulty token -> its value
+        self.ids, self.bounds, self.headers = [], [0], {}
 
-    def coordinates():
+    def add(self, text: str, image_id: str) -> _Columns:
+        """Append the records of one image's annotation text (see
+        parse_dota); the first malformed line raises."""
+        lines, headers, start = text.splitlines(), [], len(self.codes)
+        try:
+            self.corners.extend(map(float, itertools.chain.from_iterable(self._records(lines, headers))))
+            if not _finite(np.frombuffer(self.corners, np.float64)[8 * start :]):
+                raise ValueError("non-finite corner coordinate")
+        except (ValueError, OverflowError):
+            for line_no, raw in enumerate(lines, start=1):
+                tokens = raw.split()
+                if tokens and _is_number(tokens[0]):
+                    _check_row(tokens, raw, line_no)
+            raise
+        self.ids.append(image_id)
+        self.bounds.append(len(self.codes))
+        if headers:
+            self.headers[image_id] = tuple(headers)
+        return self
+
+    def _records(self, lines, headers: list):
         """Each record line's eight coordinate tokens, the first converted
-        already; its category and difficulty go into their columns."""
-        nonlocal codes, difficulty
+        already; its category and difficulty go into their columns, and
+        header lines into ``headers``."""
+        names, levels = self.names, self.levels
         for raw in lines:
             tokens = raw.split()
             if not tokens:
@@ -224,81 +242,53 @@ def parse_dota(text: str, image_id: str = "") -> AnnotationSet:
                 if _is_number(tokens[8]):
                     raise ValueError("numeric category")
                 code = names[tokens[8]] = len(names)
-                if code >> 8 * codes.itemsize:  # the first code its items cannot hold
-                    codes = _widen(codes, _code_type(len(names)))
-            codes.append(code)
+                if code >> 8 * self.codes.itemsize:  # the first code its items cannot hold
+                    self.codes = _widen(self.codes, _code_type(len(names)))
+            self.codes.append(code)
             level = levels.get(tokens[9])
             if level is None:
                 level = levels[tokens[9]] = int(tokens[9])
-                difficulty = _widen(difficulty, _level_type(level, level))
-            difficulty.append(level)
+                self.difficulty = _widen(self.difficulty, _level_type(level, level))
+            self.difficulty.append(level)
             del tokens[8:]
             yield tokens
 
-    try:
-        corners = np.fromiter(map(float, itertools.chain.from_iterable(coordinates())), np.float64)
-        # a non-finite corner fails the set's own check, an InvalidInputError
-        return AnnotationSet(
-            (image_id,), (0, len(codes)), corners, _sorted_codes(codes, names), sorted(names),
-            np.frombuffer(difficulty, difficulty.typecode), {image_id: tuple(headers)} if headers else {},
-        )
-    except (ValueError, OverflowError):
-        for line_no, raw in enumerate(lines, start=1):
-            tokens = raw.split()
-            if tokens and _is_number(tokens[0]):
-                _check_row(tokens, raw, line_no)
-        raise
+    def finish(self) -> AnnotationSet:
+        """The set of the held images: codes remapped to the sorted names,
+        and rows gathered into id order only if the images did not arrive
+        in id order."""
+        ids, bounds = self.ids, self.bounds
+        # codes into the sorted names, remapped in place _BLOCK_ROWS at a time:
+        # indexing by a narrow array makes an intp copy of its entries
+        rank = {name: i for i, name in enumerate(sorted(self.names))}
+        table = np.array([rank[name] for name in self.names], self.codes.typecode)
+        codes = np.frombuffer(self.codes, self.codes.typecode)
+        for lo in range(0, len(codes), _BLOCK_ROWS):
+            codes[lo : lo + _BLOCK_ROWS] = table[codes[lo : lo + _BLOCK_ROWS]]
+        corners = np.frombuffer(self.corners, np.float64).reshape(-1, 4, 2)
+        difficulty = np.frombuffer(self.difficulty, self.difficulty.typecode)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        if order != list(range(len(ids))):
+            starts, sizes = np.array(bounds[:-1], np.intp)[order], np.diff(np.array(bounds, np.intp))[order]
+            bounds = np.concatenate([[0], np.cumsum(sizes)])
+            rows = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], sizes)
+            corners, codes, difficulty = corners[rows], codes[rows], difficulty[rows]
+            ids = [ids[i] for i in order]
+        return AnnotationSet(ids, bounds, corners, codes, sorted(self.names), difficulty, self.headers)
 
 
-def _sorted_codes(codes: array, names: dict[str, int]) -> np.ndarray:
-    """The ``codes`` into ``names`` (a dict of category to code, in order of
-    arrival) as codes into the sorted names, remapped in place _BLOCK_ROWS
-    at a time: indexing by a narrow array makes an intp copy of up to 8,192
-    of its entries."""
-    rank = {name: i for i, name in enumerate(sorted(names))}
-    table = np.array([rank[name] for name in names], codes.typecode)
-    codes = np.frombuffer(codes, codes.typecode)
-    for lo in range(0, len(codes), _BLOCK_ROWS):
-        codes[lo : lo + _BLOCK_ROWS] = table[codes[lo : lo + _BLOCK_ROWS]]
-    return codes
+def parse_dota(text: str, image_id: str = "") -> AnnotationSet:
+    """Parse one image's annotation text.
 
-
-def merge_sets(sets) -> AnnotationSet:
-    """One set with the images of all ``sets``, which must not share an id.
-
-    ``sets`` is consumed one set at a time: each set's columns are appended
-    to growing buffers before the next set is taken, so the merge holds one
-    copy of the columns plus one set. The code and difficulty buffers are as
-    wide as the widest set's columns. Rows are gathered into id order once,
-    and only when the images did not arrive in id order."""
-    corners, codes, difficulty = array("d"), array("B"), array("b")
-    names: dict[str, int] = {}  # category -> code, in order of arrival
-    ids, seen, starts, sizes, headers = [], set(), [], [], {}
-    for s in sets:
-        for image_id in s.ids:
-            if image_id in seen:
-                raise InvalidInputError(f"duplicate image id {image_id!r}")
-            seen.add(image_id)
-        ids += s.ids
-        starts += (s.offsets[:-1] + len(codes)).tolist()
-        sizes += np.diff(s.offsets).tolist()
-        recode = [names.setdefault(name, len(names)) for name in s.names]
-        codes = _widen(codes, _code_type(len(names)))
-        difficulty = _widen(difficulty, s.difficulty.dtype)
-        corners.frombytes(s.corners.tobytes())
-        codes.frombytes(np.array(recode, codes.typecode)[s.codes].tobytes())
-        difficulty.frombytes(s.difficulty.astype(difficulty.typecode, copy=False).tobytes())
-        headers.update(s.headers)
-    codes = _sorted_codes(codes, names)
-    corners = np.frombuffer(corners, np.float64).reshape(-1, 4, 2)
-    difficulty = np.frombuffer(difficulty, difficulty.typecode)
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    sizes, starts = np.array(sizes, np.intp)[order], np.array(starts, np.intp)[order]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    if order != list(range(len(ids))):
-        rows = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
-        corners, codes, difficulty = corners[rows], codes[rows], difficulty[rows]
-    return AnnotationSet([ids[i] for i in order], offsets, corners, codes, sorted(names), difficulty, headers)
+    A line whose first token is non-numeric is a metadata header, wherever
+    it stands in the file; headers are kept verbatim and written before
+    the records on output. Every other non-blank line must carry exactly
+    eight coordinates, a category, and an integer difficulty; the first
+    malformed line raises. Each record's fields are converted into the
+    columns as its line is read, so beyond the lines and the columns (and
+    their buffers' slack) the parse holds one line's tokens.
+    """
+    return _Columns().add(text, image_id).finish()
 
 
 # Records gathered, weakened and formatted at once; it bounds the rows,
@@ -392,17 +382,17 @@ def serialize_dota(ann: AnnotationSet) -> dict[str, str]:
     return dict(_texts(ann, None, []))
 
 
-def _dota_files(path) -> list[str]:
-    """The sorted names of the .txt files in ``path``."""
+def _dota_files(path):
+    """(name, stem) of each .txt file in ``path``, in name order."""
     names = sorted(f.name for f in Path(path).glob("*.txt"))
     if not names:
         raise InvalidInputError(f"no .txt annotation files in {path}")
-    return names
+    return ((name, name[:-4] or name) for name in names)  # Path(name).stem, without making a path
 
 
 def dota_dir_ids(path) -> list[str]:
     """The sorted image ids (file stems) that load_dota_dir gives ``path``."""
-    return sorted(Path(name).stem for name in _dota_files(path))
+    return sorted(stem for _, stem in _dota_files(path))
 
 
 def load_dota_dir(path, keep=None) -> AnnotationSet:
@@ -410,27 +400,22 @@ def load_dota_dir(path, keep=None) -> AnnotationSet:
     error in a file (see parse_dota, or text that is not UTF-8) names it.
     Given the image ids ``keep``, every file is still parsed and checked,
     but only the images in ``keep`` are held and returned. Files are read
-    in name order, each path made as its file is opened."""
-    folder = Path(path)
-    sets = (_load_file(folder / name) for name in _dota_files(path))
-    if keep is not None:
-        keep = set(keep)
-        sets = (s for s in sets if s.ids[0] in keep)
-    return merge_sets(sets)
-
-
-def _load_file(path: Path) -> AnnotationSet:
-    """parse_dota of one file; an error names the file."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason} at offset {exc.start})") from None
-    try:
-        return parse_dota(text, image_id=path.stem)
-    except DotaParseError as exc:
-        raise DotaParseError(exc.message, exc.line_no, path) from None
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
+    in name order, each appended straight into one set of columns, so the
+    load holds the columns and one file's text and lines."""
+    keep = None if keep is None else set(keep)
+    folder, columns = os.fspath(path), _Columns()
+    for name, image_id in _dota_files(path):
+        try:
+            with open(os.path.join(folder, name), encoding="utf-8") as file:
+                text = file.read()
+        except UnicodeDecodeError as exc:
+            reason = f"{exc.reason} at offset {exc.start}"
+            raise InvalidInputError(f"{Path(path) / name}: not UTF-8 text ({reason})") from None
+        try:  # an image left out is parsed and checked into columns of its own
+            (columns if keep is None or image_id in keep else _Columns()).add(text, image_id)
+        except DotaParseError as exc:
+            raise DotaParseError(exc.message, exc.line_no, Path(path) / name) from None
+    return columns.finish()
 
 
 def write_dota_dir(ann: AnnotationSet, path, kind: WeakKind | None = None, rows=None) -> tuple[int, AnnotationSet]:

@@ -110,6 +110,20 @@ def _log_joint(sq: np.ndarray, w: float, var: float, out: np.ndarray | None = No
     return out
 
 
+# OpenBLAS splits a dot of more than 10,000 elements over its threads, so its
+# rounding would depend on the thread count; the M step takes each dot over
+# blocks of at most this many scores, one BLAS call each, summed in order.
+_DOT_BLOCK = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b of two (n,) arrays, the same on any BLAS thread count."""
+    total = a[:_DOT_BLOCK] @ b[:_DOT_BLOCK]
+    for lo in range(_DOT_BLOCK, len(a), _DOT_BLOCK):
+        total += a[lo : lo + _DOT_BLOCK] @ b[lo : lo + _DOT_BLOCK]
+    return total
+
+
 def fit_gmm(scores, config: GmmConfig = GmmConfig()) -> GmmFit:
     """EM fit of a two-component univariate Gaussian mixture.
 
@@ -157,9 +171,9 @@ def fit_gmm(scores, config: GmmConfig = GmmConfig()) -> GmmFit:
         w = nk / n
         for k in (0, 1):
             if nk[k] > 1e-12:
-                mu[k] = float(resp[k] @ x / nk[k])
+                mu[k] = float(_dot(resp[k], x) / nk[k])
                 np.square(np.subtract(x, mu[k], out=sq[k]), out=sq[k])
-                var[k] = max(float(resp[k] @ sq[k] / nk[k]), config.var_floor)
+                var[k] = max(float(_dot(resp[k], sq[k]) / nk[k]), config.var_floor)
         if abs(ll - prev_ll) < config.tol:
             converged = True
             break

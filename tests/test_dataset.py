@@ -21,7 +21,6 @@ from spwood.dataset import (
     category_sort_key,
     compare_counts,
     load_dota_dir,
-    merge_sets,
     parse_dota,
     round_half_up,
     select_partial,
@@ -917,20 +916,21 @@ def test_serialize_weak_leaves_out_records_without_a_label(tmp_path):
 # --- columns ------------------------------------------------------------------------
 
 
-def test_merge_sorts_images_and_remaps_categories():
-    a = parse_dota("hdr:b\n0 0 1 0 1 1 0 1 ship 0\n0 0 2 0 2 2 0 2 plane 1\n", image_id="b")
-    b = parse_dota("0 0 3 0 3 3 0 3 zebra 0\n", image_id="a.x")
-    c = parse_dota("hdr:c\n", image_id="a")
-    merged = merge_sets([a, b, c])
-    assert merged.ids == ("a", "a.x", "b")
-    assert merged.names == ("plane", "ship", "zebra")
-    assert [(r.image_id, r.category) for r in records_of(merged)] == [
-        ("a.x", "zebra"), ("b", "ship"), ("b", "plane"),
+def test_load_sorts_images_and_remaps_categories(tmp_path):
+    """Files with their own category tables, ids that arrive out of id order
+    ("a-b" before "a" in path order) and a header-only file."""
+    (tmp_path / "b.txt").write_text("hdr:b\n0 0 1 0 1 1 0 1 ship 0\n0 0 2 0 2 2 0 2 plane 1\n")
+    (tmp_path / "a-b.txt").write_text("0 0 3 0 3 3 0 3 zebra 0\n")
+    (tmp_path / "a.txt").write_text("hdr:c\n")
+    loaded = load_dota_dir(tmp_path)
+    assert loaded.ids == ("a", "a-b", "b")
+    assert loaded.names == ("plane", "ship", "zebra")
+    assert [(r.image_id, r.category) for r in records_of(loaded)] == [
+        ("a-b", "zebra"), ("b", "ship"), ("b", "plane"),
     ]
-    assert merged.headers == {"b": ("hdr:b",), "a": ("hdr:c",)}
-    assert serialize_dota(merged)["a"] == "hdr:c\n"
-    with pytest.raises(InvalidInputError, match="duplicate image id 'b'"):
-        merge_sets([a, b, a])
+    assert loaded.headers == {"b": ("hdr:b",), "a": ("hdr:c",)}
+    assert serialize_dota(loaded)["a"] == "hdr:c\n"
+    assert_same_set(loaded, concat_load_dota_dir(tmp_path))
 
 
 def test_sets_without_records_sample_and_render(tmp_path):
@@ -941,7 +941,6 @@ def test_sets_without_records_sample_and_render(tmp_path):
         assert serialize_dota(out) == {"e": "imagesource:x\n"}
     text, dropped = write_weak(empty, WeakKind.RBOX, tmp_path)
     assert text == {"e": ""} and len(dropped) == 0
-    assert len(merge_sets([])) == 0
 
 
 def test_columns_reject_inconsistent_input():
@@ -1001,17 +1000,28 @@ def test_difficulty_beyond_int64_raises_as_before(level):
     assert exc.value.line_no == 2
 
 
-def test_merge_takes_the_wider_columns():
-    wide = AnnotationSet(("a",), (0, 2), np.zeros((2, 4, 2)), [0, 299], names_of(300), [-(2**63), 2**63 - 1])
-    narrow = AnnotationSet(("b", "c"), (0, 1, 2), np.ones((2, 4, 2)), [0, 0], ["ship"], [1, 0])
-    middle = AnnotationSet(("d",), (0, 1), np.ones((1, 4, 2)), [0], ["c001"], [300])
-    assert (wide.codes.dtype, wide.difficulty.dtype) == (np.uint16, np.int64)
-    assert (narrow.codes.dtype, narrow.difficulty.dtype) == (np.uint8, np.int8)
-    for sets in ([wide, narrow], [narrow, wide], [narrow, middle], [middle, narrow, wide]):
-        merged = merge_sets(sets)
-        assert merged.codes.dtype == (np.uint16 if wide in sets else np.uint8)
-        assert merged.difficulty.dtype == (np.int64 if wide in sets else np.int16)
-        assert records_of(merged) == sorted(sum(map(records_of, sets), []), key=lambda r: r.image_id)
+def test_load_takes_the_wider_columns(tmp_path):
+    """300 categories spread over two files give uint16 codes, and
+    difficulties at int64's extremes int64 ones, whichever files arrive
+    first; without them codes stay uint8 and a difficulty of 300 gives
+    int16."""
+    line = "0 0 1 0 1 1 0 1 {} {}\n".format
+    files = {
+        "wide": "".join(line(name, level) for name, level in zip(names_of(300)[::2], [-(2**63), 2**63 - 1] * 75)),
+        "rest": "".join(line(name, 0) for name in names_of(300)[1::2]),
+        "narrow": "hdr\n" + line("ship", 1) + line("ship", 0),
+        "middle": line("c001", 300),
+    }
+    for chosen in (["wide", "rest", "narrow"], ["narrow", "wide", "rest"], ["narrow", "middle"],
+                   ["middle", "narrow", "rest", "wide"]):
+        path = tmp_path / "-".join(chosen)
+        path.mkdir()
+        for k, key in enumerate(chosen):  # arriving in the listed order
+            (path / f"{k}{key}.txt").write_text(files[key])
+        loaded = load_dota_dir(path)
+        assert loaded.codes.dtype == (np.uint16 if "rest" in chosen else np.uint8)
+        assert loaded.difficulty.dtype == (np.int64 if "wide" in chosen else np.int16)
+        assert_same_set(loaded, concat_load_dota_dir(path))
 
 
 def write_wide_corpus(path, n_images=6, seed=4):
@@ -1061,7 +1071,7 @@ def test_wide_corpus_report_matches_record_reference(tmp_path, wide_corpus):
     check_report_against_record_reference(wide_corpus, tmp_path)
 
 
-# --- batched rendering and one-copy merging ------------------------------------------
+# --- batched rendering and one-copy loading ------------------------------------------
 
 
 def whole_set_render(ann, values, with_difficulty, headers):
@@ -1082,37 +1092,10 @@ def whole_set_render(ann, values, with_difficulty, headers):
     return out
 
 
-def argsort_merge_sets(sets):
-    """dataset.merge_sets before it concatenated per-image row slices, kept
-    verbatim as the oracle: rows put in id order by an argsort and a
-    fancy-index copy of each concatenated column."""
-    sets = list(sets)
-    ids = [image_id for s in sets for image_id in s.ids]
-    if len(set(ids)) < len(ids):
-        duplicate = next(i for k, i in enumerate(ids) if i in ids[:k])
-        raise InvalidInputError(f"duplicate image id {duplicate!r}")
-    if not sets:
-        return AnnotationSet((), (0,), [], [], [], [])
-    names = sorted({name for s in sets for name in s.names})
-    code = {name: i for i, name in enumerate(names)}
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    sizes = np.concatenate([np.diff(s.offsets) for s in sets])
-    rows = np.argsort(np.repeat(np.argsort(order), sizes), kind="stable")
-    return AnnotationSet(
-        [ids[i] for i in order],
-        np.concatenate([[0], np.cumsum(sizes[order])]),
-        np.concatenate([s.corners for s in sets])[rows],
-        np.concatenate([np.array([code[n] for n in s.names], np.intp)[s.codes] for s in sets])[rows],
-        names,
-        np.concatenate([s.difficulty for s in sets])[rows],
-        {image_id: h for s in sets for image_id, h in s.headers.items()},
-    )
-
-
 def concat_merge_sets(sets):
-    """dataset.merge_sets before it appended each set to growing buffers,
-    kept verbatim as the oracle: every set taken at once, each column one
-    concatenation of per-image row slices in id order."""
+    """The loader's merge of parsed files before it appended each file to
+    growing buffers, kept verbatim as the oracle: every set taken at once,
+    each column one concatenation of per-image row slices in id order."""
     sets = list(sets)
     ids = [image_id for s in sets for image_id in s.ids]
     if len(set(ids)) < len(ids):
@@ -1146,7 +1129,8 @@ def concat_merge_sets(sets):
 def concat_load_dota_dir(path):
     """load_dota_dir as it was before merging streamed: every file parsed,
     then merged by concat_merge_sets."""
-    return concat_merge_sets(map(dataset._load_file, sorted(Path(path).glob("*.txt"))))
+    files = sorted(Path(path).glob("*.txt"))
+    return concat_merge_sets(parse_dota(f.read_text(encoding="utf-8"), f.stem) for f in files)
 
 
 def assert_same_set(got, want):
@@ -1210,34 +1194,6 @@ def test_writing_rows_matches_writing_their_selection(ann, data, batch):
 
 
 @st.composite
-def interleaved_sets(draw):
-    """Pieces of one set whose image ids interleave, some with a category
-    table of their own (as parse_dota gives) and some with the whole one."""
-    whole = draw(annotation_sets())
-    k = draw(st.integers(1, 4))
-    owner = [draw(st.integers(0, k - 1)) for _ in whole.ids]
-    pieces = [subset_images(whole, [i for i, o in zip(whole.ids, owner) if o == j]) for j in range(k)]
-    return [own_names(p) if draw(st.booleans()) else p for p in pieces]
-
-
-def own_names(ann):
-    """``ann`` with a category table of only the categories it uses."""
-    used = np.unique(ann.codes)
-    return AnnotationSet(
-        ann.ids, ann.offsets, ann.corners, np.searchsorted(used, ann.codes), [ann.names[c] for c in used],
-        ann.difficulty, ann.headers,
-    )
-
-
-@given(interleaved_sets())
-@settings(max_examples=150, deadline=None)
-def test_merge_matches_argsort_merge(sets):
-    assert_same_set(merge_sets(sets), argsort_merge_sets(sets))
-    assert_same_set(merge_sets(sets[::-1]), argsort_merge_sets(sets[::-1]))
-    assert_same_set(merge_sets(iter(sets)), concat_merge_sets(sets))
-
-
-@st.composite
 def annotation_dirs(draw):
     """File texts by name: the images of an annotation set, each parsed
     with its own category table, beside an empty and a header-only file.
@@ -1290,6 +1246,27 @@ def test_load_keeps_only_the_given_images_but_checks_every_file(tmp_path):
     assert (exc.value.path, exc.value.line_no) == (tmp_path / "b.txt", 2)
 
 
+def test_load_takes_back_what_an_unkept_image_brought(tmp_path):
+    """An image left out by ``keep`` is parsed and checked, but its rows, its
+    headers, the 300 categories only it has and its int64 difficulties are
+    not held: the load is that of the kept files alone, uint8 codes and int8
+    difficulty included."""
+    line = "0 0 1 0 1 1 0 1 {} {}\n".format
+    texts = {
+        "a": "hdr:a\n" + line("ship", 0) + line("plane", 1),
+        "b": "hdr:b\n" + line("ship", 0) + "".join(line(name, 2**40) for name in names_of(300)),
+        "c": line("plane", 0) + line("harbor", 1) + "hdr:c\n",
+    }
+    for folder, names in (("all", "abc"), ("kept", "ac")):
+        (tmp_path / folder).mkdir()
+        for name in names:
+            (tmp_path / folder / f"{name}.txt").write_text(texts[name])
+    loaded = load_dota_dir(tmp_path / "all", keep=["a", "c"])
+    assert loaded.names == ("harbor", "plane", "ship") and loaded.headers == {"a": ("hdr:a",), "c": ("hdr:c",)}
+    assert (loaded.codes.dtype, loaded.difficulty.dtype) == (np.uint8, np.int8)
+    assert_same_set(loaded, load_dota_dir(tmp_path / "kept"))
+
+
 # Records per image of the benchmark's corpus: 10 to 250, mostly small,
 # 8,798 over 150 images.
 LARGE_COUNTS = np.rint(10 * 25 ** ((np.arange(150) / 149) ** 1.5)).astype(int)
@@ -1326,12 +1303,10 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_large_set_renders_and_merges_like_the_oracles(large_set):
+def test_large_set_renders_like_the_oracle(large_set):
     texts = serialize_dota(large_set)
     assert len(large_set) == 8798 and texts == whole_set_render(large_set, large_set.corners, True, large_set.headers)
-    sets = [parse_dota(text, image_id) for image_id, text in texts.items()]
-    assert_same_set(merge_sets(sets[::-1]), argsort_merge_sets(sets[::-1]))
-    one_image = merge_sets([parse_dota("".join(texts.values()), "big")])  # 8,798 records, 17 batches
+    one_image = parse_dota("".join(texts.values()), "big")  # 8,798 records in one image
     assert serialize_dota(one_image) == whole_set_render(one_image, one_image.corners, True, one_image.headers)
 
 
@@ -1339,14 +1314,6 @@ def test_serialize_memory_beyond_its_texts(large_set):
     texts, peak = traced_peak(serialize_dota, large_set)
     size = sum(map(sys.getsizeof, texts.values()))
     assert peak - size < 2**20  # rendering the whole set at once took 6.4 MB more than the texts
-
-
-def test_merge_memory_beyond_its_columns(large_set):
-    sets = [parse_dota(text, image_id) for image_id, text in serialize_dota(large_set).items()]
-    merged, peak = traced_peak(merge_sets, sets)
-    columns = sum(getattr(merged, c).nbytes for c in ("offsets", "corners", "codes", "difficulty"))
-    assert peak - columns < 0.25 * 2**20  # the argsort and fancy-index copies took 0.48 MB more
-
 
 
 @pytest.fixture(scope="module")
@@ -1373,9 +1340,10 @@ def test_large_dir_loads_like_concat_merge(large_set, large_dir):
 
 def test_load_memory_beyond_its_columns(large_dir):
     loaded, peak = traced_peak(load_dota_dir, large_dir)
-    # 0.21 MB; converting each file's coordinates from a list of every line's
-    # tokens took 0.41 MB, and parsing every file before the merge 1.18 MB
-    assert peak - column_bytes(loaded) < 0.3 * 2**20
+    # 0.15 MB; a set of each file merged into the columns took 0.21 MB,
+    # converting each file's coordinates from a list of every line's tokens
+    # 0.41 MB, and parsing every file before the merge 1.18 MB
+    assert peak - column_bytes(loaded) < 0.18 * 2**20
 
 
 def test_sparsify_memory_beyond_the_loaded_columns(large_dir, tmp_path, capsys):

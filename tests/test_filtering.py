@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spwood
 from spwood.errors import DegenerateInputError, InvalidInputError
 from spwood.filtering import (
     FilterMode,
@@ -203,6 +208,33 @@ def test_fit_matches_reference_on_100k_scores():
         1 - 1e-6,
     )
     assert_matches_reference(scores)
+
+
+# Fits 30,000 planted scores and prints every GmmFit field, floats as float.hex.
+FIT_HEX = """
+import numpy as np
+from spwood.filtering import fit_gmm
+rng = np.random.default_rng(0)
+scores = np.clip(np.concatenate([rng.normal(0.15, 0.05, 15_000), rng.normal(0.85, 0.05, 15_000)]), 1e-6, 1 - 1e-6)
+fit = fit_gmm(scores)
+print(fit.iterations, fit.converged, *(float(v).hex() for v in (fit.w_p, fit.w_n, fit.mu_p, fit.mu_n, fit.var_p,
+                                                                  fit.var_n, *fit.log_likelihoods)))
+"""
+
+
+def test_fit_is_the_same_on_any_blas_thread_count():
+    """OpenBLAS splits a dot of more than 10,000 elements over its threads;
+    with one dot over all 30,000 scores, one and two threads gave fits that
+    differed in their last bits."""
+    path = os.pathsep.join([str(Path(spwood.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", FIT_HEX], env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("pair", [(0.2, 0.8), (0.1, 0.9), (0.45, 0.55)])
