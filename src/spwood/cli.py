@@ -465,10 +465,7 @@ def main(argv=None) -> int:
     except DegenerateInputError as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InvalidInputError, DotaParseError, NumericalDegeneracyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (InvalidInputError, DotaParseError, NumericalDegeneracyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -108,17 +108,10 @@ class AnnotationSet:
             counts += np.bincount(self.codes[block if rows is None else rows[block]], minlength=len(self.names))
         return {name: n for name, n in zip(self.names, counts.tolist()) if n}
 
-    def _image_of_rows(self) -> np.ndarray:
-        """(N,) index into ``ids`` of each row's image."""
-        return np.repeat(np.arange(len(self.ids)), np.diff(self.offsets))
-
-    def _select(self, rows, images=None, headers=None) -> AnnotationSet:
-        """The ascending ``rows``, which lie in the images ``images``
-        (ascending indices into ``ids``; all images by default)."""
-        images = np.arange(len(self.ids)) if images is None else images
-        offsets = np.append(np.searchsorted(rows, self.offsets[images]), len(rows))
+    def _select(self, rows, headers=None) -> AnnotationSet:
+        """The ascending ``rows``, in every image."""
         return AnnotationSet(
-            [self.ids[i] for i in images], offsets, self.corners[rows], self.codes[rows],
+            self.ids, np.searchsorted(rows, self.offsets), self.corners[rows], self.codes[rows],
             self.names, self.difficulty[rows], self.headers if headers is None else headers,
         )
 
@@ -254,10 +247,8 @@ class _Columns:
             yield tokens
 
     def finish(self) -> AnnotationSet:
-        """The set of the held images: codes remapped to the sorted names,
-        and rows gathered into id order only if the images did not arrive
-        in id order."""
-        ids, bounds = self.ids, self.bounds
+        """The set of the held images, which arrived in id order: the
+        columns as they grew, codes remapped to the sorted names."""
         # codes into the sorted names, remapped in place _BLOCK_ROWS at a time:
         # indexing by a narrow array makes an intp copy of its entries
         rank = {name: i for i, name in enumerate(sorted(self.names))}
@@ -267,14 +258,7 @@ class _Columns:
             codes[lo : lo + _BLOCK_ROWS] = table[codes[lo : lo + _BLOCK_ROWS]]
         corners = np.frombuffer(self.corners, np.float64).reshape(-1, 4, 2)
         difficulty = np.frombuffer(self.difficulty, self.difficulty.typecode)
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        if order != list(range(len(ids))):
-            starts, sizes = np.array(bounds[:-1], np.intp)[order], np.diff(np.array(bounds, np.intp))[order]
-            bounds = np.concatenate([[0], np.cumsum(sizes)])
-            rows = np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], sizes)
-            corners, codes, difficulty = corners[rows], codes[rows], difficulty[rows]
-            ids = [ids[i] for i in order]
-        return AnnotationSet(ids, bounds, corners, codes, sorted(self.names), difficulty, self.headers)
+        return AnnotationSet(self.ids, self.bounds, corners, codes, sorted(self.names), difficulty, self.headers)
 
 
 def parse_dota(text: str, image_id: str = "") -> AnnotationSet:
@@ -382,17 +366,22 @@ def serialize_dota(ann: AnnotationSet) -> dict[str, str]:
     return dict(_texts(ann, None, []))
 
 
+def _stem(name: str) -> str:
+    """Path(name).stem of a .txt file's name, without making a path."""
+    return name[:-4] or name
+
+
 def _dota_files(path):
-    """(name, stem) of each .txt file in ``path``, in name order."""
-    names = sorted(f.name for f in Path(path).glob("*.txt"))
+    """(stem, name) of each .txt file in ``path``, in id (stem) order."""
+    names = sorted((f.name for f in Path(path).glob("*.txt")), key=_stem)
     if not names:
         raise InvalidInputError(f"no .txt annotation files in {path}")
-    return ((name, name[:-4] or name) for name in names)  # Path(name).stem, without making a path
+    return ((_stem(name), name) for name in names)
 
 
 def dota_dir_ids(path) -> list[str]:
     """The sorted image ids (file stems) that load_dota_dir gives ``path``."""
-    return sorted(stem for _, stem in _dota_files(path))
+    return [stem for stem, _ in _dota_files(path)]
 
 
 def load_dota_dir(path, keep=None) -> AnnotationSet:
@@ -400,11 +389,12 @@ def load_dota_dir(path, keep=None) -> AnnotationSet:
     error in a file (see parse_dota, or text that is not UTF-8) names it.
     Given the image ids ``keep``, every file is still parsed and checked,
     but only the images in ``keep`` are held and returned. Files are read
-    in name order, each appended straight into one set of columns, so the
-    load holds the columns and one file's text and lines."""
+    in id order, each appended straight into one set of columns that
+    become the set's own without a gather, so the load holds the columns
+    and one file's text and lines."""
     keep = None if keep is None else set(keep)
     folder, columns = os.fspath(path), _Columns()
-    for name, image_id in _dota_files(path):
+    for image_id, name in _dota_files(path):
         try:
             with open(os.path.join(folder, name), encoding="utf-8") as file:
                 text = file.read()
@@ -518,13 +508,6 @@ def select_partial(ids, partial_ratio: float, seed: int):
     labeled = sorted(ids[i] for i in chosen)
     unlabeled = sorted(set(ids) - set(labeled))
     return labeled, unlabeled
-
-
-def subset_images(ann: AnnotationSet, image_ids) -> AnnotationSet:
-    keep = set(image_ids)
-    images = [i for i, image_id in enumerate(ann.ids) if image_id in keep]
-    rows = np.flatnonzero(np.isin(ann._image_of_rows(), images))
-    return ann._select(rows, images, {i: h for i, h in ann.headers.items() if i in keep})
 
 
 def sparsify_single(ann: AnnotationSet, sparse_ratio: float, seed: int) -> np.ndarray:

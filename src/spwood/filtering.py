@@ -99,9 +99,6 @@ class ThresholdResult:
     tau: float
     fallback: bool = False
 
-    def __float__(self) -> float:
-        return self.tau
-
 
 def _log_joint(sq: np.ndarray, w: float, var: float, out: np.ndarray | None = None) -> np.ndarray:
     """log(w N(x; mu, var)) from the squared residuals sq = (x - mu)^2; -inf when w is 0."""

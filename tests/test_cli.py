@@ -561,6 +561,12 @@ def test_eval_loss_random_gradient_sweep(capsys):
     assert "overall max_rel_err=" in out
 
 
+@pytest.mark.parametrize("points", [0, -3])
+def test_eval_loss_random_sweep_needs_a_point(capsys, points):
+    assert cli.main(["eval-loss", "--check-grad", "--random", str(points)]) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: n_points must be at least 1, got {points}\n")
+
+
 # --- simulate -------------------------------------------------------------------
 
 

@@ -27,7 +27,6 @@ from spwood.dataset import (
     serialize_dota,
     sparsify_overall,
     sparsify_single,
-    subset_images,
     weaken_corners,
     write_dota_dir,
 )
@@ -1217,16 +1216,16 @@ def test_committed_corpus_loads_like_concat_merge():
     assert_same_set(load_dota_dir(path), concat_load_dota_dir(path))
 
 
-def test_load_names_the_first_bad_file_in_path_order(tmp_path):
+def test_load_names_the_first_bad_file_in_id_order(tmp_path):
     (tmp_path / "a.txt").write_text(f"{GOOD}\n{BAD_LINES[2]}\n")
-    (tmp_path / "a-b.txt").write_text(f"hdr\n{GOOD}\n{BAD_LINES[7]}\n")  # before a.txt in path order
-    with pytest.raises(DotaParseError) as exc:
-        load_dota_dir(tmp_path)
-    assert str(exc.value) == f"{tmp_path / 'a-b.txt'}: line 3: non-finite corner coordinate"
-    (tmp_path / "a-b.txt").write_text(f"{GOOD}\n")
+    (tmp_path / "a-b.txt").write_text(f"hdr\n{GOOD}\n{BAD_LINES[7]}\n")  # after a.txt in id order, before it in name order
     with pytest.raises(DotaParseError) as exc:
         load_dota_dir(tmp_path)
     assert (exc.value.path, exc.value.line_no) == (tmp_path / "a.txt", 2)
+    (tmp_path / "a.txt").write_text(f"{GOOD}\n")
+    with pytest.raises(DotaParseError) as exc:
+        load_dota_dir(tmp_path)
+    assert str(exc.value) == f"{tmp_path / 'a-b.txt'}: line 3: non-finite corner coordinate"
 
 
 def test_load_keeps_only_the_given_images_but_checks_every_file(tmp_path):
@@ -1234,9 +1233,12 @@ def test_load_keeps_only_the_given_images_but_checks_every_file(tmp_path):
     whole = load_dota_dir(path)
     assert dataset.dota_dir_ids(path) == list(whole.ids)
     keep = whole.ids[::3]
-    kept, want = load_dota_dir(path, keep=keep), subset_images(whole, keep)
-    assert kept.ids == want.ids == keep and kept.headers == want.headers
-    assert records_of(kept) == records_of(want)
+    (tmp_path / "kept").mkdir()
+    for image_id in keep:
+        (tmp_path / "kept" / f"{image_id}.txt").write_bytes((path / f"{image_id}.txt").read_bytes())
+    kept = load_dota_dir(path, keep=keep)
+    assert kept.ids == keep
+    assert_same_set(kept, concat_load_dota_dir(tmp_path / "kept"))
     nothing = load_dota_dir(path, keep=())
     assert nothing.ids == () and len(nothing) == 0
     (tmp_path / "a.txt").write_text(f"{GOOD}\n")
@@ -1267,6 +1269,14 @@ def test_load_takes_back_what_an_unkept_image_brought(tmp_path):
     assert_same_set(loaded, load_dota_dir(tmp_path / "kept"))
 
 
+def random_corners(rng, n):
+    """Corners of ``n`` random oriented boxes of DOTA sizes on a 4,000-pixel scene."""
+    boxes = np.column_stack([
+        rng.uniform(0, 4000, (n, 2)), rng.uniform(6, 150, n), rng.uniform(2, 40, n), rng.uniform(-1.5, 1.5, n),
+    ])
+    return corners_of_boxes(boxes)
+
+
 # Records per image of the benchmark's corpus: 10 to 250, mostly small,
 # 8,798 over 150 images.
 LARGE_COUNTS = np.rint(10 * 25 ** ((np.arange(150) / 149) ** 1.5)).astype(int)
@@ -1276,13 +1286,11 @@ LARGE_COUNTS = np.rint(10 * 25 ** ((np.arange(150) / 149) ** 1.5)).astype(int)
 def large_set():
     rng = np.random.default_rng(17)
     n = int(LARGE_COUNTS.sum())
-    boxes = np.column_stack([
-        rng.uniform(0, 4000, (n, 2)), rng.uniform(6, 150, n), rng.uniform(2, 40, n), rng.uniform(-1.5, 1.5, n),
-    ])
+    corners = random_corners(rng, n)
     ids = [f"P{i:04d}" for i in range(len(LARGE_COUNTS))]
     names = sorted(DOTA_CATEGORY_ORDER)
     return AnnotationSet(
-        ids, np.cumsum([0, *rng.permutation(LARGE_COUNTS)]), corners_of_boxes(boxes),
+        ids, np.cumsum([0, *rng.permutation(LARGE_COUNTS)]), corners,
         rng.integers(0, len(names), n), names, (rng.random(n) < 0.1).astype(int),
         {i: ("imagesource:GoogleEarth", "gsd:0.146") for i in ids},
     )
@@ -1328,6 +1336,27 @@ def large_dir(large_set, tmp_path_factory):
     del names
 
 
+@pytest.fixture(scope="module")
+def reversed_dir(tmp_path_factory):
+    """100 files of 200 records each, with ids a, a-, a--, ...: their name
+    order (a--.txt before a-.txt before a.txt) is the reverse of their id
+    order. Their file names stay referenced while the module runs (see
+    traced_peak)."""
+    rng = np.random.default_rng(23)
+    ids, n = ["a" + "-" * k for k in range(100)], 100 * 200
+    names = sorted(DOTA_CATEGORY_ORDER)
+    ann = AnnotationSet(
+        ids, np.arange(0, n + 1, 200), random_corners(rng, n), rng.integers(0, len(names), n), names,
+        (rng.random(n) < 0.1).astype(int),
+    )
+    path = tmp_path_factory.mktemp("reversed") / "anns"
+    write_dota_dir(ann, path)
+    files = [path / f"{i}.txt" for i in ids]
+    assert sorted(f.name for f in files) == [f.name for f in reversed(files)]
+    yield path
+    del files
+
+
 def column_bytes(ann):
     return sum(getattr(ann, c).nbytes for c in ("offsets", "corners", "codes", "difficulty"))
 
@@ -1344,6 +1373,13 @@ def test_load_memory_beyond_its_columns(large_dir):
     # converting each file's coordinates from a list of every line's tokens
     # 0.41 MB, and parsing every file before the merge 1.18 MB
     assert peak - column_bytes(loaded) < 0.18 * 2**20
+
+
+def test_load_memory_beyond_its_columns_out_of_id_order(reversed_dir):
+    loaded, peak = traced_peak(load_dota_dir, reversed_dir)
+    assert len(loaded.ids) == 100 and len(loaded) == 20_000
+    # 0.17 MB; reading in name order, then gathering the rows into id order took 1.53 MB
+    assert peak - column_bytes(loaded) < 0.2 * 2**20
 
 
 def test_sparsify_memory_beyond_the_loaded_columns(large_dir, tmp_path, capsys):
@@ -1425,13 +1461,10 @@ def test_writer_memory_does_not_grow_with_the_kept_rows(tmp_path):
     beyond its inputs the writer holds one batch, so both peaks agree."""
     rng = np.random.default_rng(5)
     n = 160 * 60
-    boxes = np.column_stack([
-        rng.uniform(0, 4000, (n, 2)), rng.uniform(6, 150, n), rng.uniform(2, 40, n), rng.uniform(-1.5, 1.5, n),
-    ])
     ids = [f"P{i:04d}" for i in range(160)]
     names = sorted(DOTA_CATEGORY_ORDER)
     ann = AnnotationSet(
-        ids, np.arange(0, n + 1, 60), corners_of_boxes(boxes), rng.integers(0, len(names), n), names,
+        ids, np.arange(0, n + 1, 60), random_corners(rng, n), rng.integers(0, len(names), n), names,
         (rng.random(n) < 0.1).astype(int), {i: ("imagesource:GoogleEarth", "gsd:0.146") for i in ids},
     )
     names = [tmp_path / f"{i}.txt" for i in ids]  # see traced_peak
