@@ -13,7 +13,9 @@ Usage:
 """
 
 import argparse
+import sys
 
+from spwood.errors import InvalidInputError, check_seed
 from spwood.filtering import PyramidLevel
 from spwood.pipeline import LevelPlan, SimScenario, paired_comparison
 
@@ -35,7 +37,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=100)
     args = parser.parse_args()
 
-    scenario = shifted_scenario(args.rounds, args.n_pos, args.n_neg)
+    try:
+        scenario = shifted_scenario(args.rounds, args.n_pos, args.n_neg)
+        summary = paired_comparison(scenario, args.repeats, base_seed=check_seed(args.seed, "--seed"))
+    except InvalidInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
     print("level plan (positives | negatives per round):")
     for plan in scenario.levels:
         print(
@@ -43,7 +51,6 @@ def main() -> int:
             f" | N({plan.mu_n:.2f}, {plan.sigma}^2) x {plan.n_neg}"
         )
 
-    summary = paired_comparison(scenario, args.repeats, base_seed=args.seed)
     print(f"\nper-seed mean F1 over {args.rounds} round(s):")
     print("seed   mpf_f1   cpf_f1")
     for i, (mpf, cpf) in enumerate(summary.reports[:10]):

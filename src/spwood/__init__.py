@@ -45,7 +45,7 @@ from .layout import (
     VoronoiLabelMap,
     gradient_magnitude,
     read_pgm,
-    scale_target_from_mask,
+    scale_targets,
     voronoi_partition,
     watershed_segment,
     write_pgm,

@@ -310,22 +310,20 @@ def cmd_watershed(args) -> int:
     image = layout.read_pgm(args.image)
     seeds = _read_points(args.points)
     cells = layout.voronoi_partition(seeds, image.width, image.height)
-    masks = layout.watershed_segment(image, cells)
+    labels = layout.watershed_segment(image, cells)
+    targets = layout.scale_targets(labels, len(seeds), args.theta)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for k, (seed, mask) in enumerate(zip(seeds, masks)):
-        layout.write_pgm(out_dir / f"mask_{k:03d}.pgm", mask)
-        target = layout.scale_target_from_mask(mask, args.theta)
-        rows.append(
-            f"{k},{_fmt(seed.x)},{_fmt(seed.y)},{seed.category},"
-            f"{_fmt(target.w_t)},{_fmt(target.h_t)},{int(target.valid)}"
-        )
     with open(out_dir / "targets.csv", "w", encoding="utf-8") as fh:
         fh.write(_comment_header(args, "-"))
         fh.write("seed_index,x,y,category,w_t,h_t,valid\n")
-        fh.write("".join(r + "\n" for r in rows))
-    print(f"wrote {len(masks)} masks and targets.csv to {out_dir}")
+        for k, (seed, target) in enumerate(zip(seeds, targets)):
+            layout.write_pgm(out_dir / f"mask_{k:03d}.pgm", labels == k)
+            fh.write(
+                f"{k},{_fmt(seed.x)},{_fmt(seed.y)},{seed.category},"
+                f"{_fmt(target.w_t)},{_fmt(target.h_t)},{int(target.valid)}\n"
+            )
+    print(f"wrote {len(seeds)} masks and targets.csv to {out_dir}")
     return EXIT_OK
 
 

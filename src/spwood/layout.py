@@ -2,8 +2,9 @@
 
 Point annotations carve the image into nearest-seed cells; inside each
 cell a two-marker watershed (seed pixel vs. cell boundary) floods the
-gradient-magnitude surface to recover a foreground mask, whose rotated
-extents become the width/height regression targets.
+gradient-magnitude surface to recover a foreground mask. The masks are
+held in one label image, and each mask's rotated extents become the
+width/height regression targets.
 
 The masks are those of a queue-once priority flood (Vincent & Soille,
 1991) keyed by (gradient at the pixel, row-major pixel index). Markers go
@@ -124,9 +125,7 @@ def gradient_magnitude(intensity: np.ndarray) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
-def watershed_segment(
-    image: RasterImage, cells: VoronoiLabelMap
-) -> list[np.ndarray]:
+def watershed_segment(image: RasterImage, cells: VoronoiLabelMap) -> np.ndarray:
     """Flood each Voronoi cell from its seed against its boundary.
 
     The seed marker is the pixel of the seed's own cell nearest to the
@@ -145,22 +144,17 @@ def watershed_segment(
 
     Returns
     -------
-    list of (H, W) bool arrays
-        One foreground mask per seed. Each mask is confined to its cell
-        and contains its snapped seed pixel; masks are pairwise disjoint.
-        A seed whose cell is empty (a duplicate seed) gets an empty mask.
+    (H, W) int32 array
+        The label image: k on seed k's foreground mask, -1 on background.
+        Each mask is confined to its cell and contains its snapped seed
+        pixel. A seed whose cell is empty (a duplicate seed) labels no
+        pixel.
     """
     if (image.width, image.height) != (cells.width, cells.height):
         raise InvalidInputError(
             f"image {image.width} x {image.height} does not match "
             f"partition {cells.width} x {cells.height}"
         )
-    owner = np.where(_foreground(image, cells), cells.cell_id, -1)
-    return [owner == k for k in range(len(cells.seeds))]
-
-
-def _foreground(image: RasterImage, cells: VoronoiLabelMap) -> np.ndarray:
-    """The pixels that the flood labels with their cell's seed."""
     rank = _flood_ranks(gradient_magnitude(image.intensity))
     seed = np.zeros(rank.shape, dtype=bool)
     seed[_snap_seeds(cells)] = True
@@ -173,7 +167,8 @@ def _foreground(image: RasterImage, cells: VoronoiLabelMap) -> np.ndarray:
         marker |= view != cells.cell_id
     del cell
     level = _flood_levels(rank, marker)
-    return _pass_labels(rank, level, seed)
+    foreground = _pass_labels(rank, level, seed)
+    return np.where(foreground, cells.cell_id, -1).astype(np.int32, copy=False)
 
 
 def _neighbours(a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -334,23 +329,33 @@ def _snap_seeds(cells: VoronoiLabelMap) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(hits[first], cells.width)
 
 
-def scale_target_from_mask(mask: np.ndarray, theta: float) -> ScaleTarget:
-    """Extent of a mask along the axes of a frame rotated by theta.
+def scale_targets(labels: np.ndarray, n: int, theta: float) -> list[ScaleTarget]:
+    """Extents of the masks of seeds 0..n-1 in a label image (see
+    watershed_segment) along the axes of a frame rotated by theta.
 
-    The mask's pixel coordinates are rotated by -theta about their
+    Each mask's pixel coordinates are rotated by -theta about their
     centroid; the target extents are (max - min + 1) along each rotated
     axis. An empty mask yields an invalid target.
     """
-    ys, xs = np.nonzero(np.asarray(mask, dtype=bool))
-    if xs.size == 0:
-        return ScaleTarget(0.0, 0.0, False)
-    cx, cy = xs.mean(), ys.mean()
+    flat = np.flatnonzero(labels >= 0)
+    owner = labels.ravel()[flat]
+    # A stable sort keeps each mask's pixels in row-major order, so each
+    # target is computed from the arrays np.nonzero(labels == k) gives.
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(n + 1))
+    ys, xs = np.divmod(flat[order], labels.shape[1])
     c, s = math.cos(-theta), math.sin(-theta)
-    u = (xs - cx) * c - (ys - cy) * s
-    v = (xs - cx) * s + (ys - cy) * c
-    return ScaleTarget(
-        float(u.max() - u.min() + 1.0), float(v.max() - v.min() + 1.0), True
-    )
+    targets = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == hi:
+            targets.append(ScaleTarget(0.0, 0.0, False))
+            continue
+        x, y = xs[lo:hi], ys[lo:hi]
+        cx, cy = x.mean(), y.mean()
+        u = (x - cx) * c - (y - cy) * s
+        v = (x - cx) * s + (y - cy) * c
+        targets.append(ScaleTarget(float(u.max() - u.min() + 1.0), float(v.max() - v.min() + 1.0), True))
+    return targets
 
 
 _PGM_TOKEN = re.compile(rb"\s*(#[^\n]*\n|\S+)")
@@ -382,6 +387,8 @@ def read_pgm(path) -> RasterImage:
     if len(data) - (pos + 1) < width * height:
         raise InvalidInputError(f"PGM payload too short in {path}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos + 1)
+    if pixels.max(initial=0) > maxval:
+        raise InvalidInputError(f"PGM pixel value {pixels.max()} above maxval {maxval} in {path}")
     intensity = pixels.reshape(height, width).astype(float) / maxval
     return RasterImage(width, height, intensity)
 

@@ -23,7 +23,7 @@ from spwood.filtering import LevelScores, PyramidLevel, fit_gmm, threshold_from_
 from spwood.geometry import OrientedBox, PointAnnotation
 from spwood.layout import (
     RasterImage,
-    scale_target_from_mask,
+    scale_targets,
     voronoi_partition,
     watershed_segment,
 )
@@ -308,8 +308,8 @@ def test_criterion_7_watershed_scale_recovery():
         cells = voronoi_partition(
             [PointAnnotation(round(cx), round(cy))], size, size
         )
-        mask = watershed_segment(RasterImage.from_array(img), cells)[0]
-        target = scale_target_from_mask(mask, theta)
+        labels = watershed_segment(RasterImage.from_array(img), cells)
+        target = scale_targets(labels, 1, theta)[0]
         tol_w = max(0.1 * w, 2.0)
         tol_h = max(0.1 * h, 2.0)
         if target.valid and abs(target.w_t - w) <= tol_w and abs(target.h_t - h) <= tol_h:

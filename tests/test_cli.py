@@ -838,6 +838,17 @@ def test_watershed_pgm_bad_header_number(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: bad PGM size or maxval in {image}\n"
 
 
+def test_watershed_pgm_pixel_above_maxval(tmp_path, capsys):
+    image = tmp_path / "bright.pgm"
+    image.write_bytes(b"P5\n4 4\n100\n" + bytes(15) + bytes([101]))
+    (tmp_path / "pts.txt").write_text("1 1\n")
+    code = cli.main(["watershed", "--image", str(image), "--points", str(tmp_path / "pts.txt"),
+                     "--out-dir", str(tmp_path / "masks")])
+    assert code == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: PGM pixel value 101 above maxval 100 in {image}\n"
+    assert not (tmp_path / "masks").exists()
+
+
 def test_watershed_negative_scientific_theta_as_separate_token(tmp_path):
     img = np.zeros((32, 32))
     img[10:22, 6:26] = 1.0
@@ -940,6 +951,22 @@ def test_sparsify_comparison_script_needs_an_image(monkeypatch, capsys, images):
 def test_sparsify_comparison_script_input_errors(monkeypatch, capsys, args, want):
     """An error line and exit code 1, as the command line gives, not a traceback."""
     script = Path(__file__).parents[1] / "scripts" / "sparsify_comparison.py"
+    monkeypatch.setattr(sys, "argv", [str(script), *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
+@pytest.mark.parametrize("args, want", [
+    (["--seed", "-1"], "--seed must be nonnegative, got -1"),
+    (["--repeats", "0"], "need at least one repeat"),
+    (["--rounds", "0"], "scenario needs at least one round"),
+    (["--n-pos", "-1"], "sample counts must be nonnegative"),
+])
+def test_mpf_vs_cpf_script_input_errors(monkeypatch, capsys, args, want):
+    """An error line and exit code 1 before any output, not a traceback."""
+    script = Path(__file__).parents[1] / "scripts" / "mpf_vs_cpf_experiment.py"
     monkeypatch.setattr(sys, "argv", [str(script), *args])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(script), run_name="__main__")

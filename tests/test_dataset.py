@@ -1457,23 +1457,28 @@ def test_parse_memory_beyond_its_lines_and_columns(large_set):
 
 
 def test_writer_memory_does_not_grow_with_the_kept_rows(tmp_path):
-    """1,000 and 8,000 kept rows of 9,600, in images smaller than a batch:
-    beyond its inputs the writer holds one batch, so both peaks agree."""
+    """1,000 and 8,000 kept rows, 125 of each image's 200, so each batch is
+    one image of 125 rows and the two sets differ only in how many images
+    and batches they have: beyond its inputs the writer holds one batch,
+    so both peaks agree."""
     rng = np.random.default_rng(5)
-    n = 160 * 60
-    ids = [f"P{i:04d}" for i in range(160)]
     names = sorted(DOTA_CATEGORY_ORDER)
-    ann = AnnotationSet(
-        ids, np.arange(0, n + 1, 60), random_corners(rng, n), rng.integers(0, len(names), n), names,
-        (rng.random(n) < 0.1).astype(int), {i: ("imagesource:GoogleEarth", "gsd:0.146") for i in ids},
-    )
-    names = [tmp_path / f"{i}.txt" for i in ids]  # see traced_peak
+    sets = []
+    for images in (8, 64):
+        n = 200 * images
+        ids = [f"P{i:04d}" for i in range(images)]
+        ann = AnnotationSet(
+            ids, np.arange(0, n + 1, 200), random_corners(rng, n), rng.integers(0, len(names), n), names,
+            (rng.random(n) < 0.1).astype(int), {i: ("imagesource:GoogleEarth", "gsd:0.146") for i in ids},
+        )
+        rows = np.concatenate([200 * i + np.sort(rng.choice(200, 125, replace=False)) for i in range(images)])
+        sets.append((ann, rows))
+    files = [tmp_path / f"{i}.txt" for i in sets[1][0].ids]  # see traced_peak
     for kind in (None, WeakKind.RBOX):
         peaks = []
-        for k in (1_000, 8_000):
-            rows = np.sort(rng.choice(n, k, replace=False))
-            (written, dropped), peak = traced_peak(write_dota_dir, ann, tmp_path / f"{kind}-{k}", kind, rows)
-            assert written == 160 and len(dropped) == 0
+        for ann, rows in sets:
+            (written, dropped), peak = traced_peak(write_dota_dir, ann, tmp_path / f"{kind}-{len(rows)}", kind, rows)
+            assert written == len(ann.ids) and len(dropped) == 0
             peaks.append(peak)
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 

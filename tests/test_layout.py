@@ -14,10 +14,11 @@ from spwood.errors import InvalidInputError
 from spwood.geometry import PointAnnotation
 from spwood.layout import (
     RasterImage,
+    ScaleTarget,
     _snap_seeds,
     gradient_magnitude,
     read_pgm,
-    scale_target_from_mask,
+    scale_targets,
     voronoi_partition,
     watershed_segment,
     write_pgm,
@@ -81,7 +82,7 @@ _FG, _BG, _FENCE = 1, 2, 3
 
 def queue_flood(image, cells):
     """The heap flood that watershed_segment replaced, kept verbatim as the
-    oracle for its masks: one heapq push and pop per pixel, keyed by
+    oracle for its label image: one heapq push and pop per pixel, keyed by
     (gradient rank, row-major index), each pixel queued once."""
     if (image.width, image.height) != (cells.width, cells.height):
         raise InvalidInputError(
@@ -129,16 +130,28 @@ def queue_flood(image, cells):
                 label_v[j] = lab
                 push(heap, prio_v[j])
     fg = label.reshape(h + 2, stride)[1:-1, 1:-1] == _FG
-    owner = np.where(fg, cells.cell_id, -1)
-    return [owner == k for k in range(len(cells.seeds))]
+    return np.where(fg, cells.cell_id, np.int32(-1)).astype(np.int32)
 
 
 def assert_same_masks(image, cells):
-    masks = watershed_segment(image, cells)
+    labels = watershed_segment(image, cells)
     expected = queue_flood(image, cells)
-    assert len(masks) == len(expected)
-    for mask, want in zip(masks, expected):
-        assert mask.dtype == want.dtype and mask.tobytes() == want.tobytes()
+    assert labels.dtype == expected.dtype and labels.tobytes() == expected.tobytes()
+
+
+def scale_target_from_mask(mask, theta):
+    """The per-mask target computation that scale_targets replaced, kept as
+    its oracle: one np.nonzero scan of one full-size mask."""
+    ys, xs = np.nonzero(np.asarray(mask, dtype=bool))
+    if xs.size == 0:
+        return ScaleTarget(0.0, 0.0, False)
+    cx, cy = xs.mean(), ys.mean()
+    c, s = math.cos(-theta), math.sin(-theta)
+    u = (xs - cx) * c - (ys - cy) * s
+    v = (xs - cx) * s + (ys - cy) * c
+    return ScaleTarget(
+        float(u.max() - u.min() + 1.0), float(v.max() - v.min() + 1.0), True
+    )
 
 
 def rectangle_scene(rng, side, grid, n):
@@ -244,7 +257,7 @@ def test_partition_is_complete_and_seed_pixels_labeled():
 def test_uniform_image_golden_mask():
     image = RasterImage.from_array(np.full((21, 21), 0.5))
     cells = voronoi_partition([PointAnnotation(10, 10)], 21, 21)
-    mask = watershed_segment(image, cells)[0]
+    mask = watershed_segment(image, cells) == 0
     golden = np.array(
         [[ch == "#" for ch in line] for line in (DATA / "uniform_mask_21.txt").read_text().splitlines()]
     )
@@ -255,7 +268,7 @@ def test_bright_rectangle_recovered():
     img = np.zeros((40, 40))
     img[15:25, 10:30] = 1.0
     cells = voronoi_partition([PointAnnotation(20, 20)], 40, 40)
-    mask = watershed_segment(RasterImage.from_array(img), cells)[0]
+    mask = watershed_segment(RasterImage.from_array(img), cells) == 0
     rect = img.astype(bool)
     assert (mask & rect).sum() >= 0.9 * rect.sum()
     assert mask.sum() <= 1.1 * rect.sum()
@@ -266,9 +279,9 @@ def test_seed_always_in_own_mask():
     img = rng.random((25, 30))
     seeds = [PointAnnotation(4, 4), PointAnnotation(20, 10), PointAnnotation(12, 20)]
     cells = voronoi_partition(seeds, 30, 25)
-    masks = watershed_segment(RasterImage.from_array(img), cells)
-    for s, m in zip(seeds, masks):
-        assert m[int(s.y), int(s.x)]
+    labels = watershed_segment(RasterImage.from_array(img), cells)
+    for k, s in enumerate(seeds):
+        assert labels[int(s.y), int(s.x)] == k
 
 
 def test_masks_disjoint_and_confined():
@@ -279,12 +292,13 @@ def test_masks_disjoint_and_confined():
         for _ in range(5)
     ]
     cells = voronoi_partition(seeds, 32, 32)
-    masks = watershed_segment(RasterImage.from_array(img), cells)
-    total = np.zeros((32, 32), dtype=int)
-    for k, m in enumerate(masks):
-        total += m
-        assert not np.any(m & (cells.cell_id != k))
-    assert total.max() <= 1
+    labels = watershed_segment(RasterImage.from_array(img), cells)
+    assert labels.shape == (32, 32) and labels.dtype == np.int32
+    owned = labels >= 0
+    assert np.array_equal(labels[owned], cells.cell_id[owned])
+    for k, seed in enumerate(seeds):
+        snapped = nearest_own_pixel(cells.cell_id, k, seed)
+        assert snapped is None or labels[snapped] == k
 
 
 def oracle_scene(rng, kind):
@@ -314,10 +328,10 @@ def test_masks_match_reference_flood(seed, kind):
     for _ in range(25):
         image, cells = oracle_scene(rng, kind)
         grad = gradient_magnitude(image.intensity)
-        masks = watershed_segment(image, cells)
-        for k, (seed, mask) in enumerate(zip(cells.seeds, masks)):
+        labels = watershed_segment(image, cells)
+        for k, seed in enumerate(cells.seeds):
             expected = reference_flood(grad, cells.cell_id == k, seed)
-            assert mask.tobytes() == expected.tobytes()
+            assert (labels == k).tobytes() == expected.tobytes()
 
 
 def coordinates(limit):
@@ -354,18 +368,17 @@ def seeded_scenes(draw):
 def test_non_integer_seeds_confined_disjoint_and_seeded(scene):
     width, height, seeds, image = scene
     cells = voronoi_partition(seeds, width, height)
-    masks = watershed_segment(RasterImage.from_array(image), cells)
-    total = np.zeros((height, width), dtype=int)
-    for k, (seed, mask) in enumerate(zip(seeds, masks)):
-        total += mask
-        assert not np.any(mask & (cells.cell_id != k))
+    labels = watershed_segment(RasterImage.from_array(image), cells)
+    owned = labels >= 0
+    assert np.array_equal(labels[owned], cells.cell_id[owned])
+    targets = scale_targets(labels, len(seeds), 0.0)
+    for k, seed in enumerate(seeds):
         snapped = nearest_own_pixel(cells.cell_id, k, seed)
         if snapped is None:
-            assert not mask.any()
-            assert not scale_target_from_mask(mask, 0.0).valid
+            assert not (labels == k).any()
+            assert not targets[k].valid
         else:
-            assert mask[snapped]
-    assert total.max() <= 1
+            assert labels[snapped] == k
 
 
 @given(seeded_scenes())
@@ -375,11 +388,39 @@ def test_masks_match_queue_flood(scene):
     assert_same_masks(RasterImage.from_array(image), voronoi_partition(seeds, width, height))
 
 
-@pytest.mark.parametrize("side, grid, n, seed", [(320, 5, 24, 0), (160, 8, 60, 1), (160, 8, 60, 2)])
+BENCHMARK_SCENES = [(320, 5, 24, 0), (160, 8, 60, 1), (160, 8, 60, 2)]
+
+
+@pytest.mark.parametrize("side, grid, n, seed", BENCHMARK_SCENES)
 def test_masks_match_queue_flood_on_benchmark_scenes(side, grid, n, seed):
     intensity, centres = rectangle_scene(np.random.default_rng(seed), side, grid, n)
     seeds = [PointAnnotation(x, y) for x, y in centres.tolist()]
     assert_same_masks(RasterImage.from_array(intensity), voronoi_partition(seeds, side, side))
+
+
+def assert_targets_match_per_mask(labels, n, theta):
+    want = [scale_target_from_mask(labels == k, theta) for k in range(n)]
+    assert scale_targets(labels, n, theta) == want  # == on floats: bit for bit
+
+
+@pytest.mark.parametrize("side, grid, n, seed", BENCHMARK_SCENES)
+def test_targets_match_per_mask_on_benchmark_scenes(side, grid, n, seed):
+    rng = np.random.default_rng(seed)
+    intensity, centres = rectangle_scene(rng, side, grid, n)
+    seeds = [PointAnnotation(x, y) for x, y in centres.tolist()]
+    labels = watershed_segment(RasterImage.from_array(intensity), voronoi_partition(seeds, side, side))
+    for theta in (0.0, *rng.uniform(-math.pi / 2, math.pi / 2, 3).tolist()):
+        assert_targets_match_per_mask(labels, n, theta)
+
+
+@given(seeded_scenes(), st.floats(-math.pi / 2, math.pi / 2))
+@settings(max_examples=150, deadline=None)
+def test_targets_match_per_mask(scene, theta):
+    """Duplicate seeds label no pixel, so their targets are the empty,
+    invalid one."""
+    width, height, seeds, image = scene
+    labels = watershed_segment(RasterImage.from_array(image), voronoi_partition(seeds, width, height))
+    assert_targets_match_per_mask(labels, len(seeds), theta)
 
 
 def test_nan_intensities_flood_like_the_queue_flood():
@@ -414,19 +455,19 @@ def test_voronoi_memory_is_linear_in_pixels():
     assert peak < 16e6  # an (n_seeds, H, W) distance stack needs about 210 MB
 
 
-def test_watershed_memory_beyond_its_masks():
+def test_watershed_memory_of_the_whole_call():
     rng = np.random.default_rng(3)
     seeds = [PointAnnotation(x, y) for x, y in rng.uniform(0, 512, (100, 2)).tolist()]
     cells = voronoi_partition(seeds, 512, 512)
     image = RasterImage.from_array(rng.random((512, 512)))
     tracemalloc.start()
     try:
-        masks = watershed_segment(image, cells)
+        labels = watershed_segment(image, cells)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(masks) == 100
-    assert peak - 100 * 512 * 512 < 12e6  # the returned masks alone take 26.2 MB
+    assert labels.shape == (512, 512)
+    assert peak < 20e6  # 100 full-size bool masks took 26.2 MB on their own
 
 
 def test_dimension_mismatch_rejected():
@@ -451,23 +492,23 @@ def test_gradient_magnitude_step_edge():
 def test_axis_aligned_extents():
     mask = np.zeros((30, 40), dtype=bool)
     mask[10:20, 5:25] = True  # 20 wide, 10 tall
-    t0 = scale_target_from_mask(mask, 0.0)
+    t0 = scale_targets(np.where(mask, 0, -1), 1, 0.0)[0]
     assert (t0.w_t, t0.h_t) == (pytest.approx(20.0), pytest.approx(10.0))
-    t90 = scale_target_from_mask(mask, math.pi / 2)
+    t90 = scale_targets(np.where(mask, 0, -1), 1, math.pi / 2)[0]
     assert (t90.w_t, t90.h_t) == (pytest.approx(10.0), pytest.approx(20.0))
 
 
 def test_rotated_rectangle_recovery():
     theta = math.radians(30.0)
     mask = rasterize_rect(50, 50, 25, 25, 20, 10, theta)
-    t = scale_target_from_mask(mask, theta)
+    t = scale_targets(np.where(mask, 0, -1), 1, theta)[0]
     assert t.valid
     assert abs(t.w_t - 20.0) <= 2.0
     assert abs(t.h_t - 10.0) <= 2.0
 
 
 def test_empty_mask_flagged_invalid():
-    t = scale_target_from_mask(np.zeros((5, 5), dtype=bool), 0.3)
+    t = scale_targets(np.full((5, 5), -1), 1, 0.3)[0]
     assert not t.valid
 
 
@@ -478,8 +519,8 @@ def test_target_equivariance_under_rotation(r):
     w, h = 24.0, 12.0
     m1 = rasterize_rect(70, 70, 35, 35, w, h, base_theta)
     m2 = rasterize_rect(70, 70, 35, 35, w, h, base_theta + r)
-    t1 = scale_target_from_mask(m1, base_theta)
-    t2 = scale_target_from_mask(m2, base_theta + r)
+    t1 = scale_targets(np.where(m1, 0, -1), 1, base_theta)[0]
+    t2 = scale_targets(np.where(m2, 0, -1), 1, base_theta + r)[0]
     assert abs(t1.w_t - t2.w_t) <= 2.0
     assert abs(t1.h_t - t2.h_t) <= 2.0
 
