@@ -52,7 +52,6 @@ from .layout import (
 )
 from .filtering import (
     FilterMode,
-    GmmConfig,
     GmmFit,
     LevelDecision,
     LevelScores,

@@ -97,8 +97,7 @@ def cmd_sparsify(args) -> int:
     kind = None if args.weaken == "none" else dataset.WeakKind(args.weaken)
     written, dropped = dataset.write_dota_dir(ann, ann_dir, kind, rows=rows)
 
-    stats_path = Path(args.stats) if args.stats else out_dir / "stats.csv"
-    with open(stats_path, "w", encoding="utf-8") as fh:
+    with open(out_dir / "stats.csv", "w", encoding="utf-8") as fh:
         fh.write(_comment_header(args, seed))
         fh.write("category,kept,total,retention_percent\n")
         for cat in categories:
@@ -131,14 +130,17 @@ def _report_dropped(dropped: dataset.AnnotationSet, kind: str) -> None:
 
 def _read_level_scores(path) -> list[LevelScores]:
     by_level: dict[PyramidLevel, list[float]] = {}
+    header_allowed = True  # a header may only be the first non-blank, non-comment line
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if line_no == 1 and parts[:2] == ["level", "score"]:
-                continue
+            if header_allowed:
+                header_allowed = False
+                if parts[:2] == ["level", "score"]:
+                    continue
             if len(parts) != 2:
                 raise InvalidInputError(
                     f"{path}: line {line_no}: expected 'level,score', got {raw!r}"
@@ -372,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help="emit weak labels instead of corner annotations (default none)",
     )
-    p.add_argument("--stats", default=None, help="stats CSV path (default OUT/stats.csv)")
     p.set_defaults(func=cmd_sparsify)
 
     p = sub.add_parser("fit-gmm", help="fit per-level score mixtures and thresholds")

@@ -76,11 +76,12 @@ class AnnotationSet:
         # copied entry by entry: a whole-dict copy takes a fresh key table,
         # which the interpreter keeps in a free list once the set is freed
         self.headers: dict[str, tuple[str, ...]] = {i: h for i, h in (headers or {}).items()}
-        n, bounds = len(self.corners), self.offsets.tolist()
+        # checked pairwise, so no check holds a copy of ids or offsets
+        n, bounds = len(self.corners), self.offsets
         if not (
-            self.ids == tuple(sorted(set(self.ids))) and self.names == tuple(sorted(set(self.names)))
-            and len(bounds) == len(self.ids) + 1 and bounds[0] == 0 and bounds[-1] == n
-            and bounds == sorted(bounds) and codes.shape == difficulty.shape == (n,)
+            _ascending(self.ids) and _ascending(self.names)
+            and bounds.shape == (len(self.ids) + 1,) and bounds[0] == 0 and bounds[-1] == n
+            and (bounds[:-1] <= bounds[1:]).all() and codes.shape == difficulty.shape == (n,)
             and (n == 0 or (
                 (codes.dtype.kind == "u" or np.minimum.reduce(codes) >= 0)
                 and np.maximum.reduce(codes) < len(self.names)
@@ -114,6 +115,11 @@ class AnnotationSet:
             self.ids, np.searchsorted(rows, self.offsets), self.corners[rows], self.codes[rows],
             self.names, self.difficulty[rows], self.headers if headers is None else headers,
         )
+
+
+def _ascending(values) -> bool:
+    """Whether ``values`` are strictly ascending (sorted, no repeats)."""
+    return all(a < b for a, b in itertools.pairwise(values))
 
 
 def _is_array_of(values, kinds: str) -> bool:

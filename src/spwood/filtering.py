@@ -36,16 +36,13 @@ class FilterMode(str, enum.Enum):
     CPF = "cpf"
 
 
-@dataclass(frozen=True)
-class GmmConfig:
-    """EM and degeneracy settings. Defaults match the fitting contract:
-    stop when the log-likelihood moves less than tol or after max_iter
-    rounds; variances never drop below var_floor."""
-
-    tol: float = 1e-6
-    max_iter: int = 300
-    var_floor: float = 1e-6
-    min_level_scores: int = 20
+# EM stops when the log-likelihood moves less than EM_TOL or after
+# EM_MAX_ITER rounds; variances never drop below VAR_FLOOR. A level with
+# fewer than MIN_LEVEL_SCORES scores is degenerate.
+EM_TOL = 1e-6
+EM_MAX_ITER = 300
+VAR_FLOOR = 1e-6
+MIN_LEVEL_SCORES = 20
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return total
 
 
-def fit_gmm(scores, config: GmmConfig = GmmConfig()) -> GmmFit:
+def fit_gmm(scores) -> GmmFit:
     """EM fit of a two-component univariate Gaussian mixture.
 
     Initialization is data-determined (no randomness): component means
@@ -152,7 +149,7 @@ def fit_gmm(scores, config: GmmConfig = GmmConfig()) -> GmmFit:
     converged = False
     iterations = 0
     prev_ll = -np.inf
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, EM_MAX_ITER + 1):
         # E step
         for k in (0, 1):
             _log_joint(sq[k], w[k], var[k], out=lj[k])
@@ -170,8 +167,8 @@ def fit_gmm(scores, config: GmmConfig = GmmConfig()) -> GmmFit:
             if nk[k] > 1e-12:
                 mu[k] = float(_dot(resp[k], x) / nk[k])
                 np.square(np.subtract(x, mu[k], out=sq[k]), out=sq[k])
-                var[k] = max(float(_dot(resp[k], sq[k]) / nk[k]), config.var_floor)
-        if abs(ll - prev_ll) < config.tol:
+                var[k] = max(float(_dot(resp[k], sq[k]) / nk[k]), VAR_FLOOR)
+        if abs(ll - prev_ll) < EM_TOL:
             converged = True
             break
         prev_ll = ll
@@ -198,10 +195,10 @@ def threshold_from_fit(fit: GmmFit, scores) -> ThresholdResult:
     return ThresholdResult(float(acceptable.min()), fallback=False)
 
 
-def is_degenerate_level(scores, config: GmmConfig = GmmConfig()) -> bool:
+def is_degenerate_level(scores) -> bool:
     """Too few scores (or too few distinct values) to fit a mixture."""
     scores = np.asarray(scores)
-    return scores.size < max(config.min_level_scores, 1) or bool(scores.min() == scores.max())
+    return scores.size < MIN_LEVEL_SCORES or bool(scores.min() == scores.max())
 
 
 @dataclass(frozen=True)
@@ -218,21 +215,17 @@ class LevelDecision:
     fallback: bool
 
 
-def _fit_threshold(scores, config: GmmConfig) -> tuple[GmmFit, ThresholdResult]:
-    fit = fit_gmm(scores, config)  # raises DegenerateInputError when unusable
+def _fit_threshold(scores) -> tuple[GmmFit, ThresholdResult]:
+    fit = fit_gmm(scores)  # raises DegenerateInputError when unusable
     return fit, threshold_from_fit(fit, scores)
 
 
-def level_decisions(
-    per_level: list[LevelScores],
-    mode: FilterMode = FilterMode.MPF,
-    config: GmmConfig = GmmConfig(),
-) -> list[LevelDecision]:
+def level_decisions(per_level: list[LevelScores], mode: FilterMode = FilterMode.MPF) -> list[LevelDecision]:
     """One decision per level, in input order.
 
     Under MPF each level gets its own mixture fit and threshold, and
-    degenerate levels (fewer than config.min_level_scores scores, or
-    fewer than 2 distinct values) inherit the fit and threshold of all
+    degenerate levels (fewer than MIN_LEVEL_SCORES scores, or fewer
+    than 2 distinct values) inherit the fit and threshold of all
     levels pooled. Under CPF every level inherits the pooled fit. The
     pooled fit is made once, and only if some level inherits it; if it is
     needed and degenerate too, the input is rejected.
@@ -240,12 +233,12 @@ def level_decisions(
     if not per_level:
         raise DegenerateInputError("no levels given")
     cpf = FilterMode(mode) is FilterMode.CPF
-    inherits = [cpf or is_degenerate_level(ls.scores, config) for ls in per_level]
+    inherits = [cpf or is_degenerate_level(ls.scores) for ls in per_level]
     pooled = None
     if any(inherits):
-        pooled = _fit_threshold(np.concatenate([ls.scores for ls in per_level]), config)
+        pooled = _fit_threshold(np.concatenate([ls.scores for ls in per_level]))
     out = []
     for ls, inherited in zip(per_level, inherits):
-        fit, res = pooled if inherited else _fit_threshold(ls.scores, config)
+        fit, res = pooled if inherited else _fit_threshold(ls.scores)
         out.append(LevelDecision(ls.level, fit, res.tau, inherited, res.fallback))
     return out

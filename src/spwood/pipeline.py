@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, check_seed
-from .filtering import FilterMode, GmmConfig, LevelScores, PyramidLevel, level_decisions
+from .filtering import FilterMode, LevelScores, PyramidLevel, level_decisions
 
 DEFAULT_EMA_MOMENTUM = 0.999
 DEFAULT_BURN_IN_ITERS = 12800
@@ -156,7 +156,6 @@ def _prf(selected: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]
 def run_simulation(
     scenario: SimScenario,
     filter_mode: FilterMode = FilterMode.MPF,
-    config: GmmConfig = GmmConfig(),
     seed: int | None = None,
 ) -> SimulationReport:
     """Run the planted-score self-training loop and report per-round,
@@ -185,7 +184,7 @@ def run_simulation(
             labels_by_level[plan.level] = np.concatenate(
                 [np.ones(plan.n_pos, dtype=bool), np.zeros(plan.n_neg, dtype=bool)]
             )
-        for ls, decision in zip(per_level, level_decisions(per_level, filter_mode, config)):
+        for ls, decision in zip(per_level, level_decisions(per_level, filter_mode)):
             tau = decision.tau
             selected = ls.scores >= tau
             precision, recall, f1 = _prf(selected, labels_by_level[ls.level])
@@ -239,7 +238,6 @@ def paired_comparison(
     scenario: SimScenario,
     repeats: int,
     base_seed: int | None = None,
-    config: GmmConfig = GmmConfig(),
 ) -> PairedSummary:
     """Run MPF and CPF on identical seeds and compare mean selection F1.
 
@@ -251,7 +249,7 @@ def paired_comparison(
     start = scenario.seed if base_seed is None else check_seed(base_seed, "base_seed")
     modes = (FilterMode.MPF, FilterMode.CPF)
     reports = tuple(
-        tuple(run_simulation(scenario, mode, config, seed=start + i) for mode in modes)
+        tuple(run_simulation(scenario, mode, seed=start + i) for mode in modes)
         for i in range(repeats)
     )
     mpf_f1 = np.array([mpf.mean_f1 for mpf, _ in reports])

@@ -392,7 +392,7 @@ def test_fit_gmm_sparse_level_inherits_pooled(tmp_path):
     assert rows["P7"][7] == pooled_row.split(",")[7]  # sparse level inherits pooled tau
 
 
-def reference_rows(per_level, mode="mpf", config=filtering.GmmConfig()):
+def reference_rows(per_level, mode="mpf"):
     """fit-gmm rows as the command built them before it read
     filtering.level_decisions, with its own copy of the inheritance rule:
     under mpf one row per level, under cpf one 'pooled' row."""
@@ -402,16 +402,16 @@ def reference_rows(per_level, mode="mpf", config=filtering.GmmConfig()):
         return ",".join([level] + [f"{v:.10g}" for v in values] + [str(int(fit.converged))])
 
     pooled = np.concatenate(list(per_level.values()))
-    pooled_fit = filtering.fit_gmm(pooled, config)
+    pooled_fit = filtering.fit_gmm(pooled)
     pooled_tau = filtering.threshold_from_fit(pooled_fit, pooled).tau
     if mode == "cpf":
         return [row("pooled", pooled_fit, pooled_tau)]
     rows = []
     for level, scores in per_level.items():
-        if filtering.is_degenerate_level(scores, config):
+        if filtering.is_degenerate_level(scores):
             rows.append(row(level, pooled_fit, pooled_tau))
         else:
-            fit = filtering.fit_gmm(scores, config)
+            fit = filtering.fit_gmm(scores)
             tau = filtering.threshold_from_fit(fit, scores).tau
             rows.append(row(level, fit, tau))
     return rows
@@ -456,6 +456,47 @@ def test_fit_gmm_malformed_csv_reports_line(tmp_path, capsys):
     src.write_text("level,score\nP3,0.4\nP3,spam\n")
     assert cli.main(["fit-gmm", "--input", str(src), "--out", str(tmp_path / "o.csv")]) == cli.EXIT_ERROR
     assert "line 3" in capsys.readouterr().err
+
+
+def test_fit_gmm_header_after_comment_and_blank_lines(tmp_path, capsys):
+    """The header is the first non-blank, non-comment line, as in the
+    CSVs spwood writes, which start with a '#' line."""
+    per_level = inheritance_levels()
+    plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+    write_scores_csv(plain, per_level)
+    commented.write_text("# spwood scores\n\n" + plain.read_text())
+    outs = []
+    for src in (plain, commented):
+        out = tmp_path / f"{src.stem}.fits.csv"
+        assert cli.main(["fit-gmm", "--input", str(src), "--out", str(out)]) == cli.EXIT_OK
+        outs.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+    assert outs[0] == outs[1]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, want", [
+    ("level,score\nP3,0.4\nP3,0.5,0.6\n", "line 3: expected 'level,score', got 'P3,0.5,0.6\\n'"),
+    ("P3,0.4\nP3\n", "line 2: expected 'level,score', got 'P3\\n'"),
+    ("# x\nlevel,score\nP3,0.4\nP9,0.5\n", "line 4: unknown level 'P9'"),
+    ("P3,0.4\nlevel,score\n", "line 2: unknown level 'level'"),  # a header only comes first
+    ("level,score\nP3,1.5\n", "line 2: score 1.5 outside (0, 1)"),
+    ("level,score\nP3,0\n", "line 2: score 0.0 outside (0, 1)"),
+])
+def test_fit_gmm_bad_rows_name_the_line(tmp_path, capsys, text, want):
+    src, out = tmp_path / "scores.csv", tmp_path / "fits.csv"
+    src.write_text(text)
+    assert cli.main(["fit-gmm", "--input", str(src), "--out", str(out)]) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {src}: {want}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n", "level,score\n"])
+def test_fit_gmm_without_score_rows_is_degenerate(tmp_path, capsys, text):
+    src, out = tmp_path / "scores.csv", tmp_path / "fits.csv"
+    src.write_text(text)
+    assert cli.main(["fit-gmm", "--input", str(src), "--out", str(out)]) == cli.EXIT_DEGENERATE
+    assert capsys.readouterr() == ("", f"error: degenerate input: no score rows in {src}\n")
+    assert not out.exists()
 
 
 # --- eval-loss ------------------------------------------------------------------
@@ -565,6 +606,11 @@ def test_eval_loss_random_gradient_sweep(capsys):
 def test_eval_loss_random_sweep_needs_a_point(capsys, points):
     assert cli.main(["eval-loss", "--check-grad", "--random", str(points)]) == cli.EXIT_ERROR
     assert capsys.readouterr() == ("", f"error: n_points must be at least 1, got {points}\n")
+
+
+def test_eval_loss_needs_an_input_or_check_grad(capsys):
+    assert cli.main(["eval-loss"]) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", "eval-loss: provide an input file or --check-grad\n")
 
 
 # --- simulate -------------------------------------------------------------------
@@ -884,6 +930,13 @@ def test_watershed_bad_point_coordinate_names_the_line(tmp_path, capsys, line):
     assert not (tmp_path / "masks").exists()
 
 
+def test_watershed_point_line_needs_two_coordinates(tmp_path, capsys):
+    argv = watershed_inputs(tmp_path, "8 8 ship\n\n8\n")
+    assert cli.main(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {tmp_path / 'pts.txt'}: line 3: expected 'x y [category]'\n")
+    assert not (tmp_path / "masks").exists()
+
+
 @pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])
 def test_watershed_rejects_non_finite_theta(tmp_path, capsys, theta):
     argv = watershed_inputs(tmp_path, "8 8 ship\n")
@@ -913,6 +966,13 @@ def test_help_lists_flags(command, flags, capsys):
     text = capsys.readouterr().out
     for flag in flags:
         assert flag in text
+
+
+def test_sparsify_help_lists_no_stats_path(capsys):
+    """stats.csv always goes to OUT/stats.csv."""
+    with pytest.raises(SystemExit):
+        cli.main(["sparsify", "--help"])
+    assert "--stats" not in capsys.readouterr().out
 
 
 def test_main_leaves_no_reference_cycles(capsys):

@@ -1483,6 +1483,33 @@ def test_writer_memory_does_not_grow_with_the_kept_rows(tmp_path):
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
+def test_writer_memory_does_not_grow_with_the_images(tmp_path):
+    """40 and 1,280 images of 60 records, 25 kept in each: the writer's
+    peak at 1,280 images stays under twice that at 40. Checking each set's
+    ids and offsets through sorted copies held about 115 bytes an image, so
+    the corner-format peak at 1,280 images was 3.6 times that at 40."""
+    rng = np.random.default_rng(5)
+    names = sorted(DOTA_CATEGORY_ORDER)
+    sets = []
+    for images in (40, 1_280):
+        n = 60 * images
+        ids = [f"P{i:04d}" for i in range(images)]
+        ann = AnnotationSet(
+            ids, np.arange(0, n + 1, 60), random_corners(rng, n), rng.integers(0, len(names), n), names,
+            (rng.random(n) < 0.1).astype(int), {i: ("imagesource:GoogleEarth", "gsd:0.146") for i in ids},
+        )
+        rows = np.concatenate([60 * i + np.sort(rng.choice(60, 25, replace=False)) for i in range(images)])
+        sets.append((ann, rows))
+    files = [tmp_path / f"{i}.txt" for i in sets[1][0].ids]  # see traced_peak
+    for kind in (None, WeakKind.RBOX):
+        peaks = []
+        for ann, rows in sets:
+            (written, dropped), peak = traced_peak(write_dota_dir, ann, tmp_path / f"{kind}-{len(ann.ids)}", kind, rows)
+            assert written == len(ann.ids) and len(dropped) == 0
+            peaks.append(peak)
+        assert peaks[1] < 2 * peaks[0], (kind, peaks)
+
+
 def test_partial_sparsify_memory_below_the_whole_corpus_columns(large_dir, tmp_path, capsys):
     """Only the labeled images are loaded: the command peaks below the
     columns of the whole corpus."""

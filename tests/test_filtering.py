@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 import spwood
 from spwood.errors import DegenerateInputError, InvalidInputError
 from spwood.filtering import (
+    EM_MAX_ITER,
+    EM_TOL,
+    VAR_FLOOR,
     FilterMode,
-    GmmConfig,
     GmmFit,
     LevelDecision,
     LevelScores,
@@ -64,7 +66,7 @@ def test_single_cluster_terminates_with_means_in_range():
     rng = np.random.default_rng(3)
     scores = np.clip(rng.normal(0.5, 0.05, 400), 1e-6, 1 - 1e-6)
     fit = fit_gmm(scores)
-    assert fit.iterations <= GmmConfig().max_iter
+    assert fit.iterations <= EM_MAX_ITER
     assert scores.min() <= fit.mu_n <= fit.mu_p <= scores.max()
     diffs = np.diff(fit.log_likelihoods)
     assert np.all(diffs >= -1e-9)
@@ -89,8 +91,8 @@ def test_relabeling_invariant(xs):
     fit = fit_gmm(xs)
     assert fit.mu_p >= fit.mu_n
     assert fit.w_p + fit.w_n == pytest.approx(1.0, abs=1e-9)
-    assert fit.var_p >= GmmConfig().var_floor
-    assert fit.var_n >= GmmConfig().var_floor
+    assert fit.var_p >= VAR_FLOOR
+    assert fit.var_n >= VAR_FLOOR
 
 
 def test_gmm_fit_validation():
@@ -120,14 +122,14 @@ def _reference_log_normal_pdf(x, mu, var):
     return -0.5 * math.log(2.0 * math.pi * var) - (x - mu) ** 2 / (2.0 * var)
 
 
-def reference_fit_gmm(scores, config=GmmConfig()):
+def reference_fit_gmm(scores):
     x = np.asarray(scores, dtype=float).ravel()
     n = x.size
     mu = np.array([float(x.max()), float(x.min())])
     var = np.array([1.0, 1.0])
     w = np.array([0.5, 0.5])
     lls, converged, prev_ll = [], False, -np.inf
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, EM_MAX_ITER + 1):
         with np.errstate(divide="ignore"):
             log_w = np.log(w)
         log_joint = np.stack(
@@ -142,8 +144,8 @@ def reference_fit_gmm(scores, config=GmmConfig()):
         for k in (0, 1):
             if nk[k] > 1e-12:
                 mu[k] = float(resp[k] @ x / nk[k])
-                var[k] = max(float(resp[k] @ (x - mu[k]) ** 2 / nk[k]), config.var_floor)
-        if abs(ll - prev_ll) < config.tol:
+                var[k] = max(float(resp[k] @ (x - mu[k]) ** 2 / nk[k]), VAR_FLOOR)
+        if abs(ll - prev_ll) < EM_TOL:
             converged = True
             break
         prev_ll = ll
@@ -165,8 +167,8 @@ def _params(fit):
     return [fit.w_p, fit.w_n, fit.mu_p, fit.mu_n, fit.var_p, fit.var_n]
 
 
-def assert_matches_reference(scores, config=GmmConfig()):
-    fit, ref = fit_gmm(scores, config), reference_fit_gmm(scores, config)
+def assert_matches_reference(scores):
+    fit, ref = fit_gmm(scores), reference_fit_gmm(scores)
     assert (fit.iterations, fit.converged) == (ref.iterations, ref.converged)
     np.testing.assert_allclose(_params(fit), _params(ref), rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(fit.log_likelihoods, ref.log_likelihoods, rtol=1e-12, atol=0.0)
@@ -252,9 +254,8 @@ def test_fit_matches_reference_on_two_scores(pair):
     ],
 )
 def test_fit_matches_reference_at_variance_floor(scores):
-    config = GmmConfig()
-    fit = assert_matches_reference(scores, config)
-    assert min(fit.var_p, fit.var_n) == config.var_floor
+    fit = assert_matches_reference(scores)
+    assert min(fit.var_p, fit.var_n) == VAR_FLOOR
 
 
 @pytest.mark.parametrize("w_p", [0.0, 1.0])
@@ -270,12 +271,9 @@ def test_posterior_rule_matches_reference_with_zero_weight(w_p):
 def test_degenerate_level_boundaries():
     distinct = np.linspace(0.1, 0.9, 20)
     assert is_degenerate_level([])
-    assert is_degenerate_level([], GmmConfig(min_level_scores=0))
     assert is_degenerate_level(np.full(30, 0.5))
     assert is_degenerate_level(distinct[:19])
     assert not is_degenerate_level(distinct)
-    assert not is_degenerate_level(distinct[:2], GmmConfig(min_level_scores=2))
-    assert is_degenerate_level(np.full(2, 0.5), GmmConfig(min_level_scores=2))
 
 
 # --- thresholds ----------------------------------------------------------------
@@ -519,26 +517,26 @@ def test_empty_levels_do_not_change_pooling():
 # were before level_decisions served both modes.
 
 
-def reference_fit_threshold(scores, config):
-    fit = fit_gmm(scores, config)
+def reference_fit_threshold(scores):
+    fit = fit_gmm(scores)
     return fit, threshold_from_fit(fit, scores)
 
 
-def reference_cpf_filter(per_level, config=GmmConfig()):
+def reference_cpf_filter(per_level):
     pooled = np.concatenate([ls.scores for ls in per_level]) if per_level else np.array([])
-    return reference_fit_threshold(pooled, config)[1]
+    return reference_fit_threshold(pooled)[1]
 
 
-def reference_mpf_decisions(per_level, config=GmmConfig()):
+def reference_mpf_decisions(per_level):
     if not per_level:
         raise DegenerateInputError("no levels given")
-    degenerate = [is_degenerate_level(ls.scores, config) for ls in per_level]
+    degenerate = [is_degenerate_level(ls.scores) for ls in per_level]
     pooled = None
     if any(degenerate):
-        pooled = reference_fit_threshold(np.concatenate([ls.scores for ls in per_level]), config)
+        pooled = reference_fit_threshold(np.concatenate([ls.scores for ls in per_level]))
     out = []
     for ls, inherited in zip(per_level, degenerate):
-        fit, res = pooled if inherited else reference_fit_threshold(ls.scores, config)
+        fit, res = pooled if inherited else reference_fit_threshold(ls.scores)
         out.append(LevelDecision(ls.level, fit, res.tau, inherited, res.fallback))
     return out
 
