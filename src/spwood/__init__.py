@@ -40,7 +40,6 @@ from .losses import (
     watershed_loss,
 )
 from .layout import (
-    RasterImage,
     ScaleTarget,
     VoronoiLabelMap,
     gradient_magnitude,

@@ -196,8 +196,7 @@ def cmd_fit_gmm(args) -> int:
 def cmd_eval_loss(args) -> int:
     if args.input is None:
         if not args.check_grad:
-            print("eval-loss: provide an input file or --check-grad", file=sys.stderr)
-            return EXIT_ERROR
+            raise InvalidInputError("provide an input file or --check-grad")
         seed = _resolve_seed(args.seed, 0)
         errs = gradcheck.random_sweep(args.random, seed)
         worst = max(errs.values())
@@ -292,7 +291,7 @@ def _read_points(path) -> list[PointAnnotation]:
             if not line or line.startswith("#"):
                 continue
             tokens = line.split()
-            if len(tokens) < 2:
+            if not 2 <= len(tokens) <= 3:
                 raise InvalidInputError(
                     f"{path}: line {line_no}: expected 'x y [category]'"
                 )
@@ -311,7 +310,7 @@ def cmd_watershed(args) -> int:
         raise InvalidInputError(f"theta must be finite, got {args.theta}")
     image = layout.read_pgm(args.image)
     seeds = _read_points(args.points)
-    cells = layout.voronoi_partition(seeds, image.width, image.height)
+    cells = layout.voronoi_partition(seeds, image.shape[1], image.shape[0])
     labels = layout.watershed_segment(image, cells)
     targets = layout.scale_targets(labels, len(seeds), args.theta)
     out_dir = Path(args.out_dir)

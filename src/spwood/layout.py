@@ -39,43 +39,17 @@ from .geometry import PointAnnotation
 
 
 @dataclass(frozen=True)
-class RasterImage:
-    """Grayscale image with intensities in [0, 1], stored (height, width)."""
-
-    width: int
-    height: int
-    intensity: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.intensity, dtype=float)
-        if arr.shape != (self.height, self.width):
-            raise InvalidInputError(
-                f"intensity shape {arr.shape} does not match "
-                f"{self.height} x {self.width}"
-            )
-        if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both tests
-            raise InvalidInputError("intensity values must lie in [0, 1]")
-        object.__setattr__(self, "intensity", arr)
-
-    @classmethod
-    def from_array(cls, arr) -> "RasterImage":
-        arr = np.asarray(arr, dtype=float)
-        return cls(width=arr.shape[1], height=arr.shape[0], intensity=arr)
-
-
-@dataclass(frozen=True)
 class VoronoiLabelMap:
-    """Per-pixel nearest-seed labels plus the seeds that produced them."""
+    """Per-pixel nearest-seed labels, (height, width), plus the seeds that
+    produced them."""
 
-    width: int
-    height: int
     cell_id: np.ndarray
     seeds: tuple[PointAnnotation, ...]
 
     def __post_init__(self):
         grid = np.asarray(self.cell_id)
-        if grid.shape != (self.height, self.width):
-            raise InvalidInputError("cell_id shape does not match dimensions")
+        if grid.ndim != 2:
+            raise InvalidInputError(f"cell_id must be 2-D, got shape {grid.shape}")
         if grid.size and (grid.min() < 0 or grid.max() >= len(self.seeds)):
             raise InvalidInputError("cell_id references a missing seed")
         object.__setattr__(self, "cell_id", grid)
@@ -114,7 +88,7 @@ def voronoi_partition(
         closer = d2 < best
         np.copyto(labels, k, where=closer)
         np.minimum(best, d2, out=best)
-    return VoronoiLabelMap(width, height, labels, tuple(seeds))
+    return VoronoiLabelMap(labels, tuple(seeds))
 
 
 def gradient_magnitude(intensity: np.ndarray) -> np.ndarray:
@@ -125,7 +99,7 @@ def gradient_magnitude(intensity: np.ndarray) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
-def watershed_segment(image: RasterImage, cells: VoronoiLabelMap) -> np.ndarray:
+def watershed_segment(intensity: np.ndarray, cells: VoronoiLabelMap) -> np.ndarray:
     """Flood each Voronoi cell from its seed against its boundary.
 
     The seed marker is the pixel of the seed's own cell nearest to the
@@ -137,10 +111,10 @@ def watershed_segment(image: RasterImage, cells: VoronoiLabelMap) -> np.ndarray:
 
     Parameters
     ----------
-    image : RasterImage
-        Intensity surface; the flood runs on its gradient magnitude.
+    intensity : (H, W) float array
+        Intensities in [0, 1]; the flood runs on their gradient magnitude.
     cells : VoronoiLabelMap
-        Partition whose dimensions must match the image.
+        Partition whose shape must match the image.
 
     Returns
     -------
@@ -150,12 +124,15 @@ def watershed_segment(image: RasterImage, cells: VoronoiLabelMap) -> np.ndarray:
         pixel. A seed whose cell is empty (a duplicate seed) labels no
         pixel.
     """
-    if (image.width, image.height) != (cells.width, cells.height):
+    intensity = np.asarray(intensity, dtype=float)
+    if not ((intensity >= 0.0) & (intensity <= 1.0)).all():  # NaN fails both tests
+        raise InvalidInputError("intensity values must lie in [0, 1]")
+    if intensity.shape != cells.cell_id.shape:
+        (h, w), (ch, cw) = intensity.shape, cells.cell_id.shape
         raise InvalidInputError(
-            f"image {image.width} x {image.height} does not match "
-            f"partition {cells.width} x {cells.height}"
+            f"image {w} x {h} does not match partition {cw} x {ch}"
         )
-    rank = _flood_ranks(gradient_magnitude(image.intensity))
+    rank = _flood_ranks(gradient_magnitude(intensity))
     seed = np.zeros(rank.shape, dtype=bool)
     seed[_snap_seeds(cells)] = True
     # Markers: the seed pixels and every pixel with a 4-neighbour in another
@@ -319,14 +296,15 @@ def _snap_seeds(cells: VoronoiLabelMap) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of the pixel nearest each seed within its own cell
     (ties to the lowest row-major index); seeds with empty cells are left out."""
     sx, sy = np.array([(s.x, s.y) for s in cells.seeds], dtype=float).T
+    width = cells.cell_id.shape[1]
     lab = cells.cell_id.ravel()
-    ys, xs = np.divmod(np.arange(lab.size), cells.width)
+    ys, xs = np.divmod(np.arange(lab.size), width)
     d2 = (xs - sx[lab]) ** 2 + (ys - sy[lab]) ** 2
     best = np.full(len(sx), np.inf)
     np.minimum.at(best, lab, d2)
     hits = np.flatnonzero(d2 == best[lab])
     first = np.unique(lab[hits], return_index=True)[1]
-    return np.divmod(hits[first], cells.width)
+    return np.divmod(hits[first], width)
 
 
 def scale_targets(labels: np.ndarray, n: int, theta: float) -> list[ScaleTarget]:
@@ -361,8 +339,8 @@ def scale_targets(labels: np.ndarray, n: int, theta: float) -> list[ScaleTarget]
 _PGM_TOKEN = re.compile(rb"\s*(#[^\n]*\n|\S+)")
 
 
-def read_pgm(path) -> RasterImage:
-    """Read a binary (P5) 8-bit PGM, scaling values to [0, 1]."""
+def read_pgm(path) -> np.ndarray:
+    """Read a binary (P5) 8-bit PGM as an (H, W) float array scaled to [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
     # header: magic, width, height, maxval; '#' comments allowed
@@ -389,8 +367,7 @@ def read_pgm(path) -> RasterImage:
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos + 1)
     if pixels.max(initial=0) > maxval:
         raise InvalidInputError(f"PGM pixel value {pixels.max()} above maxval {maxval} in {path}")
-    intensity = pixels.reshape(height, width).astype(float) / maxval
-    return RasterImage(width, height, intensity)
+    return pixels.reshape(height, width).astype(float) / maxval
 
 
 def write_pgm(path, array: np.ndarray) -> None:

@@ -22,7 +22,6 @@ from spwood.dataset import (
 from spwood.filtering import LevelScores, PyramidLevel, fit_gmm, threshold_from_fit
 from spwood.geometry import OrientedBox, PointAnnotation
 from spwood.layout import (
-    RasterImage,
     scale_targets,
     voronoi_partition,
     watershed_segment,
@@ -308,7 +307,7 @@ def test_criterion_7_watershed_scale_recovery():
         cells = voronoi_partition(
             [PointAnnotation(round(cx), round(cy))], size, size
         )
-        labels = watershed_segment(RasterImage.from_array(img), cells)
+        labels = watershed_segment(img, cells)
         target = scale_targets(labels, 1, theta)[0]
         tol_w = max(0.1 * w, 2.0)
         tol_h = max(0.1 * h, 2.0)

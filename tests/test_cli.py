@@ -610,7 +610,7 @@ def test_eval_loss_random_sweep_needs_a_point(capsys, points):
 
 def test_eval_loss_needs_an_input_or_check_grad(capsys):
     assert cli.main(["eval-loss"]) == cli.EXIT_ERROR
-    assert capsys.readouterr() == ("", "eval-loss: provide an input file or --check-grad\n")
+    assert capsys.readouterr() == ("", "error: provide an input file or --check-grad\n")
 
 
 # --- simulate -------------------------------------------------------------------
@@ -932,6 +932,13 @@ def test_watershed_bad_point_coordinate_names_the_line(tmp_path, capsys, line):
 
 def test_watershed_point_line_needs_two_coordinates(tmp_path, capsys):
     argv = watershed_inputs(tmp_path, "8 8 ship\n\n8\n")
+    assert cli.main(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {tmp_path / 'pts.txt'}: line 3: expected 'x y [category]'\n")
+    assert not (tmp_path / "masks").exists()
+
+
+def test_watershed_point_line_takes_at_most_a_category(tmp_path, capsys):
+    argv = watershed_inputs(tmp_path, "8 8 ship\n\n10 10 ship extra\n")
     assert cli.main(argv) == cli.EXIT_ERROR
     assert capsys.readouterr() == ("", f"error: {tmp_path / 'pts.txt'}: line 3: expected 'x y [category]'\n")
     assert not (tmp_path / "masks").exists()

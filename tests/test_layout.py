@@ -3,7 +3,6 @@ import itertools
 import math
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +12,8 @@ from hypothesis import strategies as st
 from spwood.errors import InvalidInputError
 from spwood.geometry import PointAnnotation
 from spwood.layout import (
-    RasterImage,
     ScaleTarget,
+    VoronoiLabelMap,
     _snap_seeds,
     gradient_magnitude,
     read_pgm,
@@ -80,22 +79,17 @@ def reference_flood(grad, cell, seed):
 _FG, _BG, _FENCE = 1, 2, 3
 
 
-def queue_flood(image, cells):
-    """The heap flood that watershed_segment replaced, kept verbatim as the
-    oracle for its label image: one heapq push and pop per pixel, keyed by
+def queue_flood(intensity, cells):
+    """The heap flood that watershed_segment replaced, kept as the oracle
+    for its label image: one heapq push and pop per pixel, keyed by
     (gradient rank, row-major index), each pixel queued once."""
-    if (image.width, image.height) != (cells.width, cells.height):
-        raise InvalidInputError(
-            f"image {image.width} x {image.height} does not match "
-            f"partition {cells.width} x {cells.height}"
-        )
-    h, w = cells.height, cells.width
+    h, w = cells.cell_id.shape
     # All cells flood in one frame padded by a fence pixel on each side, so
     # neighbor lookups need no bounds checks. Padding keeps row-major order,
     # so the priority rank(gradient) * size + index sorts pixels exactly as
     # the key (gradient, row-major index).
     stride, size = w + 2, (h + 2) * (w + 2)
-    rank = np.unique(gradient_magnitude(image.intensity), return_inverse=True)[1]
+    rank = np.unique(gradient_magnitude(intensity), return_inverse=True)[1]
     index = np.arange(size).reshape(h + 2, stride)
     prio = (np.pad(rank.reshape(h, w), 1) * size + index).ravel()
     cell = np.pad(cells.cell_id, 1, constant_values=-1)
@@ -255,7 +249,7 @@ def test_partition_is_complete_and_seed_pixels_labeled():
 
 
 def test_uniform_image_golden_mask():
-    image = RasterImage.from_array(np.full((21, 21), 0.5))
+    image = np.full((21, 21), 0.5)
     cells = voronoi_partition([PointAnnotation(10, 10)], 21, 21)
     mask = watershed_segment(image, cells) == 0
     golden = np.array(
@@ -268,7 +262,7 @@ def test_bright_rectangle_recovered():
     img = np.zeros((40, 40))
     img[15:25, 10:30] = 1.0
     cells = voronoi_partition([PointAnnotation(20, 20)], 40, 40)
-    mask = watershed_segment(RasterImage.from_array(img), cells) == 0
+    mask = watershed_segment(img, cells) == 0
     rect = img.astype(bool)
     assert (mask & rect).sum() >= 0.9 * rect.sum()
     assert mask.sum() <= 1.1 * rect.sum()
@@ -279,7 +273,7 @@ def test_seed_always_in_own_mask():
     img = rng.random((25, 30))
     seeds = [PointAnnotation(4, 4), PointAnnotation(20, 10), PointAnnotation(12, 20)]
     cells = voronoi_partition(seeds, 30, 25)
-    labels = watershed_segment(RasterImage.from_array(img), cells)
+    labels = watershed_segment(img, cells)
     for k, s in enumerate(seeds):
         assert labels[int(s.y), int(s.x)] == k
 
@@ -292,7 +286,7 @@ def test_masks_disjoint_and_confined():
         for _ in range(5)
     ]
     cells = voronoi_partition(seeds, 32, 32)
-    labels = watershed_segment(RasterImage.from_array(img), cells)
+    labels = watershed_segment(img, cells)
     assert labels.shape == (32, 32) and labels.dtype == np.int32
     owned = labels >= 0
     assert np.array_equal(labels[owned], cells.cell_id[owned])
@@ -319,7 +313,7 @@ def oracle_scene(rng, kind):
         img = rng.integers(0, 3, (height, width)) / 2.0
     else:
         img = rng.random((height, width))
-    return RasterImage.from_array(img), voronoi_partition(seeds, width, height)
+    return img, voronoi_partition(seeds, width, height)
 
 
 @pytest.mark.parametrize("seed, kind", enumerate(["random", "thin", "uniform", "coarse"]))
@@ -327,7 +321,7 @@ def test_masks_match_reference_flood(seed, kind):
     rng = np.random.default_rng(seed)
     for _ in range(25):
         image, cells = oracle_scene(rng, kind)
-        grad = gradient_magnitude(image.intensity)
+        grad = gradient_magnitude(image)
         labels = watershed_segment(image, cells)
         for k, seed in enumerate(cells.seeds):
             expected = reference_flood(grad, cells.cell_id == k, seed)
@@ -368,7 +362,7 @@ def seeded_scenes(draw):
 def test_non_integer_seeds_confined_disjoint_and_seeded(scene):
     width, height, seeds, image = scene
     cells = voronoi_partition(seeds, width, height)
-    labels = watershed_segment(RasterImage.from_array(image), cells)
+    labels = watershed_segment(image, cells)
     owned = labels >= 0
     assert np.array_equal(labels[owned], cells.cell_id[owned])
     targets = scale_targets(labels, len(seeds), 0.0)
@@ -385,7 +379,7 @@ def test_non_integer_seeds_confined_disjoint_and_seeded(scene):
 @settings(max_examples=300, deadline=None)
 def test_masks_match_queue_flood(scene):
     width, height, seeds, image = scene
-    assert_same_masks(RasterImage.from_array(image), voronoi_partition(seeds, width, height))
+    assert_same_masks(image, voronoi_partition(seeds, width, height))
 
 
 BENCHMARK_SCENES = [(320, 5, 24, 0), (160, 8, 60, 1), (160, 8, 60, 2)]
@@ -395,7 +389,7 @@ BENCHMARK_SCENES = [(320, 5, 24, 0), (160, 8, 60, 1), (160, 8, 60, 2)]
 def test_masks_match_queue_flood_on_benchmark_scenes(side, grid, n, seed):
     intensity, centres = rectangle_scene(np.random.default_rng(seed), side, grid, n)
     seeds = [PointAnnotation(x, y) for x, y in centres.tolist()]
-    assert_same_masks(RasterImage.from_array(intensity), voronoi_partition(seeds, side, side))
+    assert_same_masks(intensity, voronoi_partition(seeds, side, side))
 
 
 def assert_targets_match_per_mask(labels, n, theta):
@@ -408,7 +402,7 @@ def test_targets_match_per_mask_on_benchmark_scenes(side, grid, n, seed):
     rng = np.random.default_rng(seed)
     intensity, centres = rectangle_scene(rng, side, grid, n)
     seeds = [PointAnnotation(x, y) for x, y in centres.tolist()]
-    labels = watershed_segment(RasterImage.from_array(intensity), voronoi_partition(seeds, side, side))
+    labels = watershed_segment(intensity, voronoi_partition(seeds, side, side))
     for theta in (0.0, *rng.uniform(-math.pi / 2, math.pi / 2, 3).tolist()):
         assert_targets_match_per_mask(labels, n, theta)
 
@@ -419,28 +413,19 @@ def test_targets_match_per_mask(scene, theta):
     """Duplicate seeds label no pixel, so their targets are the empty,
     invalid one."""
     width, height, seeds, image = scene
-    labels = watershed_segment(RasterImage.from_array(image), voronoi_partition(seeds, width, height))
+    labels = watershed_segment(image, voronoi_partition(seeds, width, height))
     assert_targets_match_per_mask(labels, len(seeds), theta)
-
-
-def test_nan_intensities_flood_like_the_queue_flood():
-    rng = np.random.default_rng(4)
-    image = rng.random((20, 24))
-    image[rng.random(image.shape) < 0.2] = np.nan
-    seeds = [PointAnnotation(x, y) for x, y in rng.uniform(0, 19, (6, 2)).tolist()]
-    # RasterImage rejects NaN, so the floods get a stand-in with the same fields
-    raw = SimpleNamespace(width=24, height=20, intensity=image)
-    assert_same_masks(raw, voronoi_partition(seeds, 24, 20))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, -1e-12, 1.0 + 1e-12])
 def test_raster_image_rejects_intensities_outside_unit_range(bad):
     image = np.full((3, 4), 0.5)
     image[1, 2] = bad
-    with pytest.raises(InvalidInputError, match=r"must lie in \[0, 1\]"):
-        RasterImage.from_array(image)
+    cells = voronoi_partition([PointAnnotation(1, 1)], 4, 3)
+    with pytest.raises(InvalidInputError, match=r"^intensity values must lie in \[0, 1\]$"):
+        watershed_segment(image, cells)
     image[1, 2], image[0, 0] = 1.0, 0.0  # the bounds themselves are in range
-    assert RasterImage.from_array(image).intensity[1, 2] == 1.0
+    assert watershed_segment(image, cells).shape == (3, 4)
 
 
 def test_voronoi_memory_is_linear_in_pixels():
@@ -459,7 +444,7 @@ def test_watershed_memory_of_the_whole_call():
     rng = np.random.default_rng(3)
     seeds = [PointAnnotation(x, y) for x, y in rng.uniform(0, 512, (100, 2)).tolist()]
     cells = voronoi_partition(seeds, 512, 512)
-    image = RasterImage.from_array(rng.random((512, 512)))
+    image = rng.random((512, 512))
     tracemalloc.start()
     try:
         labels = watershed_segment(image, cells)
@@ -471,10 +456,15 @@ def test_watershed_memory_of_the_whole_call():
 
 
 def test_dimension_mismatch_rejected():
-    image = RasterImage.from_array(np.zeros((4, 4)))
-    cells = voronoi_partition([PointAnnotation(1, 1)], 5, 5)
-    with pytest.raises(InvalidInputError):
+    image = np.zeros((4, 6))
+    cells = voronoi_partition([PointAnnotation(1, 1)], 5, 3)
+    with pytest.raises(InvalidInputError, match=r"^image 6 x 4 does not match partition 5 x 3$"):
         watershed_segment(image, cells)
+
+
+def test_label_map_must_be_two_dimensional():
+    with pytest.raises(InvalidInputError, match=r"^cell_id must be 2-D, got shape \(4,\)$"):
+        VoronoiLabelMap(np.zeros(4, dtype=np.int32), (PointAnnotation(1, 0),))
 
 
 def test_gradient_magnitude_step_edge():
@@ -534,8 +524,8 @@ def test_pgm_round_trip(tmp_path):
     path = tmp_path / "img.pgm"
     write_pgm(path, arr)
     back = read_pgm(path)
-    assert back.width == 13 and back.height == 9
-    assert np.allclose(back.intensity, arr, atol=1 / 255.0 + 1e-12)
+    assert isinstance(back, np.ndarray) and back.dtype == np.float64 and back.shape == (9, 13)
+    assert np.allclose(back, arr, atol=1 / 255.0 + 1e-12)
 
 
 def test_pgm_mask_round_trip(tmp_path):
@@ -544,9 +534,5 @@ def test_pgm_mask_round_trip(tmp_path):
     path = tmp_path / "mask.pgm"
     write_pgm(path, mask)
     back = read_pgm(path)
-    assert np.array_equal(back.intensity > 0.5, mask)
+    assert np.array_equal(back > 0.5, mask)
 
-
-def test_raster_image_validation():
-    with pytest.raises(InvalidInputError):
-        RasterImage.from_array(np.full((3, 3), 1.5))
