@@ -9,6 +9,7 @@ from .errors import (
     DegenerateInputError,
     DotaParseError,
     InvalidInputError,
+    LineError,
     NumericalDegeneracyError,
 )
 from .geometry import (

@@ -25,10 +25,12 @@ import numpy as np
 from . import __version__, dataset, filtering, gradcheck, layout, pipeline
 from .errors import (
     DegenerateInputError,
-    DotaParseError,
     InvalidInputError,
+    LineError,
     NumericalDegeneracyError,
     check_seed,
+    numbered_lines,
+    read_text,
 )
 from .filtering import LevelScores, PyramidLevel
 from .geometry import PointAnnotation
@@ -130,38 +132,23 @@ def _report_dropped(dropped: dataset.AnnotationSet, kind: str) -> None:
 
 def _read_level_scores(path) -> list[LevelScores]:
     by_level: dict[PyramidLevel, list[float]] = {}
-    header_allowed = True  # a header may only be the first non-blank, non-comment line
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if header_allowed:
-                header_allowed = False
-                if parts[:2] == ["level", "score"]:
-                    continue
-            if len(parts) != 2:
-                raise InvalidInputError(
-                    f"{path}: line {line_no}: expected 'level,score', got {raw!r}"
-                )
-            try:
-                level = PyramidLevel(parts[0])
-            except ValueError:
-                raise InvalidInputError(
-                    f"{path}: line {line_no}: unknown level {parts[0]!r}"
-                ) from None
-            try:
-                score = float(parts[1])
-            except ValueError:
-                raise InvalidInputError(
-                    f"{path}: line {line_no}: bad score {parts[1]!r}"
-                ) from None
-            if not 0.0 < score < 1.0:
-                raise InvalidInputError(
-                    f"{path}: line {line_no}: score {score} outside (0, 1)"
-                )
-            by_level.setdefault(level, []).append(score)
+    for i, (line_no, line) in enumerate(numbered_lines(read_text(path))):
+        parts = [p.strip() for p in line.split(",")]
+        if i == 0 and parts[:2] == ["level", "score"]:
+            continue  # a header may only come first
+        if len(parts) != 2:
+            raise LineError(f"expected 'level,score', got {line!r}", line_no, path)
+        try:
+            level = PyramidLevel(parts[0])
+        except ValueError:
+            raise LineError(f"unknown level {parts[0]!r}", line_no, path) from None
+        try:
+            score = float(parts[1])
+        except ValueError:
+            raise LineError(f"bad score {parts[1]!r}", line_no, path) from None
+        if not 0.0 < score < 1.0:
+            raise LineError(f"score {score} outside (0, 1)", line_no, path)
+        by_level.setdefault(level, []).append(score)
     return [
         LevelScores(level, np.array(by_level[level]))
         for level in PyramidLevel
@@ -207,20 +194,16 @@ def cmd_eval_loss(args) -> int:
         return EXIT_OK if worst < gradcheck.DEFAULT_REL_TOL else EXIT_ERROR
 
     failed = False
-    with open(args.input, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                case = gradcheck.case_from_entry(line)
-                fd = f" fd_max_rel_err={gradcheck.check_case(case):.3g}" if args.check_grad else ""
-            except (InvalidInputError, NumericalDegeneracyError, ValueError) as exc:
-                print(f"line {line_no}: error: {exc}")
-                failed = True
-                continue
-            grad = ",".join(_fmt(g) for g in np.asarray(case.analytic).ravel())
-            print(f"line {line_no}: {case.op} value={_fmt(case.value)} grad={grad}{fd}")
+    for line_no, line in numbered_lines(read_text(args.input)):
+        try:
+            case = gradcheck.case_from_entry(line)
+            fd = f" fd_max_rel_err={gradcheck.check_case(case):.3g}" if args.check_grad else ""
+        except (ValueError, NumericalDegeneracyError) as exc:
+            print(f"line {line_no}: error: {exc}")
+            failed = True
+            continue
+        grad = ",".join(_fmt(g) for g in np.asarray(case.analytic).ravel())
+        print(f"line {line_no}: {case.op} value={_fmt(case.value)} grad={grad}{fd}")
     return EXIT_ERROR if failed else EXIT_OK
 
 
@@ -285,21 +268,17 @@ def cmd_report(args) -> int:
 
 def _read_points(path) -> list[PointAnnotation]:
     points = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if not 2 <= len(tokens) <= 3:
-                raise InvalidInputError(
-                    f"{path}: line {line_no}: expected 'x y [category]'"
-                )
-            try:
-                x, y = float(tokens[0]), float(tokens[1])
-            except ValueError:
-                raise InvalidInputError(f"{path}: line {line_no}: bad coordinate in {line!r}") from None
-            points.append(PointAnnotation(x, y, tokens[2] if len(tokens) > 2 else ""))
+    for line_no, line in numbered_lines(read_text(path)):
+        tokens = line.split()
+        if not 2 <= len(tokens) <= 3:
+            raise LineError("expected 'x y [category]'", line_no, path)
+        try:
+            x, y = float(tokens[0]), float(tokens[1])
+        except ValueError:
+            raise LineError(f"bad coordinate in {line!r}", line_no, path) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise LineError(f"non-finite coordinate in {line!r}", line_no, path)
+        points.append(PointAnnotation(x, y, tokens[2] if len(tokens) > 2 else ""))
     if not points:
         raise InvalidInputError(f"no points in {path}")
     return points
@@ -463,7 +442,7 @@ def main(argv=None) -> int:
     except DegenerateInputError as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InvalidInputError, DotaParseError, NumericalDegeneracyError, OSError) as exc:
+    except (InvalidInputError, NumericalDegeneracyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

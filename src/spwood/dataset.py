@@ -20,14 +20,13 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import os
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, DotaParseError, InvalidInputError, check_seed
+from .errors import DegenerateInputError, DotaParseError, InvalidInputError, check_seed, read_text
 from .geometry import HorizontalBox, OrientedBox, corners_of_boxes, normalize_angle
 
 # report ordering used for category tables; unknown categories follow,
@@ -399,18 +398,13 @@ def load_dota_dir(path, keep=None) -> AnnotationSet:
     become the set's own without a gather, so the load holds the columns
     and one file's text and lines."""
     keep = None if keep is None else set(keep)
-    folder, columns = os.fspath(path), _Columns()
+    folder, columns = Path(path), _Columns()
     for image_id, name in _dota_files(path):
-        try:
-            with open(os.path.join(folder, name), encoding="utf-8") as file:
-                text = file.read()
-        except UnicodeDecodeError as exc:
-            reason = f"{exc.reason} at offset {exc.start}"
-            raise InvalidInputError(f"{Path(path) / name}: not UTF-8 text ({reason})") from None
+        text = read_text(folder / name)
         try:  # an image left out is parsed and checked into columns of its own
             (columns if keep is None or image_id in keep else _Columns()).add(text, image_id)
         except DotaParseError as exc:
-            raise DotaParseError(exc.message, exc.line_no, Path(path) / name) from None
+            raise DotaParseError(exc.message, exc.line_no, folder / name) from None
     return columns.finish()
 
 

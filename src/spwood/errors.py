@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the seed check."""
+"""Exception types shared across the package, the seed check, and the
+reader of the package's line-based text inputs."""
 
 
 class InvalidInputError(ValueError):
@@ -15,14 +16,18 @@ class NumericalDegeneracyError(ArithmeticError):
     (singular covariance, matrix square root of a non-PSD product)."""
 
 
-class DotaParseError(ValueError):
-    """A malformed annotation line; carries the 1-based line number and,
-    for a line read from a file, the file's path."""
+class LineError(InvalidInputError):
+    """A line of a text input that breaks its format; carries the 1-based
+    line number and, for a line read from a file, the file's path."""
 
     def __init__(self, message: str, line_no: int, path=None):
         where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
         super().__init__(f"{where}: {message}")
         self.message, self.line_no, self.path = message, line_no, path
+
+
+class DotaParseError(LineError):
+    """A malformed annotation line."""
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
@@ -31,3 +36,22 @@ def check_seed(seed: int, name: str = "seed") -> int:
     if seed < 0:
         raise InvalidInputError(f"{name} must be nonnegative, got {seed}")
     return seed
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``; a byte that is not UTF-8 is an
+    input error that names the file and the byte's offset."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason} at offset {exc.start})") from None
+
+
+def numbered_lines(text: str):
+    """(1-based line number, stripped line) of each line of ``text`` that
+    is neither blank nor a whole-line ``#`` comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line

@@ -86,9 +86,13 @@ class Flip:
 
 @dataclass(frozen=True)
 class Rotate:
-    """Rotation augmentation by ``angle`` radians."""
+    """Rotation augmentation by ``angle`` radians, which must be finite."""
 
     angle: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.angle):
+            raise InvalidInputError(f"rotation angle must be finite, got {self.angle}")
 
 
 Augmentation = Flip | Rotate
@@ -243,10 +247,8 @@ def watershed_loss(
     """
     if not 0.0 < tau < math.inf:
         raise InvalidInputError(f"tau must be finite and positive, got {tau}")
-    if target_w <= 0 or target_h <= 0:
-        raise InvalidInputError(
-            f"targets must be positive, got ({target_w}, {target_h})"
-        )
+    if not (0.0 < target_w < math.inf and 0.0 < target_h < math.inf):
+        raise InvalidInputError(f"targets must be finite and positive, got ({target_w}, {target_h})")
     dw = (pred.w - target_w) / 2.0
     dh = (pred.h - target_h) / 2.0
     d2 = dw * dw + dh * dh

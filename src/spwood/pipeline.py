@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError, check_seed
+from .errors import DegenerateInputError, InvalidInputError, LineError, check_seed, numbered_lines, read_text
 from .filtering import FilterMode, LevelScores, PyramidLevel, level_decisions
 
 DEFAULT_EMA_MOMENTUM = 0.999
@@ -91,14 +91,17 @@ class LevelPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "level", PyramidLevel(self.level))
+        for name, value in (("mu_p", self.mu_p), ("mu_n", self.mu_n), ("drift", self.drift)):
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{self.level.value}: {name} must be finite, got {value}")
+        if not 0.0 < self.sigma < math.inf:
+            raise InvalidInputError(f"{self.level.value}: sigma must be finite and positive, got {self.sigma}")
         if self.n_pos < 0 or self.n_neg < 0:
             raise InvalidInputError("sample counts must be nonnegative")
         if not (0.0 < self.mu_n < 1.0 and 0.0 < self.mu_p < 1.0):
             raise InvalidInputError("means must lie in (0, 1)")
         if self.mu_p <= self.mu_n:
             raise InvalidInputError("mu_p must exceed mu_n")
-        if self.sigma <= 0.0:
-            raise InvalidInputError("sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -279,65 +282,56 @@ def paired_comparison(
 _LEVEL_FIELDS = {"n_pos", "n_neg", "mu_p", "mu_n", "sigma", "drift"}
 _REQUIRED_LEVEL_FIELDS = {"n_pos", "n_neg", "mu_p", "mu_n", "sigma"}
 _INT_FIELDS = {"n_pos", "n_neg", "rounds", "seed"}
+_LEVEL_NAMES = [lvl.value for lvl in PyramidLevel]
 
 
 def parse_scenario(text: str) -> SimScenario:
-    """Parse the flat key = value scenario format."""
+    """Parse the flat key = value scenario format; a line error reads
+    ``line N: ...``."""
+    return _parse_scenario(text)
+
+
+def load_scenario(path) -> SimScenario:
+    """Read and parse the scenario file at ``path``; a line error reads
+    ``PATH: line N: ...``."""
+    return _parse_scenario(read_text(path), path)
+
+
+def _parse_scenario(text: str, path=None) -> SimScenario:
     top: dict[str, int] = {}
     levels: dict[str, dict[str, float]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in numbered_lines(text):
+        line = line.split("#", 1)[0].strip()
         if "=" not in line:
-            raise InvalidInputError(f"scenario line {line_no}: expected key = value")
+            raise LineError("expected key = value", line_no, path)
         key, _, value = (part.strip() for part in line.partition("="))
         try:
             num = float(value)
-        except ValueError as exc:
-            raise InvalidInputError(
-                f"scenario line {line_no}: bad number {value!r}"
-            ) from exc
+        except ValueError:
+            raise LineError(f"bad number {value!r}", line_no, path) from None
         if "." in key:
             level_name, _, name = key.partition(".")
-            try:
-                PyramidLevel(level_name)
-            except ValueError as exc:
-                raise InvalidInputError(
-                    f"scenario line {line_no}: unknown level {level_name!r}"
-                ) from exc
+            if level_name not in _LEVEL_NAMES:
+                raise LineError(f"unknown level {level_name!r}", line_no, path)
             if name not in _LEVEL_FIELDS:
-                raise InvalidInputError(
-                    f"scenario line {line_no}: unknown field {name!r}"
-                )
+                raise LineError(f"unknown field {name!r}", line_no, path)
             fields = levels.setdefault(level_name, {})
         elif key in ("rounds", "seed"):
             name, fields = key, top
         else:
-            raise InvalidInputError(f"scenario line {line_no}: unknown key {key!r}")
+            raise LineError(f"unknown key {key!r}", line_no, path)
         if name in _INT_FIELDS and not num.is_integer():
-            raise InvalidInputError(f"scenario line {line_no}: {key} must be an integer, got {value!r}")
+            raise LineError(f"{key} must be an integer, got {value!r}", line_no, path)
         fields[name] = int(num) if name in _INT_FIELDS else num
     if "rounds" not in top:
         raise InvalidInputError("scenario is missing 'rounds'")
     plans = []
-    for name in (lvl.value for lvl in PyramidLevel):
-        if name not in levels:
-            continue
+    for name in (n for n in _LEVEL_NAMES if n in levels):
         fields = levels[name]
         missing = _REQUIRED_LEVEL_FIELDS - fields.keys()
         if missing:
-            raise InvalidInputError(
-                f"level {name} is missing {sorted(missing)}"
-            )
+            raise InvalidInputError(f"level {name} is missing {sorted(missing)}")
         plans.append(LevelPlan(level=PyramidLevel(name), **fields))
     if not plans:
         raise DegenerateInputError("scenario defines no levels")
-    return SimScenario(
-        levels=tuple(plans), rounds=top["rounds"], seed=top.get("seed", 0)
-    )
-
-
-def load_scenario(path) -> SimScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    return SimScenario(levels=tuple(plans), rounds=top["rounds"], seed=top.get("seed", 0))

@@ -475,8 +475,8 @@ def test_fit_gmm_header_after_comment_and_blank_lines(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, want", [
-    ("level,score\nP3,0.4\nP3,0.5,0.6\n", "line 3: expected 'level,score', got 'P3,0.5,0.6\\n'"),
-    ("P3,0.4\nP3\n", "line 2: expected 'level,score', got 'P3\\n'"),
+    ("level,score\nP3,0.4\nP3,0.5,0.6\n", "line 3: expected 'level,score', got 'P3,0.5,0.6'"),
+    ("P3,0.4\nP3\n", "line 2: expected 'level,score', got 'P3'"),
     ("# x\nlevel,score\nP3,0.4\nP9,0.5\n", "line 4: unknown level 'P9'"),
     ("P3,0.4\nlevel,score\n", "line 2: unknown level 'level'"),  # a header only comes first
     ("level,score\nP3,1.5\n", "line 2: score 1.5 outside (0, 1)"),
@@ -544,6 +544,9 @@ def test_eval_loss_domain_error_line(tmp_path, capsys):
         ("overlap boxes=0:0:1:2:x", ["overlap", "'boxes'", "'x'"]),
         ("unsupervised t_conf=0.5 t_cen=0.5 t_box=1:2:3 s_conf=0.4 s_cen=0.6 s_box=1:2:3:4",
          ["unsupervised", "'t_box'"]),
+        ("angle theta_aug=0.1 theta=0.2 aug=rotate r=nan", ["rotation angle must be finite, got nan"]),
+        ("watershed w=1 h=2 target_w=inf target_h=4", ["targets must be finite and positive, got (inf, 4.0)"]),
+        ("watershed w=1 h=2 target_w=3 target_h=nan", ["targets must be finite and positive, got (3.0, nan)"]),
     ],
 )
 def test_eval_loss_invalid_entry_is_a_line_error(tmp_path, capsys, entry, named):
@@ -645,7 +648,23 @@ def test_simulate_rejects_non_integer_scenario_counts(tmp_path, capsys, line, va
     scenario.write_text(SCENARIO + line + "\n")
     out = tmp_path / "report.csv"
     assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == cli.EXIT_ERROR
-    assert capsys.readouterr().err == f"error: scenario line 13: {key} must be an integer, got {value}\n"
+    assert capsys.readouterr().err == f"error: {scenario}: line 13: {key} must be an integer, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, want", [
+    ("P3 sigma", "{scenario}: line 13: expected key = value"),
+    ("P3.sigma = inf", "P3: sigma must be finite and positive, got inf"),
+    ("P3.sigma = nan", "P3: sigma must be finite and positive, got nan"),
+    ("P4.drift = nan", "P4: drift must be finite, got nan"),
+    ("P4.mu_p = nan", "P4: mu_p must be finite, got nan"),
+])
+def test_simulate_scenario_errors_name_the_file_line_or_field(tmp_path, capsys, line, want):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SCENARIO + line + "\n")
+    out = tmp_path / "report.csv"
+    assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {want.format(scenario=scenario)}\n")
     assert not out.exists()
 
 
@@ -950,6 +969,29 @@ def test_watershed_rejects_non_finite_theta(tmp_path, capsys, theta):
     assert cli.main([*argv, f"--theta={theta}"]) == cli.EXIT_ERROR
     assert capsys.readouterr().err == f"error: theta must be finite, got {float(theta)}\n"
     assert not (tmp_path / "masks").exists()
+
+
+# --- text inputs ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["watershed", "fit-gmm", "simulate", "eval-loss"])
+def test_input_that_is_not_utf8_is_one_error_line(tmp_path, capsys, command):
+    """A byte that is not UTF-8, even in a comment, is one error line that
+    names the file and the byte's offset: exit 1, nothing printed or
+    written before it."""
+    src, out = tmp_path / "input.txt", tmp_path / "out"
+    image = watershed_inputs(tmp_path, "")[2]
+    valid, argv = {
+        "watershed": (b"8 8 ship\n", ["watershed", "--image", image, "--points", str(src), "--out-dir", str(out)]),
+        "fit-gmm": ((DATA / "scores.csv").read_bytes(), ["fit-gmm", "--input", str(src), "--out", str(out)]),
+        "simulate": ((DATA / "scen.txt").read_bytes(), ["simulate", "--scenario", str(src), "--out", str(out)]),
+        "eval-loss": (LOSS_ENTRIES.read_bytes(), ["eval-loss", str(src)]),
+    }[command]
+    src.write_bytes(valid + b"# caf\xe9\n")
+    assert cli.main(argv) == cli.EXIT_ERROR
+    reason = f"invalid continuation byte at offset {len(valid) + 5}"
+    assert capsys.readouterr() == ("", f"error: {src}: not UTF-8 text ({reason})\n")
+    assert not out.exists()
 
 
 # --- help surfaces ----------------------------------------------------------------

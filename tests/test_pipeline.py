@@ -17,6 +17,7 @@ from spwood.pipeline import (
     StageState,
     advance_stage,
     ema_update,
+    load_scenario,
     paired_comparison,
     parse_scenario,
     run_simulation,
@@ -176,7 +177,41 @@ def test_parse_scenario_rejects_non_integer_counts(key, value):
     line_no = text.count("\n")
     with pytest.raises(InvalidInputError) as exc:
         parse_scenario(text)
-    assert str(exc.value) == f"scenario line {line_no}: {key} must be an integer, got {value!r}"
+    assert str(exc.value) == f"line {line_no}: {key} must be an integer, got {value!r}"
+
+
+def test_scenario_line_errors_name_the_file_read(tmp_path):
+    text = "rounds = 1\n\nP3.n_pos 40\n"
+    with pytest.raises(InvalidInputError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == "line 3: expected key = value"
+    path = tmp_path / "scen.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == f"{path}: line 3: expected key = value"
+
+
+@pytest.mark.parametrize("field, value, want", [
+    ("sigma", "inf", "P3: sigma must be finite and positive, got inf"),
+    ("sigma", "nan", "P3: sigma must be finite and positive, got nan"),
+    ("sigma", "0", "P3: sigma must be finite and positive, got 0.0"),
+    ("drift", "nan", "P3: drift must be finite, got nan"),
+    ("drift", "inf", "P3: drift must be finite, got inf"),
+    ("drift", "-1e400", "P3: drift must be finite, got -inf"),
+    ("mu_p", "nan", "P3: mu_p must be finite, got nan"),
+    ("mu_n", "-inf", "P3: mu_n must be finite, got -inf"),
+])
+def test_parse_scenario_rejects_non_finite_level_values(field, value, want):
+    with pytest.raises(InvalidInputError) as exc:
+        parse_scenario(f"{SCENARIO_TEXT}P3.{field} = {value}\n")
+    assert str(exc.value) == want
+
+
+def test_a_large_finite_drift_is_clipped():
+    scen = parse_scenario(f"{SCENARIO_TEXT}P3.drift = 1e300\n")
+    assert scen.levels[0].drift == 1e300
+    assert len(run_simulation(scen, "mpf").rows) == 6
 
 
 @pytest.mark.parametrize("seed", ["-1", "-4"])
