@@ -56,7 +56,6 @@ from .filtering import (
     LevelDecision,
     LevelScores,
     PyramidLevel,
-    ThresholdResult,
     fit_gmm,
     is_degenerate_level,
     level_decisions,

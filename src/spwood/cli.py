@@ -165,7 +165,7 @@ def cmd_fit_gmm(args) -> int:
     per_level = _read_level_scores(args.input)
     if not per_level:
         raise DegenerateInputError(f"no score rows in {args.input}")
-    decisions = filtering.level_decisions(per_level, args.mode)
+    (decisions,) = filtering.level_decisions(per_level, [args.mode])
     # under cpf every level carries the one pooled fit, written once
     labels = ["pooled"] if args.mode == "cpf" else [d.level.value for d in decisions]
     rows = [_fit_row(label, d.fit, d.tau) for label, d in zip(labels, decisions)]

@@ -1,6 +1,8 @@
 """Exception types shared across the package, the seed check, and the
 reader of the package's line-based text inputs."""
 
+import numbers
+
 
 class InvalidInputError(ValueError):
     """An argument violates the documented domain of an operation."""
@@ -31,8 +33,10 @@ class DotaParseError(LineError):
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
-    """``seed``, once it is known to be nonnegative: numpy's generators take
-    no negative seed, and the error names the value."""
+    """``seed``, once it is known to be a nonnegative integer: numpy's
+    generators take no other seed, and the error names the value."""
+    if not isinstance(seed, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {seed}")
     if seed < 0:
         raise InvalidInputError(f"{name} must be nonnegative, got {seed}")
     return seed

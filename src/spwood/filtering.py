@@ -9,7 +9,8 @@ Two strategies are provided: MPF fits one mixture per level, CPF pools
 every level into a single fit. Under MPF, levels with too few or
 constant scores are degenerate and inherit the pooled fit; under CPF
 every level inherits it. :func:`level_decisions` is the one routine for
-both, and a level selects its scores with ``score >= tau`` (inclusive).
+both: it serves any set of modes from one fit per score set, and a level
+selects its scores with ``score >= tau`` (inclusive).
 """
 
 from __future__ import annotations
@@ -86,15 +87,6 @@ class GmmFit:
             raise InvalidInputError("positive component must have the higher mean")
         if self.var_p <= 0 or self.var_n <= 0:
             raise InvalidInputError("variances must be positive")
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    """A selection threshold; fallback marks the no-boundary case where
-    tau was pinned to the top observed score."""
-
-    tau: float
-    fallback: bool = False
 
 
 def _log_joint(sq: np.ndarray, w: float, var: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -178,11 +170,12 @@ def fit_gmm(scores) -> GmmFit:
     return GmmFit(*w_mu_var, iterations, converged, tuple(lls))
 
 
-def threshold_from_fit(fit: GmmFit, scores) -> ThresholdResult:
-    """Selection threshold from a fitted mixture: the smallest observed
-    score whose posterior responsibility under the positive component is
-    >= 1/2. If no score qualifies, fall back to the maximum observed score
-    (selects nothing below the top) and flag it.
+def threshold_from_fit(fit: GmmFit, scores) -> tuple[float, bool]:
+    """(tau, fallback): the selection threshold from a fitted mixture, the
+    smallest observed score whose posterior responsibility under the
+    positive component is >= 1/2. If no score qualifies, tau falls back to
+    the maximum observed score (selects nothing below the top) and
+    fallback is True.
     """
     x = np.asarray(scores, dtype=float).ravel()
     if x.size == 0:
@@ -191,8 +184,8 @@ def threshold_from_fit(fit: GmmFit, scores) -> ThresholdResult:
     log_n = _log_joint((x - fit.mu_n) ** 2, fit.w_n, fit.var_n)
     acceptable = x[log_p - log_n >= 0.0]  # log-odds d >= 0
     if acceptable.size == 0:
-        return ThresholdResult(float(x.max()), fallback=True)
-    return ThresholdResult(float(acceptable.min()), fallback=False)
+        return float(x.max()), True
+    return float(acceptable.min()), False
 
 
 def is_degenerate_level(scores) -> bool:
@@ -211,34 +204,37 @@ class LevelDecision:
     level: PyramidLevel
     fit: GmmFit
     tau: float
-    inherited: bool
     fallback: bool
+    inherited: bool
 
 
-def _fit_threshold(scores) -> tuple[GmmFit, ThresholdResult]:
-    fit = fit_gmm(scores)  # raises DegenerateInputError when unusable
-    return fit, threshold_from_fit(fit, scores)
-
-
-def level_decisions(per_level: list[LevelScores], mode: FilterMode = FilterMode.MPF) -> list[LevelDecision]:
-    """One decision per level, in input order.
+def level_decisions(per_level: list[LevelScores], modes) -> list[list[LevelDecision]]:
+    """One decision list per mode of ``modes``, in the order given; each
+    list holds one decision per level, in input order.
 
     Under MPF each level gets its own mixture fit and threshold, and
     degenerate levels (fewer than MIN_LEVEL_SCORES scores, or fewer
     than 2 distinct values) inherit the fit and threshold of all
-    levels pooled. Under CPF every level inherits the pooled fit. The
-    pooled fit is made once, and only if some level inherits it; if it is
-    needed and degenerate too, the input is rejected.
+    levels pooled. Under CPF every level inherits the pooled fit. Each
+    score set is fitted at most once, whatever the modes: a level only if
+    some mode gives it its own fit, the pool only if some level under
+    some mode inherits it. If the pool is needed and degenerate too, the
+    input is rejected.
     """
     if not per_level:
         raise DegenerateInputError("no levels given")
-    cpf = FilterMode(mode) is FilterMode.CPF
-    inherits = [cpf or is_degenerate_level(ls.scores) for ls in per_level]
-    pooled = None
-    if any(inherits):
-        pooled = _fit_threshold(np.concatenate([ls.scores for ls in per_level]))
-    out = []
-    for ls, inherited in zip(per_level, inherits):
-        fit, res = pooled if inherited else _fit_threshold(ls.scores)
-        out.append(LevelDecision(ls.level, fit, res.tau, inherited, res.fallback))
-    return out
+    pool = len(per_level)  # the pooled score set's key; level i's is i
+    degenerate = [is_degenerate_level(ls.scores) for ls in per_level]
+    keys = [
+        [pool if cpf or d else i for i, d in enumerate(degenerate)]
+        for cpf in [FilterMode(mode) is FilterMode.CPF for mode in modes]
+    ]
+    decided = {}
+    for key in {k for row in keys for k in row}:
+        scores = per_level[key].scores if key < pool else np.concatenate([ls.scores for ls in per_level])
+        fit = fit_gmm(scores)  # raises DegenerateInputError when unusable
+        decided[key] = (fit, *threshold_from_fit(fit, scores))
+    return [
+        [LevelDecision(ls.level, *decided[key], inherited=key == pool) for ls, key in zip(per_level, row)]
+        for row in keys
+    ]

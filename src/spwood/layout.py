@@ -165,13 +165,9 @@ def _jump(pointer: np.ndarray) -> np.ndarray:
 def _flood_ranks(grad: np.ndarray) -> np.ndarray:
     """Each pixel's place (int32) in the flood order, the key (gradient,
     row-major index)."""
-    size = grad.size
-    key = np.unique(grad, return_inverse=True)[1].ravel() * size
-    key += np.arange(size)
-    key.sort()
-    np.remainder(key, size, out=key)  # row-major indices in flood order
-    rank = np.empty(size, dtype=np.int32)
-    rank[key] = np.arange(size, dtype=np.int32)
+    order = np.argsort(grad, axis=None, kind="stable")  # row-major indices in flood order
+    rank = np.empty(grad.size, dtype=np.int32)
+    rank[order] = np.arange(grad.size, dtype=np.int32)
     return rank.reshape(grad.shape)
 
 

@@ -2,9 +2,11 @@
 
 The simulator replaces a detector with planted per-level score
 distributions: each round draws positive and negative confidences per
-pyramid level, filters them with MPF or CPF, and scores the selection
-against the planted labels. Randomness flows through one seeded
-numpy PCG64 generator, so reports are bit-reproducible per seed.
+pyramid level, filters them with MPF, CPF or both, and scores each
+selection against the planted labels. One round loop serves any set of
+modes, so the paired MPF-vs-CPF comparison draws each round once.
+Randomness flows through one seeded numpy PCG64 generator, so reports
+are bit-reproducible per seed.
 """
 
 from __future__ import annotations
@@ -156,6 +158,31 @@ def _prf(selected: np.ndarray, labels: np.ndarray) -> tuple[float, float, float]
     return precision, recall, f1
 
 
+def _simulate(scenario: SimScenario, modes: tuple[FilterMode, ...], seed: int) -> list[SimulationReport]:
+    """One report per mode of ``modes`` from one pass of rounds: each round
+    draws every level once, and every mode filters those same draws."""
+    rng = np.random.default_rng(seed)
+    rows: list[list[RoundLevelResult]] = [[] for _ in modes]
+    for rnd in range(scenario.rounds):
+        per_level: list[LevelScores] = []
+        labels: list[np.ndarray] = []
+        for plan in scenario.levels:
+            mu_p = plan.mu_p + rnd * plan.drift
+            mu_n = plan.mu_n - rnd * plan.drift
+            pos = rng.normal(mu_p, plan.sigma, plan.n_pos)
+            neg = rng.normal(mu_n, plan.sigma, plan.n_neg)
+            scores = np.clip(np.concatenate([pos, neg]), _SCORE_EPS, 1.0 - _SCORE_EPS)
+            per_level.append(LevelScores(plan.level, scores))
+            labels.append(np.arange(plan.n_pos + plan.n_neg) < plan.n_pos)  # positives first
+        for mode_rows, decisions in zip(rows, level_decisions(per_level, modes)):
+            for ls, is_pos, decision in zip(per_level, labels, decisions):
+                selected = ls.scores >= decision.tau
+                mode_rows.append(
+                    RoundLevelResult(rnd, ls.level, decision.tau, *_prf(selected, is_pos), int(selected.sum()))
+                )
+    return [SimulationReport(mode, seed, tuple(r)) for mode, r in zip(modes, rows)]
+
+
 def run_simulation(
     scenario: SimScenario,
     filter_mode: FilterMode = FilterMode.MPF,
@@ -170,39 +197,7 @@ def run_simulation(
     """
     filter_mode = FilterMode(filter_mode)
     used_seed = scenario.seed if seed is None else check_seed(seed)
-    rng = np.random.default_rng(used_seed)
-    rows: list[RoundLevelResult] = []
-    for rnd in range(scenario.rounds):
-        per_level: list[LevelScores] = []
-        labels_by_level: dict[PyramidLevel, np.ndarray] = {}
-        for plan in scenario.levels:
-            mu_p = plan.mu_p + rnd * plan.drift
-            mu_n = plan.mu_n - rnd * plan.drift
-            pos = rng.normal(mu_p, plan.sigma, plan.n_pos)
-            neg = rng.normal(mu_n, plan.sigma, plan.n_neg)
-            scores = np.clip(
-                np.concatenate([pos, neg]), _SCORE_EPS, 1.0 - _SCORE_EPS
-            )
-            per_level.append(LevelScores(plan.level, scores))
-            labels_by_level[plan.level] = np.concatenate(
-                [np.ones(plan.n_pos, dtype=bool), np.zeros(plan.n_neg, dtype=bool)]
-            )
-        for ls, decision in zip(per_level, level_decisions(per_level, filter_mode)):
-            tau = decision.tau
-            selected = ls.scores >= tau
-            precision, recall, f1 = _prf(selected, labels_by_level[ls.level])
-            rows.append(
-                RoundLevelResult(
-                    round=rnd,
-                    level=ls.level,
-                    tau=tau,
-                    precision=precision,
-                    recall=recall,
-                    f1=f1,
-                    n_selected=int(selected.sum()),
-                )
-            )
-    return SimulationReport(mode=filter_mode, seed=used_seed, rows=tuple(rows))
+    return _simulate(scenario, (filter_mode,), used_seed)[0]
 
 
 @dataclass(frozen=True)
@@ -234,7 +229,7 @@ def sign_test_p_value(wins: int, losses: int) -> float:
     if n == 0:
         return 1.0
     tail = sum(math.comb(n, k) for k in range(wins, n + 1))
-    return tail / 2.0**n
+    return tail / 2**n  # int / int rounds once, and 2.0**n would overflow from n = 1024
 
 
 def paired_comparison(
@@ -244,17 +239,15 @@ def paired_comparison(
 ) -> PairedSummary:
     """Run MPF and CPF on identical seeds and compare mean selection F1.
 
-    Repeat i uses seed base_seed + i for both modes, so each pair sees
-    exactly the same planted draws.
+    Repeat i is one simulation at seed base_seed + i that serves both
+    modes, so each pair sees exactly the same planted draws, drawn once.
+    Each report equals the one ``run_simulation`` gives at that seed.
     """
     if repeats < 1:
         raise InvalidInputError("need at least one repeat")
     start = scenario.seed if base_seed is None else check_seed(base_seed, "base_seed")
     modes = (FilterMode.MPF, FilterMode.CPF)
-    reports = tuple(
-        tuple(run_simulation(scenario, mode, seed=start + i) for mode in modes)
-        for i in range(repeats)
-    )
+    reports = tuple(tuple(_simulate(scenario, modes, start + i)) for i in range(repeats))
     mpf_f1 = np.array([mpf.mean_f1 for mpf, _ in reports])
     cpf_f1 = np.array([cpf.mean_f1 for _, cpf in reports])
     wins = int(np.sum(mpf_f1 > cpf_f1))

@@ -237,7 +237,7 @@ def test_criterion_4_gmm_recovery():
         assert abs(fit.mu_p - 0.85) <= 0.02
         assert abs(fit.mu_n - 0.15) <= 0.02
         assert np.all(np.diff(fit.log_likelihoods) >= -1e-9)
-        tau = threshold_from_fit(fit, scores).tau
+        tau, _ = threshold_from_fit(fit, scores)
         accuracy = float(np.mean((scores >= tau) == labels))
         assert accuracy >= 0.99
     report(4, "planted mixture recovery, 50 seeds", t0, limit=30.0)

@@ -403,7 +403,7 @@ def reference_rows(per_level, mode="mpf"):
 
     pooled = np.concatenate(list(per_level.values()))
     pooled_fit = filtering.fit_gmm(pooled)
-    pooled_tau = filtering.threshold_from_fit(pooled_fit, pooled).tau
+    pooled_tau, _ = filtering.threshold_from_fit(pooled_fit, pooled)
     if mode == "cpf":
         return [row("pooled", pooled_fit, pooled_tau)]
     rows = []
@@ -412,7 +412,7 @@ def reference_rows(per_level, mode="mpf"):
             rows.append(row(level, pooled_fit, pooled_tau))
         else:
             fit = filtering.fit_gmm(scores)
-            tau = filtering.threshold_from_fit(fit, scores).tau
+            tau, _ = filtering.threshold_from_fit(fit, scores)
             rows.append(row(level, fit, tau))
     return rows
 
@@ -804,14 +804,17 @@ README_GMM_SIMULATE = {
     "fit_mpf": ["fit-gmm", "--input", "scores.csv", "--out", "fits.csv", "--mode", "mpf"],
     "fit_cpf": ["fit-gmm", "--input", "scores.csv", "--out", "fits.csv", "--mode", "cpf"],
     "simulate": ["simulate", "--scenario", "scen.txt", "--out", "report.csv", "--mode", "paired", "--repeats", "50"],
+    "simulate_mpf": ["simulate", "--scenario", "scen.txt", "--out", "mpf.csv", "--mode", "mpf"],
+    "simulate_cpf": ["simulate", "--scenario", "scen.txt", "--out", "cpf.csv", "--mode", "cpf"],
 }
 
 
 def test_fit_gmm_and_simulate_readme_examples_match_golden_outputs(tmp_path, monkeypatch, capsys):
     """The README's fit-gmm example, under --mode mpf and cpf, and its
-    simulate example on the committed planted scores and scenario, run in
-    their own directory as CI runs them through the console script. Each
-    fit is renamed fits_<mode>.csv before the next command writes fits.csv.
+    simulate example, paired and under each single mode, on the committed
+    planted scores and scenario, run in their own directory as CI runs them
+    through the console script. Each fit is renamed fits_<mode>.csv before
+    the next command writes fits.csv.
     Each command's stdout, stderr and exit code, and every file it writes,
     must equal the committed golden bytes, which pin the EM's output. P7
     has five scores, too few for a fit of its own, so under mpf it inherits

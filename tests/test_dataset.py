@@ -236,6 +236,15 @@ def test_negative_seed_is_an_input_error(seed):
             call(ann.ids if call is select_partial else ann, 0.5, seed)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0])
+def test_non_integer_seed_is_an_input_error(seed):
+    ann = synthetic_corpus(seed=1, n_images=5)
+    for call in (select_partial, sparsify_single, sparsify_overall):
+        with pytest.raises(InvalidInputError) as exc:
+            call(ann.ids if call is select_partial else ann, 0.5, seed)
+        assert str(exc.value) == f"seed must be an integer, got {seed}"
+
+
 def test_round_half_up():
     assert round_half_up(2.5) == 3
     assert round_half_up(2.49) == 2

@@ -172,7 +172,7 @@ def assert_matches_reference(scores):
     assert (fit.iterations, fit.converged) == (ref.iterations, ref.converged)
     np.testing.assert_allclose(_params(fit), _params(ref), rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(fit.log_likelihoods, ref.log_likelihoods, rtol=1e-12, atol=0.0)
-    assert threshold_from_fit(fit, scores).tau == reference_posterior_tau(ref, scores)
+    assert threshold_from_fit(fit, scores)[0] == reference_posterior_tau(ref, scores)
     return fit
 
 
@@ -263,9 +263,9 @@ def test_posterior_rule_matches_reference_with_zero_weight(w_p):
     # a weight of 0 makes that component's log-joint -inf at every score
     scores = np.array([0.05, 0.2, 0.5, 0.55, 0.9])
     fit = GmmFit(w_p, 1.0 - w_p, 0.6, 0.1, 0.05, 0.05, 1, True)
-    res = threshold_from_fit(fit, scores)
-    assert res.tau == reference_posterior_tau(fit, scores)
-    assert res.fallback == (w_p == 0.0)
+    tau, fallback = threshold_from_fit(fit, scores)
+    assert tau == reference_posterior_tau(fit, scores)
+    assert fallback == (w_p == 0.0)
 
 
 def test_degenerate_level_boundaries():
@@ -284,7 +284,7 @@ def test_planted_threshold_separates():
     # qualifying score sits at the bottom of the positive cluster
     scores, labels = planted_scores(np.random.default_rng(3))
     fit = fit_gmm(scores)
-    tau = threshold_from_fit(fit, scores).tau
+    tau = threshold_from_fit(fit, scores)[0]
     assert 0.3 < tau < 0.7
     assert np.mean((scores >= tau) == labels) >= 0.99
 
@@ -292,17 +292,17 @@ def test_planted_threshold_separates():
 def test_pure_positive_selects_everything():
     scores = np.array([0.2, 0.5, 0.9])
     fit = GmmFit(1.0, 0.0, 0.6, 0.1, 0.05, 0.05, 1, True)
-    res = threshold_from_fit(fit, scores)
-    assert res.tau == pytest.approx(0.2)
-    assert not res.fallback
+    tau, fallback = threshold_from_fit(fit, scores)
+    assert tau == pytest.approx(0.2)
+    assert not fallback
 
 
 def test_pure_negative_falls_back_to_max():
     scores = np.array([0.2, 0.5, 0.9])
     fit = GmmFit(0.0, 1.0, 0.6, 0.1, 0.05, 0.05, 1, True)
-    res = threshold_from_fit(fit, scores)
-    assert res.tau == pytest.approx(0.9)
-    assert res.fallback
+    tau, fallback = threshold_from_fit(fit, scores)
+    assert tau == pytest.approx(0.9)
+    assert fallback
 
 
 def test_symmetric_components_boundary_near_midpoint():
@@ -319,7 +319,7 @@ def test_symmetric_components_boundary_near_midpoint():
 
     scores = np.array(truncated(0.2, 2000) + truncated(0.8, 2000))
     fit = fit_gmm(scores)
-    tau = threshold_from_fit(fit, scores).tau
+    tau = threshold_from_fit(fit, scores)[0]
     assert abs(tau - 0.5) <= 0.02
 
 
@@ -327,7 +327,7 @@ def test_symmetric_components_boundary_near_midpoint():
 @settings(max_examples=40, deadline=None)
 def test_threshold_within_observed_range(xs):
     fit = fit_gmm(xs)
-    tau = threshold_from_fit(fit, xs).tau
+    tau = threshold_from_fit(fit, xs)[0]
     assert min(xs) <= tau <= max(xs)
 
 
@@ -335,7 +335,7 @@ def test_threshold_within_observed_range(xs):
 
 
 def cpf_tau(per_level):
-    return level_decisions(per_level, FilterMode.CPF)[0].tau
+    return level_decisions(per_level, [FilterMode.CPF])[0][0].tau
 
 
 def shifted_levels(rng, n_pos=200, n_neg=600, sigma=0.06):
@@ -356,7 +356,7 @@ def shifted_levels(rng, n_pos=200, n_neg=600, sigma=0.06):
 
 def test_mpf_tracks_per_level_boundaries():
     per_level, boundaries = shifted_levels(np.random.default_rng(0))
-    decisions = level_decisions(per_level)
+    decisions = level_decisions(per_level, [FilterMode.MPF])[0]
     for d in decisions:
         assert abs(d.tau - boundaries[d.level]) <= 0.05
     pooled_tau = cpf_tau(per_level)
@@ -378,7 +378,7 @@ def test_cpf_misclassifies_disjoint_level_ranges():
     tp = int(np.sum(selected_low & low_labels))
     recall_low = tp / int(low_labels.sum())
     assert recall_low < 0.5  # most of the lower level's positives lost
-    mpf_taus = {d.level: d.tau for d in level_decisions(per_level)}
+    mpf_taus = {d.level: d.tau for d in level_decisions(per_level, [FilterMode.MPF])[0]}
     mpf_recall_low = np.sum((low >= mpf_taus[PyramidLevel.P3]) & low_labels) / int(
         low_labels.sum()
     )
@@ -388,8 +388,7 @@ def test_cpf_misclassifies_disjoint_level_ranges():
 def test_single_level_mpf_equals_cpf():
     scores, _ = planted_scores(np.random.default_rng(6))
     per_level = [LevelScores(PyramidLevel.P4, scores)]
-    (mpf,) = level_decisions(per_level)
-    (cpf,) = level_decisions(per_level, FilterMode.CPF)
+    [(mpf,), (cpf,)] = level_decisions(per_level, [FilterMode.MPF, FilterMode.CPF])
     assert mpf.tau == cpf.tau and mpf.fit == cpf.fit
     assert not mpf.inherited and cpf.inherited
 
@@ -410,7 +409,7 @@ def test_identical_levels_agree_with_pooled():
             for level in PyramidLevel
         ]
         pooled_tau = cpf_tau(per_level)
-        for d in level_decisions(per_level):
+        for d in level_decisions(per_level, [FilterMode.MPF])[0]:
             worst = max(worst, abs(d.tau - pooled_tau))
     assert worst <= 0.03
 
@@ -424,7 +423,7 @@ def test_degenerate_level_inherits_pooled_threshold():
         LevelScores(PyramidLevel.P7, sparse),
     ]
     pooled_tau = cpf_tau(per_level)
-    thresholds = {d.level: d.tau for d in level_decisions(per_level)}
+    thresholds = {d.level: d.tau for d in level_decisions(per_level, [FilterMode.MPF])[0]}
     assert thresholds[PyramidLevel.P7] == pooled_tau
     assert is_degenerate_level(sparse)
     assert not is_degenerate_level(rich)
@@ -439,7 +438,7 @@ def test_all_degenerate_falls_back_to_pooled():
         LevelScores(PyramidLevel.P4, b),
     ]
     pooled_tau = cpf_tau(per_level)
-    for d in level_decisions(per_level):
+    for d in level_decisions(per_level, [FilterMode.MPF])[0]:
         assert d.tau == pooled_tau and d.inherited
 
 
@@ -451,7 +450,7 @@ def test_mpf_decisions_record_inheritance_and_fallback():
         LevelScores(PyramidLevel.P3, rich),
         LevelScores(PyramidLevel.P7, sparse),
     ]
-    decisions = level_decisions(per_level)
+    decisions = level_decisions(per_level, [FilterMode.MPF])[0]
     assert [d.level for d in decisions] == [PyramidLevel.P3, PyramidLevel.P7]
     assert [d.inherited for d in decisions] == [False, True]
     assert all(isinstance(d, LevelDecision) and not d.fallback for d in decisions)
@@ -471,7 +470,7 @@ def fallback_scores():
 def test_mpf_decisions_record_fallback():
     # a tight cluster inside a broad one: the higher-mean component wins at
     # no observed score, so the threshold is pinned to the top score
-    decision = level_decisions([LevelScores(PyramidLevel.P4, fallback_scores())])[0]
+    decision = level_decisions([LevelScores(PyramidLevel.P4, fallback_scores())], [FilterMode.MPF])[0][0]
     assert decision.fallback and not decision.inherited
     assert decision.tau == fallback_scores().max()
 
@@ -482,23 +481,23 @@ def test_cpf_decisions_all_inherit_one_pooled_fit():
     per_level.append(LevelScores(PyramidLevel.P7, np.array([0.3, 0.6])))
     pooled = np.concatenate([ls.scores for ls in per_level])
     fit = fit_gmm(pooled)
-    res = threshold_from_fit(fit, pooled)
-    decisions = level_decisions(per_level, FilterMode.CPF)
+    tau, fallback = threshold_from_fit(fit, pooled)
+    (decisions,) = level_decisions(per_level, [FilterMode.CPF])
     assert decisions == [
-        LevelDecision(ls.level, fit, res.tau, True, res.fallback) for ls in per_level
+        LevelDecision(ls.level, fit, tau, fallback, True) for ls in per_level
     ]
-    assert level_decisions(per_level, "cpf") == decisions
+    assert level_decisions(per_level, ["cpf"]) == [decisions]
     with pytest.raises(ValueError):
-        level_decisions(per_level, "pooled")
+        level_decisions(per_level, ["pooled"])
 
 
 def test_everything_degenerate_rejected():
     per_level = [LevelScores(PyramidLevel.P3, np.full(30, 0.5))]
     for mode in FilterMode:
         with pytest.raises(DegenerateInputError):
-            level_decisions(per_level, mode)
+            level_decisions(per_level, [mode])
         with pytest.raises(DegenerateInputError):
-            level_decisions([], mode)
+            level_decisions([], [mode])
 
 
 def test_empty_levels_do_not_change_pooling():
@@ -519,7 +518,7 @@ def test_empty_levels_do_not_change_pooling():
 
 def reference_fit_threshold(scores):
     fit = fit_gmm(scores)
-    return fit, threshold_from_fit(fit, scores)
+    return (fit, *threshold_from_fit(fit, scores))
 
 
 def reference_cpf_filter(per_level):
@@ -536,8 +535,8 @@ def reference_mpf_decisions(per_level):
         pooled = reference_fit_threshold(np.concatenate([ls.scores for ls in per_level]))
     out = []
     for ls, inherited in zip(per_level, degenerate):
-        fit, res = pooled if inherited else reference_fit_threshold(ls.scores)
-        out.append(LevelDecision(ls.level, fit, res.tau, inherited, res.fallback))
+        fit, tau, fallback = pooled if inherited else reference_fit_threshold(ls.scores)
+        out.append(LevelDecision(ls.level, fit, tau, fallback, inherited))
     return out
 
 
@@ -572,10 +571,10 @@ def oracle_inputs(seed):
 def test_level_decisions_match_reference(seed):
     kinds = set()
     for per_level in oracle_inputs(seed):
-        mpf = level_decisions(per_level, FilterMode.MPF)
+        mpf, cpf = level_decisions(per_level, [FilterMode.MPF, FilterMode.CPF])
         assert mpf == reference_mpf_decisions(per_level)
-        cpf = level_decisions(per_level, FilterMode.CPF)
-        tau = reference_cpf_filter(per_level).tau
+        assert level_decisions(per_level, [FilterMode.CPF, FilterMode.MPF]) == [cpf, mpf]
+        tau = reference_cpf_filter(per_level)
         assert [d.tau for d in cpf] == [tau] * len(per_level)
         assert all(d.inherited for d in cpf)
         kinds |= {(d.inherited, d.fallback) for d in mpf}
@@ -587,7 +586,7 @@ def test_level_decisions_match_reference(seed):
 
 def test_selection_empty_when_all_below():
     scores = planted_scores(np.random.default_rng(0))[0]
-    tau = level_decisions([LevelScores(PyramidLevel.P3, scores)])[0].tau
+    tau = level_decisions([LevelScores(PyramidLevel.P3, scores)], [FilterMode.MPF])[0][0].tau
     assert not np.any(np.array([0.01, 0.02]) >= tau)
 
 
@@ -626,7 +625,7 @@ def test_selection_boundary_inclusive():
 
 def test_selection_f1_on_planted_mixture():
     scores, labels = planted_scores(np.random.default_rng(10))
-    tau = level_decisions([LevelScores(PyramidLevel.P5, scores)])[0].tau
+    tau = level_decisions([LevelScores(PyramidLevel.P5, scores)], [FilterMode.MPF])[0][0].tau
     chosen = scores >= tau
     tp = int(np.sum(chosen & labels))
     precision = tp / int(chosen.sum())

@@ -1,11 +1,14 @@
 import math
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spwood import filtering
 from spwood.errors import DegenerateInputError, InvalidInputError
 from spwood.filtering import PyramidLevel
 from spwood.pipeline import (
@@ -287,6 +290,43 @@ def test_negative_seed_arguments_are_input_errors(seed):
         paired_comparison(shifted_scenario(), repeats=2, base_seed=seed)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "4"])
+def test_non_integer_seed_arguments_are_input_errors(seed):
+    """numpy's generator takes only an integer seed: the error names the value."""
+    with pytest.raises(InvalidInputError) as exc:
+        run_simulation(shifted_scenario(), FilterMode.MPF, seed=seed)
+    assert str(exc.value) == f"seed must be an integer, got {seed}"
+    with pytest.raises(InvalidInputError) as exc:
+        paired_comparison(shifted_scenario(), repeats=2, base_seed=seed)
+    assert str(exc.value) == f"base_seed must be an integer, got {seed}"
+    with pytest.raises(InvalidInputError) as exc:
+        SimScenario(shifted_scenario().levels, rounds=1, seed=seed)
+    assert str(exc.value) == f"scenario seed must be an integer, got {seed}"
+
+
+def test_numpy_integer_seeds_are_integers():
+    scen = shifted_scenario(rounds=1)
+    assert run_simulation(scen, FilterMode.MPF, seed=np.int64(5)) == run_simulation(scen, FilterMode.MPF, seed=5)
+
+
+def test_each_score_set_is_fitted_once_per_round(monkeypatch):
+    """tests/data/scen.txt has four rounds of P3 and P4, rich enough for fits
+    of their own, and P5, whose 7 scores inherit the pool under MPF. A
+    paired repeat draws each round once and fits P3, P4 and the pool once,
+    the pool serving both modes: 3 fits a round, against 3 + 1 for two
+    single-mode runs."""
+    fits = []
+    fit_gmm = filtering.fit_gmm
+    monkeypatch.setattr(filtering, "fit_gmm", lambda scores: fits.append(len(scores)) or fit_gmm(scores))
+    scen = load_scenario(Path(__file__).parent / "data" / "scen.txt")
+    paired_comparison(scen, repeats=3)
+    assert len(fits) == 36
+    for mode, want in (("mpf", 12), ("cpf", 4)):
+        fits.clear()
+        run_simulation(scen, mode)
+        assert len(fits) == want
+
+
 def test_mpf_beats_cpf_on_shifted_levels():
     summary = paired_comparison(shifted_scenario(), repeats=10, base_seed=0)
     assert summary.mpf_mean_f1 > summary.cpf_mean_f1
@@ -327,3 +367,16 @@ def test_sign_test_values():
     assert sign_test_p_value(5, 5) == pytest.approx(
         sum(math.comb(10, k) for k in range(5, 11)) / 2**10
     )
+
+
+@pytest.mark.parametrize("wins, losses", [(1024, 0), (600, 600), (0, 1100), (1023, 0), (700, 300)])
+def test_sign_test_is_exact_past_the_float_range_of_2_to_the_n(wins, losses):
+    """From wins + losses = 1024 on, 2.0**n overflows; the p-value is the
+    exact tail fraction, rounded once."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(wins, n + 1))
+    assert sign_test_p_value(wins, losses) == float(Fraction(tail, 2**n))
+
+
+def test_sign_test_of_1024_straight_wins_is_two_to_the_minus_1024():
+    assert sign_test_p_value(1024, 0) == math.ldexp(1.0, -1024) > 0.0
