@@ -15,7 +15,6 @@ from .errors import (
 from .geometry import (
     HorizontalBox,
     OrientedBox,
-    PointAnnotation,
     bhattacharyya_boxes,
     box_rows,
     corners_of_boxes,
@@ -41,8 +40,6 @@ from .losses import (
     watershed_loss,
 )
 from .layout import (
-    ScaleTarget,
-    VoronoiLabelMap,
     gradient_magnitude,
     read_pgm,
     scale_targets,

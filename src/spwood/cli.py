@@ -33,7 +33,6 @@ from .errors import (
     read_text,
 )
 from .filtering import LevelScores, PyramidLevel
-from .geometry import PointAnnotation
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -184,14 +183,18 @@ def cmd_eval_loss(args) -> int:
     if args.input is None:
         if not args.check_grad:
             raise InvalidInputError("provide an input file or --check-grad")
+        points = 100 if args.random is None else args.random
         seed = _resolve_seed(args.seed, 0)
-        errs = gradcheck.random_sweep(args.random, seed)
+        errs = gradcheck.random_sweep(points, seed)
         worst = max(errs.values())
         for op in gradcheck.OPS:
             status = "ok" if errs[op] < gradcheck.DEFAULT_REL_TOL else "FAIL"
-            print(f"{op}: points={args.random} max_rel_err={errs[op]:.3g} {status}")
+            print(f"{op}: points={points} max_rel_err={errs[op]:.3g} {status}")
         print(f"overall max_rel_err={worst:.3g}")
         return EXIT_OK if worst < gradcheck.DEFAULT_REL_TOL else EXIT_ERROR
+    for flag in ("random", "seed"):
+        if getattr(args, flag) is not None:
+            raise InvalidInputError(f"--{flag} applies only to the random sweep, not to an entry file")
 
     failed = False
     for line_no, line in numbered_lines(read_text(args.input)):
@@ -224,6 +227,8 @@ def _write_report(path, args, report: pipeline.SimulationReport, footer: str = "
 
 
 def cmd_simulate(args) -> int:
+    if args.mode != "paired" and args.repeats is not None:
+        raise InvalidInputError(f"--repeats applies only to --mode paired, not to --mode {args.mode}")
     scenario = pipeline.load_scenario(args.scenario)
     seed = _resolve_seed(args.seed, scenario.seed)
     out = Path(args.out)
@@ -233,7 +238,8 @@ def cmd_simulate(args) -> int:
         print(f"{args.mode}: mean_f1={report.mean_f1:.6f} rows={len(report.rows)}")
         return EXIT_OK
     # paired head-to-head: one report file per mode plus a summary footer
-    summary = pipeline.paired_comparison(scenario, args.repeats, base_seed=seed)
+    repeats = 1 if args.repeats is None else args.repeats
+    summary = pipeline.paired_comparison(scenario, repeats, base_seed=seed)
     footer = f"# paired summary: {summary.describe()}\n"
     for report in summary.reports[0]:
         mode_path = out.with_suffix(f".{report.mode.value}{out.suffix}")
@@ -266,8 +272,10 @@ def cmd_report(args) -> int:
 # --- watershed ---------------------------------------------------------------
 
 
-def _read_points(path) -> list[PointAnnotation]:
-    points = []
+def _read_points(path) -> tuple[np.ndarray, list[str]]:
+    """The (n, 2) float array of a points file's (x, y) seeds and the list
+    of their categories ("" where a line gives none)."""
+    points, categories = [], []
     for line_no, line in numbered_lines(read_text(path)):
         tokens = line.split()
         if not 2 <= len(tokens) <= 3:
@@ -278,32 +286,28 @@ def _read_points(path) -> list[PointAnnotation]:
             raise LineError(f"bad coordinate in {line!r}", line_no, path) from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise LineError(f"non-finite coordinate in {line!r}", line_no, path)
-        points.append(PointAnnotation(x, y, tokens[2] if len(tokens) > 2 else ""))
+        points.append((x, y))
+        categories.append(tokens[2] if len(tokens) > 2 else "")
     if not points:
         raise InvalidInputError(f"no points in {path}")
-    return points
+    return np.array(points), categories
 
 
 def cmd_watershed(args) -> int:
-    if not math.isfinite(args.theta):
-        raise InvalidInputError(f"theta must be finite, got {args.theta}")
     image = layout.read_pgm(args.image)
-    seeds = _read_points(args.points)
-    cells = layout.voronoi_partition(seeds, image.shape[1], image.shape[0])
-    labels = layout.watershed_segment(image, cells)
-    targets = layout.scale_targets(labels, len(seeds), args.theta)
+    points, categories = _read_points(args.points)
+    labels = layout.watershed_segment(image, points)
+    targets = layout.scale_targets(labels, len(points), args.theta)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "targets.csv", "w", encoding="utf-8") as fh:
         fh.write(_comment_header(args, "-"))
         fh.write("seed_index,x,y,category,w_t,h_t,valid\n")
-        for k, (seed, target) in enumerate(zip(seeds, targets)):
+        rows = zip(points.tolist(), categories, targets.tolist())
+        for k, ((x, y), category, (w_t, h_t)) in enumerate(rows):
             layout.write_pgm(out_dir / f"mask_{k:03d}.pgm", labels == k)
-            fh.write(
-                f"{k},{_fmt(seed.x)},{_fmt(seed.y)},{seed.category},"
-                f"{_fmt(target.w_t)},{_fmt(target.h_t)},{int(target.valid)}\n"
-            )
-    print(f"wrote {len(seeds)} masks and targets.csv to {out_dir}")
+            fh.write(f"{k},{_fmt(x)},{_fmt(y)},{category},{_fmt(w_t)},{_fmt(h_t)},{int(w_t > 0)}\n")
+    print(f"wrote {len(points)} masks and targets.csv to {out_dir}")
     return EXIT_OK
 
 
@@ -376,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--random",
         type=int,
-        default=100,
+        default=None,
         metavar="N",
         help="random interior points per op for the sweep (default 100)",
     )
@@ -396,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--repeats",
         type=int,
-        default=1,
+        default=None,
         help="paired mode: number of seeded repeats for the summary (default 1)",
     )
     p.add_argument(

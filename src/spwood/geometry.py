@@ -82,15 +82,6 @@ class HorizontalBox:
             )
 
 
-@dataclass(frozen=True)
-class PointAnnotation:
-    """A single labeled location."""
-
-    x: float
-    y: float
-    category: str = ""
-
-
 def bhattacharyya_boxes(p: np.ndarray, q: np.ndarray):
     """Bhattacharyya distance between the Gaussian models of box pairs,
     with its gradient.

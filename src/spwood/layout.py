@@ -1,10 +1,13 @@
 """Voronoi partitioning and watershed segmentation for scale targets.
 
-Point annotations carve the image into nearest-seed cells; inside each
-cell a two-marker watershed (seed pixel vs. cell boundary) floods the
-gradient-magnitude surface to recover a foreground mask. The masks are
-held in one label image, and each mask's rotated extents become the
-width/height regression targets.
+The seeds are an (n, 2) float array of (x, y) points and the image an
+(H, W) float array in [0, 1]. The seeds carve the image into
+nearest-seed cells (`voronoi_partition`, an (H, W) int32 array); inside
+each, `watershed_segment` floods a two-marker watershed (seed pixel vs.
+cell boundary) over the gradient-magnitude surface to recover a
+foreground mask. The masks are held in one (H, W) int32 label image, and
+`scale_targets` turns each mask's rotated extents into a row (w_t, h_t)
+of an (n, 2) float64 array, (0, 0) for an empty mask.
 
 The masks are those of a queue-once priority flood (Vincent & Soille,
 1991) keyed by (gradient at the pixel, row-major pixel index). Markers go
@@ -30,65 +33,37 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import PointAnnotation
 
 
-@dataclass(frozen=True)
-class VoronoiLabelMap:
-    """Per-pixel nearest-seed labels, (height, width), plus the seeds that
-    produced them."""
-
-    cell_id: np.ndarray
-    seeds: tuple[PointAnnotation, ...]
-
-    def __post_init__(self):
-        grid = np.asarray(self.cell_id)
-        if grid.ndim != 2:
-            raise InvalidInputError(f"cell_id must be 2-D, got shape {grid.shape}")
-        if grid.size and (grid.min() < 0 or grid.max() >= len(self.seeds)):
-            raise InvalidInputError("cell_id references a missing seed")
-        object.__setattr__(self, "cell_id", grid)
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-
-
-@dataclass(frozen=True)
-class ScaleTarget:
-    """Extent targets measured from a mask; invalid when the mask is empty."""
-
-    w_t: float
-    h_t: float
-    valid: bool
-
-
-def voronoi_partition(
-    seeds: list[PointAnnotation], width: int, height: int
-) -> VoronoiLabelMap:
-    """Assign every pixel to its nearest seed (squared Euclidean distance
-    on lattice coordinates); ties go to the lowest seed index."""
-    if not seeds:
+def voronoi_partition(points, width: int, height: int) -> np.ndarray:
+    """The (height, width) int32 array of each pixel's nearest seed among
+    the (n, 2) float array of (x, y) seeds (squared Euclidean distance on
+    lattice coordinates); ties go to the lowest seed index."""
+    points = np.asarray(points, dtype=float)
+    if not points.size:
         raise InvalidInputError("need at least one seed")
-    for k, s in enumerate(seeds):
-        if not (0 <= s.x < width and 0 <= s.y < height):
-            raise InvalidInputError(
-                f"seed {k} at ({s.x}, {s.y}) outside {width} x {height} image"
-            )
+    if points.shape != (len(points), 2):
+        raise InvalidInputError(f"points must have shape (n, 2), got {points.shape}")
+    seeds = points.tolist()
+    for k, (x, y) in enumerate(seeds):
+        if not (0 <= x < width and 0 <= y < height):
+            raise InvalidInputError(f"seed {k} at ({x}, {y}) outside {width} x {height} image")
     xs = np.arange(width, dtype=float)
     ys = np.arange(height, dtype=float)
     # Running argmin: a later seed takes a pixel only when strictly closer,
     # so ties stay with the lowest index.
     best = np.full((height, width), np.inf)
     labels = np.zeros((height, width), dtype=np.int32)
-    for k, s in enumerate(seeds):
-        d2 = (xs[None, :] - s.x) ** 2 + (ys[:, None] - s.y) ** 2
+    for k, (x, y) in enumerate(seeds):
+        d2 = (xs[None, :] - x) ** 2 + (ys[:, None] - y) ** 2
         closer = d2 < best
         np.copyto(labels, k, where=closer)
         np.minimum(best, d2, out=best)
-    return VoronoiLabelMap(labels, tuple(seeds))
+    return labels
 
 
 def gradient_magnitude(intensity: np.ndarray) -> np.ndarray:
@@ -99,8 +74,9 @@ def gradient_magnitude(intensity: np.ndarray) -> np.ndarray:
     return np.hypot(gx, gy)
 
 
-def watershed_segment(intensity: np.ndarray, cells: VoronoiLabelMap) -> np.ndarray:
-    """Flood each Voronoi cell from its seed against its boundary.
+def watershed_segment(intensity: np.ndarray, points) -> np.ndarray:
+    """Flood each seed's Voronoi cell (`voronoi_partition`) from the seed
+    against the cell's boundary.
 
     The seed marker is the pixel of the seed's own cell nearest to the
     seed (ties to the lowest row-major index); the background marker is
@@ -113,8 +89,8 @@ def watershed_segment(intensity: np.ndarray, cells: VoronoiLabelMap) -> np.ndarr
     ----------
     intensity : (H, W) float array
         Intensities in [0, 1]; the flood runs on their gradient magnitude.
-    cells : VoronoiLabelMap
-        Partition whose shape must match the image.
+    points : (n, 2) float array
+        The (x, y) seeds, each inside the image.
 
     Returns
     -------
@@ -127,25 +103,22 @@ def watershed_segment(intensity: np.ndarray, cells: VoronoiLabelMap) -> np.ndarr
     intensity = np.asarray(intensity, dtype=float)
     if not ((intensity >= 0.0) & (intensity <= 1.0)).all():  # NaN fails both tests
         raise InvalidInputError("intensity values must lie in [0, 1]")
-    if intensity.shape != cells.cell_id.shape:
-        (h, w), (ch, cw) = intensity.shape, cells.cell_id.shape
-        raise InvalidInputError(
-            f"image {w} x {h} does not match partition {cw} x {ch}"
-        )
+    points = np.asarray(points, dtype=float)
+    cell_id = voronoi_partition(points, intensity.shape[1], intensity.shape[0])
     rank = _flood_ranks(gradient_magnitude(intensity))
     seed = np.zeros(rank.shape, dtype=bool)
-    seed[_snap_seeds(cells)] = True
+    seed[_snap_seeds(cell_id, points)] = True
     # Markers: the seed pixels and every pixel with a 4-neighbour in another
     # cell or outside the image. So the free pixels are interior, and all
     # their neighbours lie in their own cell.
-    cell = np.pad(cells.cell_id, 1, constant_values=-1)
+    cell = np.pad(cell_id, 1, constant_values=-1)
     marker = seed.copy()
     for view in _neighbours(cell):
-        marker |= view != cells.cell_id
+        marker |= view != cell_id
     del cell
     level = _flood_levels(rank, marker)
     foreground = _pass_labels(rank, level, seed)
-    return np.where(foreground, cells.cell_id, -1).astype(np.int32, copy=False)
+    return np.where(foreground, cell_id, -1).astype(np.int32, copy=False)
 
 
 def _neighbours(a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -288,12 +261,13 @@ def _pass_labels(rank: np.ndarray, level: np.ndarray, seed: np.ndarray) -> np.nd
     return seed | ((level >= 0) & (end[level] == fg_end))
 
 
-def _snap_seeds(cells: VoronoiLabelMap) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the pixel nearest each seed within its own cell
-    (ties to the lowest row-major index); seeds with empty cells are left out."""
-    sx, sy = np.array([(s.x, s.y) for s in cells.seeds], dtype=float).T
-    width = cells.cell_id.shape[1]
-    lab = cells.cell_id.ravel()
+def _snap_seeds(cell_id: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the pixel nearest each seed of the (n, 2) float
+    array within its own cell of `cell_id` (ties to the lowest row-major
+    index); seeds with empty cells are left out."""
+    sx, sy = points.T
+    width = cell_id.shape[1]
+    lab = cell_id.ravel()
     ys, xs = np.divmod(np.arange(lab.size), width)
     d2 = (xs - sx[lab]) ** 2 + (ys - sy[lab]) ** 2
     best = np.full(len(sx), np.inf)
@@ -303,14 +277,18 @@ def _snap_seeds(cells: VoronoiLabelMap) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(hits[first], width)
 
 
-def scale_targets(labels: np.ndarray, n: int, theta: float) -> list[ScaleTarget]:
-    """Extents of the masks of seeds 0..n-1 in a label image (see
-    watershed_segment) along the axes of a frame rotated by theta.
+def scale_targets(labels: np.ndarray, n: int, theta: float) -> np.ndarray:
+    """The (n, 2) float64 array of the extents (w_t, h_t) of the masks of
+    seeds 0..n-1 in a label image (see watershed_segment) along the axes
+    of a frame rotated by theta.
 
     Each mask's pixel coordinates are rotated by -theta about their
     centroid; the target extents are (max - min + 1) along each rotated
-    axis. An empty mask yields an invalid target.
+    axis, so at least 1. An empty mask's row is (0, 0): w_t > 0 marks a
+    valid target.
     """
+    if not math.isfinite(theta):
+        raise InvalidInputError(f"theta must be finite, got {theta}")
     flat = np.flatnonzero(labels >= 0)
     owner = labels.ravel()[flat]
     # A stable sort keeps each mask's pixels in row-major order, so each
@@ -319,16 +297,15 @@ def scale_targets(labels: np.ndarray, n: int, theta: float) -> list[ScaleTarget]
     bounds = np.searchsorted(owner[order], np.arange(n + 1))
     ys, xs = np.divmod(flat[order], labels.shape[1])
     c, s = math.cos(-theta), math.sin(-theta)
-    targets = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    targets = np.zeros((n, 2))
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if lo == hi:
-            targets.append(ScaleTarget(0.0, 0.0, False))
             continue
         x, y = xs[lo:hi], ys[lo:hi]
         cx, cy = x.mean(), y.mean()
         u = (x - cx) * c - (y - cy) * s
         v = (x - cx) * s + (y - cy) * c
-        targets.append(ScaleTarget(float(u.max() - u.min() + 1.0), float(v.max() - v.min() + 1.0), True))
+        targets[k] = u.max() - u.min() + 1.0, v.max() - v.min() + 1.0
     return targets
 
 

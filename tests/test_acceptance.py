@@ -20,7 +20,7 @@ from spwood.dataset import (
     sparsify_single,
 )
 from spwood.filtering import LevelScores, PyramidLevel, fit_gmm, threshold_from_fit
-from spwood.geometry import OrientedBox, PointAnnotation
+from spwood.geometry import OrientedBox
 from spwood.layout import (
     scale_targets,
     voronoi_partition,
@@ -270,18 +270,18 @@ def test_criterion_6_voronoi_oracle_equivalence():
         height = int(rng.integers(2, 129))
         n_seeds = int(rng.integers(1, 21))
         seeds = [
-            PointAnnotation(int(rng.integers(0, width)), int(rng.integers(0, height)))
+            (int(rng.integers(0, width)), int(rng.integers(0, height)))
             for _ in range(n_seeds)
         ]
-        got = voronoi_partition(seeds, width, height).cell_id
+        got = voronoi_partition(np.array(seeds, dtype=float), width, height)
         # independent oracle: sequential per-seed scan, strict improvement
         # keeps the lowest index on ties
         xs = np.arange(width, dtype=float)[None, :]
         ys = np.arange(height, dtype=float)[:, None]
         best_d = np.full((height, width), np.inf)
         best_i = np.zeros((height, width), dtype=np.int64)
-        for k, s in enumerate(seeds):
-            d = (xs - s.x) ** 2 + (ys - s.y) ** 2
+        for k, (sx, sy) in enumerate(seeds):
+            d = (xs - sx) ** 2 + (ys - sy) ** 2
             better = d < best_d
             best_d[better] = d[better]
             best_i[better] = k
@@ -304,14 +304,11 @@ def test_criterion_7_watershed_scale_recovery():
         u = (xs - cx) * c - (ys - cy) * s
         v = (xs - cx) * s + (ys - cy) * c
         img = ((np.abs(u) <= w / 2) & (np.abs(v) <= h / 2)).astype(float)
-        cells = voronoi_partition(
-            [PointAnnotation(round(cx), round(cy))], size, size
-        )
-        labels = watershed_segment(img, cells)
-        target = scale_targets(labels, 1, theta)[0]
+        labels = watershed_segment(img, np.array([[round(cx), round(cy)]], dtype=float))
+        w_t, h_t = scale_targets(labels, 1, theta)[0]
         tol_w = max(0.1 * w, 2.0)
         tol_h = max(0.1 * h, 2.0)
-        if target.valid and abs(target.w_t - w) <= tol_w and abs(target.h_t - h) <= tol_h:
+        if w_t > 0 and abs(w_t - w) <= tol_w and abs(h_t - h) <= tol_h:
             hits += 1
     assert hits >= 45, f"only {hits}/50 rectangles recovered"
     report(7, f"watershed scale recovery {hits}/50", t0, limit=60.0)

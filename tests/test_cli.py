@@ -611,6 +611,23 @@ def test_eval_loss_random_sweep_needs_a_point(capsys, points):
     assert capsys.readouterr() == ("", f"error: n_points must be at least 1, got {points}\n")
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--random", "0", "--seed", "3"], "--random"),
+    (["--seed", "3"], "--seed"),
+    (["--check-grad", "--random", "5"], "--random"),
+])
+def test_eval_loss_sweep_options_with_an_entry_file_are_an_error(capsys, flags, named):
+    """--random and --seed have no effect on an entry file, so giving them
+    with one is an input error that names the first, and nothing is printed."""
+    assert cli.main(["eval-loss", str(LOSS_ENTRIES), *flags]) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {named} applies only to the random sweep, not to an entry file\n")
+
+
+def test_eval_loss_random_sweep_defaults_to_100_points(capsys):
+    assert cli.main(["eval-loss", "--check-grad"]) == cli.EXIT_OK
+    assert "overlap: points=100 " in capsys.readouterr().out
+
+
 def test_eval_loss_needs_an_input_or_check_grad(capsys):
     assert cli.main(["eval-loss"]) == cli.EXIT_ERROR
     assert capsys.readouterr() == ("", "error: provide an input file or --check-grad\n")
@@ -705,6 +722,32 @@ def test_simulate_paired_reports_match_single_mode_runs(tmp_path):
         single = tmp_path / f"{mode}.csv"
         assert cli.main(base + ["--out", str(single), "--mode", mode]) == 0
         assert body(tmp_path / f"report.{mode}.csv") == body(single)
+
+
+@pytest.mark.parametrize("mode, repeats", [("mpf", "0"), ("cpf", "3")])
+def test_simulate_repeats_outside_paired_mode_is_an_error(tmp_path, capsys, mode, repeats):
+    """--repeats has no effect outside paired mode, so giving it there is an
+    input error that names it, whatever its value, and nothing is written."""
+    scen = tmp_path / "scen.txt"
+    scen.write_text(SCENARIO)
+    argv = ["simulate", "--scenario", str(scen), "--out", str(tmp_path / "report.csv"),
+            "--mode", mode, "--repeats", repeats]
+    assert cli.main(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: --repeats applies only to --mode paired, not to --mode {mode}\n")
+    assert list(tmp_path.iterdir()) == [scen]
+
+
+def test_simulate_paired_repeats_default_to_one(tmp_path, capsys):
+    scen = tmp_path / "scen.txt"
+    scen.write_text(SCENARIO)
+    outputs = []
+    for name, repeats in (("default", []), ("one", ["--repeats", "1"])):
+        argv = ["simulate", "--scenario", str(scen), "--out", str(tmp_path / f"{name}.csv"), "--mode", "paired"]
+        assert cli.main(argv + repeats) == cli.EXIT_OK
+        reports = [(tmp_path / f"{name}.{mode}.csv").read_text().split("\n", 1)[1] for mode in ("mpf", "cpf")]
+        outputs.append((capsys.readouterr().out, reports))
+    assert outputs[0] == outputs[1]
+    assert "repeats=1 " in outputs[0][0]
 
 
 # --- report ---------------------------------------------------------------------
@@ -971,6 +1014,13 @@ def test_watershed_rejects_non_finite_theta(tmp_path, capsys, theta):
     argv = watershed_inputs(tmp_path, "8 8 ship\n")
     assert cli.main([*argv, f"--theta={theta}"]) == cli.EXIT_ERROR
     assert capsys.readouterr().err == f"error: theta must be finite, got {float(theta)}\n"
+    assert not (tmp_path / "masks").exists()
+
+
+def test_watershed_reports_a_bad_points_file_before_a_bad_theta(tmp_path, capsys):
+    argv = watershed_inputs(tmp_path, "8 nan\n")
+    assert cli.main([*argv, "--theta=nan"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {tmp_path / 'pts.txt'}: line 1: non-finite coordinate in '8 nan'\n"
     assert not (tmp_path / "masks").exists()
 
 

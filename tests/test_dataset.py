@@ -34,7 +34,6 @@ from spwood.errors import DegenerateInputError, DotaParseError, InvalidInputErro
 from spwood.geometry import (
     HorizontalBox,
     OrientedBox,
-    PointAnnotation,
     corners_of_boxes,
     normalize_angle,
 )
@@ -464,7 +463,7 @@ def ref_weaken(record, target):
     pts = np.asarray(record.corners, dtype=float)
     if target is WeakKind.POINT:
         cx, cy = pts.mean(axis=0)
-        return PointAnnotation(float(cx), float(cy), record.category)
+        return (float(cx), float(cy))
     if target is WeakKind.HBOX:
         xmin, ymin = pts.min(axis=0)
         xmax, ymax = pts.max(axis=0)
@@ -507,7 +506,7 @@ def ref_serialize_weak(images, kind):
         for rec in images[image_id]:
             weak = ref_weaken(rec, kind)
             if kind is WeakKind.POINT:
-                lines.append(f"{ref_fmt(weak.x)} {ref_fmt(weak.y)} {rec.category}")
+                lines.append(f"{ref_fmt(weak[0])} {ref_fmt(weak[1])} {rec.category}")
             elif kind is WeakKind.HBOX:
                 lines.append(
                     f"{ref_fmt(weak.xmin)} {ref_fmt(weak.ymin)} "
@@ -765,8 +764,8 @@ def test_parse_serialize_and_weaken_match_record_reference(oracle_corpus):
 
 def label_row(label):
     """The weak label row of a reference label."""
-    if isinstance(label, PointAnnotation):
-        return [label.x, label.y]
+    if isinstance(label, tuple):  # a point's (x, y)
+        return list(label)
     if isinstance(label, HorizontalBox):
         return [label.xmin, label.ymin, label.xmax, label.ymax]
     return [label.cx, label.cy, label.w, label.h, label.theta]

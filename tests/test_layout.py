@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -10,10 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spwood.errors import InvalidInputError
-from spwood.geometry import PointAnnotation
 from spwood.layout import (
-    ScaleTarget,
-    VoronoiLabelMap,
     _snap_seeds,
     gradient_magnitude,
     read_pgm,
@@ -27,13 +25,14 @@ DATA = Path(__file__).parent / "data"
 
 
 def brute_force_nearest(seeds, width, height):
-    """Pure-python oracle: per pixel, scan all seeds, keep the first best."""
+    """Pure-python oracle: per pixel, scan all (x, y) seeds, keep the first
+    best. Squares are products, as numpy's ** 2 computes them."""
     out = np.zeros((height, width), dtype=int)
     for y in range(height):
         for x in range(width):
             best, best_d = 0, float("inf")
-            for k, s in enumerate(seeds):
-                d = (x - s.x) ** 2 + (y - s.y) ** 2
+            for k, (sx, sy) in enumerate(seeds):
+                d = (x - sx) * (x - sx) + (y - sy) * (y - sy)
                 if d < best_d:
                     best, best_d = k, d
             out[y, x] = best
@@ -43,12 +42,13 @@ def brute_force_nearest(seeds, width, height):
 def reference_flood(grad, cell, seed):
     """Two-marker flood of one cell with a (gradient, row-major index, push
     order) tuple heap; markers are the rounded seed pixel and the rest of
-    the cell boundary, whose neighbors are pushed seed first."""
+    the cell boundary, whose neighbors are pushed seed first. The seed is
+    an (x, y) pair."""
     height, width = grad.shape
     padded = np.pad(cell, 1)
     interior = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
     boundary = cell & ~interior
-    sx, sy = int(round(seed.x)), int(round(seed.y))
+    sx, sy = (int(round(v)) for v in seed)
     labels = np.zeros(grad.shape, dtype=np.uint8)
     boundary[sy, sx] = False
     labels[boundary] = 2
@@ -79,11 +79,13 @@ def reference_flood(grad, cell, seed):
 _FG, _BG, _FENCE = 1, 2, 3
 
 
-def queue_flood(intensity, cells):
+def queue_flood(intensity, points):
     """The heap flood that watershed_segment replaced, kept as the oracle
     for its label image: one heapq push and pop per pixel, keyed by
-    (gradient rank, row-major index), each pixel queued once."""
-    h, w = cells.cell_id.shape
+    (gradient rank, row-major index), each pixel queued once, in the cells
+    of the (n, 2) float array of seeds."""
+    h, w = intensity.shape
+    cell_id = voronoi_partition(points, w, h)
     # All cells flood in one frame padded by a fence pixel on each side, so
     # neighbor lookups need no bounds checks. Padding keeps row-major order,
     # so the priority rank(gradient) * size + index sorts pixels exactly as
@@ -92,7 +94,7 @@ def queue_flood(intensity, cells):
     rank = np.unique(gradient_magnitude(intensity), return_inverse=True)[1]
     index = np.arange(size).reshape(h + 2, stride)
     prio = (np.pad(rank.reshape(h, w), 1) * size + index).ravel()
-    cell = np.pad(cells.cell_id, 1, constant_values=-1)
+    cell = np.pad(cell_id, 1, constant_values=-1)
     inner = cell[1:-1, 1:-1]
     boundary = (
         (cell[:-2, 1:-1] != inner)
@@ -101,7 +103,7 @@ def queue_flood(intensity, cells):
         | (cell[1:-1, 2:] != inner)
     )
     label = np.pad(boundary * np.uint8(_BG), 1, constant_values=_FENCE)
-    rows, cols = _snap_seeds(cells)
+    rows, cols = _snap_seeds(cell_id, points)
     label[rows + 1, cols + 1] = _FG
     label, cell = label.ravel(), cell.ravel()
     # Markers go cell by cell in seed order: the seed pixel, then the cell's
@@ -124,28 +126,27 @@ def queue_flood(intensity, cells):
                 label_v[j] = lab
                 push(heap, prio_v[j])
     fg = label.reshape(h + 2, stride)[1:-1, 1:-1] == _FG
-    return np.where(fg, cells.cell_id, np.int32(-1)).astype(np.int32)
+    return np.where(fg, cell_id, np.int32(-1)).astype(np.int32)
 
 
-def assert_same_masks(image, cells):
-    labels = watershed_segment(image, cells)
-    expected = queue_flood(image, cells)
+def assert_same_masks(image, points):
+    labels = watershed_segment(image, points)
+    expected = queue_flood(image, points)
     assert labels.dtype == expected.dtype and labels.tobytes() == expected.tobytes()
 
 
 def scale_target_from_mask(mask, theta):
     """The per-mask target computation that scale_targets replaced, kept as
-    its oracle: one np.nonzero scan of one full-size mask."""
+    its oracle: one np.nonzero scan of one full-size mask. Returns
+    [w_t, h_t], [0.0, 0.0] for an empty mask."""
     ys, xs = np.nonzero(np.asarray(mask, dtype=bool))
     if xs.size == 0:
-        return ScaleTarget(0.0, 0.0, False)
+        return [0.0, 0.0]
     cx, cy = xs.mean(), ys.mean()
     c, s = math.cos(-theta), math.sin(-theta)
     u = (xs - cx) * c - (ys - cy) * s
     v = (xs - cx) * s + (ys - cy) * c
-    return ScaleTarget(
-        float(u.max() - u.min() + 1.0), float(v.max() - v.min() + 1.0), True
-    )
+    return [float(u.max() - u.min() + 1.0), float(v.max() - v.min() + 1.0)]
 
 
 def rectangle_scene(rng, side, grid, n):
@@ -174,12 +175,12 @@ def rectangle_scene(rng, side, grid, n):
 
 
 def nearest_own_pixel(cell_id, k, seed):
-    """Brute force: the pixel of cell k nearest the seed, lowest row-major
-    index on ties; None for an empty cell."""
+    """Brute force: the pixel of cell k nearest the (x, y) seed, lowest
+    row-major index on ties; None for an empty cell."""
     ys, xs = np.nonzero(cell_id == k)
     if xs.size == 0:
         return None
-    d2 = (xs - seed.x) ** 2 + (ys - seed.y) ** 2
+    d2 = (xs - seed[0]) ** 2 + (ys - seed[1]) ** 2
     i = int(np.argmin(d2))  # nonzero is row-major, argmin keeps the first
     return ys[i], xs[i]
 
@@ -196,41 +197,71 @@ def rasterize_rect(width, height, cx, cy, w, h, theta):
 
 
 def test_single_seed_owns_everything():
-    vm = voronoi_partition([PointAnnotation(3, 4)], 8, 8)
-    assert np.all(vm.cell_id == 0)
+    cell_id = voronoi_partition(np.array([[3.0, 4.0]]), 8, 8)
+    assert cell_id.shape == (8, 8) and cell_id.dtype == np.int32
+    assert np.all(cell_id == 0)
 
 
 def test_two_seed_column_split():
-    vm = voronoi_partition([PointAnnotation(2, 5), PointAnnotation(7, 5)], 10, 10)
-    assert np.all(vm.cell_id[:, :5] == 0)
-    assert np.all(vm.cell_id[:, 5:] == 1)
+    cell_id = voronoi_partition(np.array([[2.0, 5.0], [7.0, 5.0]]), 10, 10)
+    assert np.all(cell_id[:, :5] == 0)
+    assert np.all(cell_id[:, 5:] == 1)
 
 
 def test_tie_breaks_to_lowest_index():
     # pixels at x=3 are equidistant from seeds at x=2 and x=4
-    vm = voronoi_partition([PointAnnotation(4, 0), PointAnnotation(2, 0)], 7, 1)
-    assert vm.cell_id[0, 3] == 0
+    cell_id = voronoi_partition(np.array([[4.0, 0.0], [2.0, 0.0]]), 7, 1)
+    assert cell_id[0, 3] == 0
 
 
 def test_errors():
-    with pytest.raises(InvalidInputError):
-        voronoi_partition([], 4, 4)
-    with pytest.raises(InvalidInputError):
-        voronoi_partition([PointAnnotation(9, 0)], 4, 4)
+    for points in ([], np.zeros((0, 2)), np.zeros(0)):
+        with pytest.raises(InvalidInputError, match="^need at least one seed$"):
+            voronoi_partition(points, 4, 4)
+    # integer input still prints as floats, as a points file's seeds do
+    with pytest.raises(InvalidInputError, match=r"^seed 1 at \(48\.0, 10\.0\) outside 48 x 48 image$"):
+        voronoi_partition(np.array([[1, 1], [48, 10]]), 48, 48)
 
 
-@given(
-    st.integers(2, 24),
-    st.integers(2, 24),
-    st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), min_size=1, max_size=6),
-)
-@settings(max_examples=40, deadline=None)
-def test_matches_brute_force_oracle(width, height, raw_seeds):
-    seeds = [
-        PointAnnotation(min(x, width - 1), min(y, height - 1)) for x, y in raw_seeds
-    ]
-    vm = voronoi_partition(seeds, width, height)
-    assert np.array_equal(vm.cell_id, brute_force_nearest(seeds, width, height))
+@pytest.mark.parametrize("points, shape", [
+    (np.zeros(4), "(4,)"), (np.zeros((3, 3)), "(3, 3)"), (np.zeros((2, 2, 2)), "(2, 2, 2)"), ([[1, 2, 3]], "(1, 3)"),
+])
+def test_points_must_be_n_by_2(points, shape):
+    with pytest.raises(InvalidInputError, match=rf"^points must have shape \(n, 2\), got {re.escape(shape)}$"):
+        voronoi_partition(points, 4, 4)
+    with pytest.raises(InvalidInputError, match=r"^points must have shape"):
+        watershed_segment(np.full((4, 4), 0.5), points)
+
+
+def clamped(limit):
+    """A coordinate moved into [0, limit - 1], so inside a side of `limit`."""
+    return lambda v: min(max(v, 0.0), limit - 1.0)
+
+
+@st.composite
+def voronoi_scenes(draw):
+    """An image size and up to 30 seeds in it: any float or quarter-pixel
+    lattice values (half-integers tie exactly on bisectors), a cluster
+    within a pixel of the first seed, and duplicates."""
+    width, height = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    seeds = draw(st.lists(st.tuples(coordinates(width), coordinates(height)), min_size=1, max_size=20))
+    x0, y0 = seeds[0]
+    offset = st.integers(-4, 4).map(lambda v: v / 4.0)
+    near = st.tuples(offset.map(lambda d: x0 + d).map(clamped(width)),
+                     offset.map(lambda d: y0 + d).map(clamped(height)))
+    seeds += draw(st.lists(near, max_size=6))
+    seeds += draw(st.lists(st.sampled_from(seeds), max_size=4))
+    return width, height, seeds
+
+
+@given(voronoi_scenes())
+@example((7, 1, [(4.0, 0.0), (2.0, 0.0), (3.5, 0.5), (2.5, 0.5), (2.0, 0.0)]))
+@example((5, 5, [(1.5, 1.5), (2.5, 2.5), (2.5, 1.5), (1.5, 2.5), (2.0, 2.0), (2.0, 2.0)]))
+@settings(max_examples=60, deadline=None)
+def test_matches_brute_force_oracle(scene):
+    width, height, seeds = scene
+    cell_id = voronoi_partition(np.array(seeds), width, height)
+    assert np.array_equal(cell_id, brute_force_nearest(seeds, width, height))
 
 
 def test_partition_is_complete_and_seed_pixels_labeled():
@@ -238,11 +269,11 @@ def test_partition_is_complete_and_seed_pixels_labeled():
     positions = set()
     while len(positions) < 7:
         positions.add((int(rng.integers(0, 30)), int(rng.integers(0, 20))))
-    seeds = [PointAnnotation(x, y) for x, y in sorted(positions)]
-    vm = voronoi_partition(seeds, 30, 20)
-    assert vm.cell_id.min() >= 0 and vm.cell_id.max() < len(seeds)
-    for k, s in enumerate(seeds):
-        assert vm.cell_id[int(s.y), int(s.x)] == k
+    seeds = sorted(positions)
+    cell_id = voronoi_partition(np.array(seeds, dtype=float), 30, 20)
+    assert cell_id.min() >= 0 and cell_id.max() < len(seeds)
+    for k, (x, y) in enumerate(seeds):
+        assert cell_id[y, x] == k
 
 
 # --- watershed ----------------------------------------------------------------
@@ -250,8 +281,7 @@ def test_partition_is_complete_and_seed_pixels_labeled():
 
 def test_uniform_image_golden_mask():
     image = np.full((21, 21), 0.5)
-    cells = voronoi_partition([PointAnnotation(10, 10)], 21, 21)
-    mask = watershed_segment(image, cells) == 0
+    mask = watershed_segment(image, np.array([[10.0, 10.0]])) == 0
     golden = np.array(
         [[ch == "#" for ch in line] for line in (DATA / "uniform_mask_21.txt").read_text().splitlines()]
     )
@@ -261,8 +291,7 @@ def test_uniform_image_golden_mask():
 def test_bright_rectangle_recovered():
     img = np.zeros((40, 40))
     img[15:25, 10:30] = 1.0
-    cells = voronoi_partition([PointAnnotation(20, 20)], 40, 40)
-    mask = watershed_segment(img, cells) == 0
+    mask = watershed_segment(img, np.array([[20.0, 20.0]])) == 0
     rect = img.astype(bool)
     assert (mask & rect).sum() >= 0.9 * rect.sum()
     assert mask.sum() <= 1.1 * rect.sum()
@@ -271,27 +300,23 @@ def test_bright_rectangle_recovered():
 def test_seed_always_in_own_mask():
     rng = np.random.default_rng(5)
     img = rng.random((25, 30))
-    seeds = [PointAnnotation(4, 4), PointAnnotation(20, 10), PointAnnotation(12, 20)]
-    cells = voronoi_partition(seeds, 30, 25)
-    labels = watershed_segment(img, cells)
-    for k, s in enumerate(seeds):
-        assert labels[int(s.y), int(s.x)] == k
+    seeds = [(4, 4), (20, 10), (12, 20)]
+    labels = watershed_segment(img, np.array(seeds, dtype=float))
+    for k, (x, y) in enumerate(seeds):
+        assert labels[y, x] == k
 
 
 def test_masks_disjoint_and_confined():
     rng = np.random.default_rng(9)
     img = rng.random((32, 32))
-    seeds = [
-        PointAnnotation(int(rng.integers(0, 32)), int(rng.integers(0, 32)))
-        for _ in range(5)
-    ]
-    cells = voronoi_partition(seeds, 32, 32)
-    labels = watershed_segment(img, cells)
+    points = rng.integers(0, 32, (5, 2)).astype(float)
+    cell_id = voronoi_partition(points, 32, 32)
+    labels = watershed_segment(img, points)
     assert labels.shape == (32, 32) and labels.dtype == np.int32
     owned = labels >= 0
-    assert np.array_equal(labels[owned], cells.cell_id[owned])
-    for k, seed in enumerate(seeds):
-        snapped = nearest_own_pixel(cells.cell_id, k, seed)
+    assert np.array_equal(labels[owned], cell_id[owned])
+    for k, seed in enumerate(points.tolist()):
+        snapped = nearest_own_pixel(cell_id, k, seed)
         assert snapped is None or labels[snapped] == k
 
 
@@ -305,26 +330,26 @@ def oracle_scene(rng, kind):
     pixels = list(dict.fromkeys((int(x), int(y)) for x, y in pixels))
     # within 0.2 px of distinct pixels, so rounding reaches the seed's own cell
     xy = np.array(pixels) + rng.uniform(-0.2, 0.2, (len(pixels), 2))
-    xy = np.clip(xy, 0.0, [width - 1, height - 1])
-    seeds = [PointAnnotation(x, y) for x, y in xy.tolist()]
+    points = np.clip(xy, 0.0, [width - 1, height - 1])
     if kind == "uniform":
         img = np.full((height, width), 0.5)
     elif kind == "coarse":  # three levels: many gradient values tie
         img = rng.integers(0, 3, (height, width)) / 2.0
     else:
         img = rng.random((height, width))
-    return img, voronoi_partition(seeds, width, height)
+    return img, points
 
 
 @pytest.mark.parametrize("seed, kind", enumerate(["random", "thin", "uniform", "coarse"]))
 def test_masks_match_reference_flood(seed, kind):
     rng = np.random.default_rng(seed)
     for _ in range(25):
-        image, cells = oracle_scene(rng, kind)
+        image, points = oracle_scene(rng, kind)
         grad = gradient_magnitude(image)
-        labels = watershed_segment(image, cells)
-        for k, seed in enumerate(cells.seeds):
-            expected = reference_flood(grad, cells.cell_id == k, seed)
+        cell_id = voronoi_partition(points, image.shape[1], image.shape[0])
+        labels = watershed_segment(image, points)
+        for k, seed in enumerate(points.tolist()):
+            expected = reference_flood(grad, cell_id == k, seed)
             assert (labels == k).tobytes() == expected.tobytes()
 
 
@@ -347,39 +372,40 @@ IMAGES = {
 @st.composite
 def seeded_scenes(draw):
     width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    points = st.builds(PointAnnotation, coordinates(width), coordinates(height))
+    points = st.tuples(coordinates(width), coordinates(height))
     seeds = draw(st.lists(points, min_size=1, max_size=8))
     seeds += draw(st.lists(st.sampled_from(seeds), max_size=2))  # duplicates
     make = IMAGES[draw(st.sampled_from(sorted(IMAGES)))]
     image = make(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), (height, width))
-    return width, height, seeds, image
+    return width, height, np.array(seeds), image
 
 
 @given(seeded_scenes())
-@example((6, 5, [PointAnnotation(1.5, 2), PointAnnotation(2, 2)], np.full((5, 6), 0.5)))
-@example((6, 5, [PointAnnotation(2, 2), PointAnnotation(2, 2)], np.full((5, 6), 0.5)))
+@example((6, 5, np.array([[1.5, 2.0], [2.0, 2.0]]), np.full((5, 6), 0.5)))
+@example((6, 5, np.array([[2.0, 2.0], [2.0, 2.0]]), np.full((5, 6), 0.5)))
 @settings(max_examples=150, deadline=None)
 def test_non_integer_seeds_confined_disjoint_and_seeded(scene):
-    width, height, seeds, image = scene
-    cells = voronoi_partition(seeds, width, height)
-    labels = watershed_segment(image, cells)
+    width, height, points, image = scene
+    cell_id = voronoi_partition(points, width, height)
+    labels = watershed_segment(image, points)
     owned = labels >= 0
-    assert np.array_equal(labels[owned], cells.cell_id[owned])
-    targets = scale_targets(labels, len(seeds), 0.0)
-    for k, seed in enumerate(seeds):
-        snapped = nearest_own_pixel(cells.cell_id, k, seed)
+    assert np.array_equal(labels[owned], cell_id[owned])
+    targets = scale_targets(labels, len(points), 0.0)
+    for k, seed in enumerate(points.tolist()):
+        snapped = nearest_own_pixel(cell_id, k, seed)
         if snapped is None:
             assert not (labels == k).any()
-            assert not targets[k].valid
+            assert targets[k].tolist() == [0.0, 0.0]
         else:
             assert labels[snapped] == k
+            assert targets[k, 0] >= 1.0 and targets[k, 1] >= 1.0
 
 
 @given(seeded_scenes())
 @settings(max_examples=300, deadline=None)
 def test_masks_match_queue_flood(scene):
-    width, height, seeds, image = scene
-    assert_same_masks(image, voronoi_partition(seeds, width, height))
+    width, height, points, image = scene
+    assert_same_masks(image, points)
 
 
 BENCHMARK_SCENES = [(320, 5, 24, 0), (160, 8, 60, 1), (160, 8, 60, 2)]
@@ -388,21 +414,21 @@ BENCHMARK_SCENES = [(320, 5, 24, 0), (160, 8, 60, 1), (160, 8, 60, 2)]
 @pytest.mark.parametrize("side, grid, n, seed", BENCHMARK_SCENES)
 def test_masks_match_queue_flood_on_benchmark_scenes(side, grid, n, seed):
     intensity, centres = rectangle_scene(np.random.default_rng(seed), side, grid, n)
-    seeds = [PointAnnotation(x, y) for x, y in centres.tolist()]
-    assert_same_masks(intensity, voronoi_partition(seeds, side, side))
+    assert_same_masks(intensity, centres)
 
 
 def assert_targets_match_per_mask(labels, n, theta):
     want = [scale_target_from_mask(labels == k, theta) for k in range(n)]
-    assert scale_targets(labels, n, theta) == want  # == on floats: bit for bit
+    targets = scale_targets(labels, n, theta)
+    assert targets.shape == (n, 2) and targets.dtype == np.float64
+    assert targets.tolist() == want  # == on floats: bit for bit
 
 
 @pytest.mark.parametrize("side, grid, n, seed", BENCHMARK_SCENES)
 def test_targets_match_per_mask_on_benchmark_scenes(side, grid, n, seed):
     rng = np.random.default_rng(seed)
     intensity, centres = rectangle_scene(rng, side, grid, n)
-    seeds = [PointAnnotation(x, y) for x, y in centres.tolist()]
-    labels = watershed_segment(intensity, voronoi_partition(seeds, side, side))
+    labels = watershed_segment(intensity, centres)
     for theta in (0.0, *rng.uniform(-math.pi / 2, math.pi / 2, 3).tolist()):
         assert_targets_match_per_mask(labels, n, theta)
 
@@ -412,28 +438,28 @@ def test_targets_match_per_mask_on_benchmark_scenes(side, grid, n, seed):
 def test_targets_match_per_mask(scene, theta):
     """Duplicate seeds label no pixel, so their targets are the empty,
     invalid one."""
-    width, height, seeds, image = scene
-    labels = watershed_segment(image, voronoi_partition(seeds, width, height))
-    assert_targets_match_per_mask(labels, len(seeds), theta)
+    width, height, points, image = scene
+    labels = watershed_segment(image, points)
+    assert_targets_match_per_mask(labels, len(points), theta)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, -1e-12, 1.0 + 1e-12])
 def test_raster_image_rejects_intensities_outside_unit_range(bad):
     image = np.full((3, 4), 0.5)
     image[1, 2] = bad
-    cells = voronoi_partition([PointAnnotation(1, 1)], 4, 3)
+    points = np.array([[1.0, 1.0]])
     with pytest.raises(InvalidInputError, match=r"^intensity values must lie in \[0, 1\]$"):
-        watershed_segment(image, cells)
+        watershed_segment(image, points)
     image[1, 2], image[0, 0] = 1.0, 0.0  # the bounds themselves are in range
-    assert watershed_segment(image, cells).shape == (3, 4)
+    assert watershed_segment(image, points).shape == (3, 4)
 
 
 def test_voronoi_memory_is_linear_in_pixels():
     rng = np.random.default_rng(3)
-    seeds = [PointAnnotation(x, y) for x, y in rng.uniform(0, 512, (100, 2)).tolist()]
+    points = rng.uniform(0, 512, (100, 2))
     tracemalloc.start()
     try:
-        voronoi_partition(seeds, 512, 512)
+        voronoi_partition(points, 512, 512)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -441,30 +467,18 @@ def test_voronoi_memory_is_linear_in_pixels():
 
 
 def test_watershed_memory_of_the_whole_call():
+    """The Voronoi partition included: watershed_segment computes it."""
     rng = np.random.default_rng(3)
-    seeds = [PointAnnotation(x, y) for x, y in rng.uniform(0, 512, (100, 2)).tolist()]
-    cells = voronoi_partition(seeds, 512, 512)
+    points = rng.uniform(0, 512, (100, 2))
     image = rng.random((512, 512))
     tracemalloc.start()
     try:
-        labels = watershed_segment(image, cells)
+        labels = watershed_segment(image, points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert labels.shape == (512, 512)
     assert peak < 20e6  # 100 full-size bool masks took 26.2 MB on their own
-
-
-def test_dimension_mismatch_rejected():
-    image = np.zeros((4, 6))
-    cells = voronoi_partition([PointAnnotation(1, 1)], 5, 3)
-    with pytest.raises(InvalidInputError, match=r"^image 6 x 4 does not match partition 5 x 3$"):
-        watershed_segment(image, cells)
-
-
-def test_label_map_must_be_two_dimensional():
-    with pytest.raises(InvalidInputError, match=r"^cell_id must be 2-D, got shape \(4,\)$"):
-        VoronoiLabelMap(np.zeros(4, dtype=np.int32), (PointAnnotation(1, 0),))
 
 
 def test_gradient_magnitude_step_edge():
@@ -482,24 +496,31 @@ def test_gradient_magnitude_step_edge():
 def test_axis_aligned_extents():
     mask = np.zeros((30, 40), dtype=bool)
     mask[10:20, 5:25] = True  # 20 wide, 10 tall
-    t0 = scale_targets(np.where(mask, 0, -1), 1, 0.0)[0]
-    assert (t0.w_t, t0.h_t) == (pytest.approx(20.0), pytest.approx(10.0))
-    t90 = scale_targets(np.where(mask, 0, -1), 1, math.pi / 2)[0]
-    assert (t90.w_t, t90.h_t) == (pytest.approx(10.0), pytest.approx(20.0))
+    assert scale_targets(np.where(mask, 0, -1), 1, 0.0)[0] == pytest.approx([20.0, 10.0])
+    assert scale_targets(np.where(mask, 0, -1), 1, math.pi / 2)[0] == pytest.approx([10.0, 20.0])
 
 
 def test_rotated_rectangle_recovery():
     theta = math.radians(30.0)
     mask = rasterize_rect(50, 50, 25, 25, 20, 10, theta)
-    t = scale_targets(np.where(mask, 0, -1), 1, theta)[0]
-    assert t.valid
-    assert abs(t.w_t - 20.0) <= 2.0
-    assert abs(t.h_t - 10.0) <= 2.0
+    w_t, h_t = scale_targets(np.where(mask, 0, -1), 1, theta)[0]
+    assert abs(w_t - 20.0) <= 2.0
+    assert abs(h_t - 10.0) <= 2.0
 
 
 def test_empty_mask_flagged_invalid():
-    t = scale_targets(np.full((5, 5), -1), 1, 0.3)[0]
-    assert not t.valid
+    """An empty mask's row is (0, 0); a non-empty one's extents are at
+    least 1, so w_t > 0 marks a valid target."""
+    labels = np.full((5, 5), -1)
+    labels[2, 3] = 1
+    assert scale_targets(labels, 2, 0.3).tolist() == [[0.0, 0.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_scale_targets_reject_non_finite_theta(theta):
+    labels = np.zeros((3, 3), dtype=np.int32)
+    with pytest.raises(InvalidInputError, match=rf"^theta must be finite, got {theta}$"):
+        scale_targets(labels, 1, theta)
 
 
 @given(st.sampled_from([0.0, math.pi / 6, math.pi / 4, math.pi / 3]))
@@ -511,8 +532,7 @@ def test_target_equivariance_under_rotation(r):
     m2 = rasterize_rect(70, 70, 35, 35, w, h, base_theta + r)
     t1 = scale_targets(np.where(m1, 0, -1), 1, base_theta)[0]
     t2 = scale_targets(np.where(m2, 0, -1), 1, base_theta + r)[0]
-    assert abs(t1.w_t - t2.w_t) <= 2.0
-    assert abs(t1.h_t - t2.h_t) <= 2.0
+    assert np.all(np.abs(t1 - t2) <= 2.0)
 
 
 # --- raster IO -----------------------------------------------------------------
